@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos check bench bench-workload smoke-dist smoke-failover smoke-impaired docs-check lint fuzz
+.PHONY: build test vet race chaos check bench-test bench bench-workload smoke-dist smoke-failover smoke-impaired docs-check lint fuzz
 
 build:
 	$(GO) build ./...
@@ -38,7 +38,13 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/southbound -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME)
 
-check: vet race docs-check lint
+# bench/ is its own module, so build/test/vet above never compile it.
+# Vet it and run its own tests so a deleted or renamed symbol the
+# benchmark uses fails here, not in the benchmark run.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
+
+check: vet race docs-check lint bench-test
 
 # Run the routing/abstraction/controller hot-path benchmarks and record the
 # results as JSON lines in BENCH_routing.json (the committed baseline for

@@ -132,6 +132,9 @@ func realMain() int {
 			fatal(aerr)
 		}
 		rep, err = workload.RunDistributed(cfg, *procs, argv)
+		if err == nil && rep.FirstErr != "" {
+			fmt.Fprintf(os.Stderr, "loadgen: first failure: %s\n", rep.FirstErr)
+		}
 	} else {
 		rep, err = run(cfg)
 	}

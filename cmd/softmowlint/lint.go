@@ -6,6 +6,7 @@ import (
 	"go/types"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -510,6 +511,35 @@ func layering(p *Package, cfg layeringConfig) []Finding {
 			}
 			return true
 		})
+	}
+	return out
+}
+
+// bannedImports is the module-wide half of layering: import paths no
+// package under internal/ or cmd/ may use, each with the reason reported.
+// southbound/codec.go is the one wire format; a reflection-driven second
+// codec (and its decoder on untrusted input) must not come back.
+var bannedImports = map[string]string{
+	`encoding/gob`: "the binary codec in internal/southbound/codec.go is the only wire format",
+}
+
+// importBan reports every import of a banned path, whatever the package.
+func importBan(p *Package, banned map[string]string) []Finding {
+	var out []Finding
+	for _, f := range p.Files {
+		for _, imp := range f.Imports {
+			path, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				continue
+			}
+			if reason, ok := banned[path]; ok {
+				out = append(out, Finding{
+					Pos:     p.Fset.Position(imp.Path.Pos()),
+					Check:   "layering",
+					Message: "import of " + path + " is forbidden: " + reason,
+				})
+			}
+		}
 	}
 	return out
 }

@@ -141,6 +141,26 @@ func TestLayering(t *testing.T) {
 	}
 }
 
+// TestImportBan exercises the module-wide import ban on a stand-in path
+// (a fixture importing the really banned package would itself break the
+// tree's no-gob guarantee), then pins the production list.
+func TestImportBan(t *testing.T) {
+	banned := map[string]string{"encoding/xml": "test ban"}
+
+	bad := fixture(t, "impbad")
+	checkFixture(t, bad, filterSuppressed(bad, importBan(bad, banned)))
+
+	good := fixture(t, "impgood")
+	checkFixture(t, good, filterSuppressed(good, importBan(good, banned)))
+
+	if _, ok := bannedImports[`encoding/gob`]; !ok {
+		t.Error("production ban list no longer forbids encoding/gob")
+	}
+	if fs := importBan(bad, bannedImports); len(fs) != 0 {
+		t.Errorf("production ban list fired on a fixture package: %v", fs)
+	}
+}
+
 func TestErrdiscard(t *testing.T) {
 	bad := fixture(t, "errbad")
 	checkFixture(t, bad, filterSuppressed(bad, errdiscard(bad, "repro/")))

@@ -14,6 +14,8 @@
 //   - layering: outside conndevice.go/batch.go, internal/core must not
 //     construct raw TypeFlowMod/TypeFlowModBatch/TypeBarrier* messages —
 //     rule programming stays behind the batched, rollback-safe pipeline.
+//     Module-wide, no package may import encoding/gob: the southbound
+//     binary codec is the only wire format.
 //   - errdiscard: no `_ =` or bare-statement discard of an error under
 //     internal/ without an annotation stating why.
 //   - wireparity: every southbound.MsgType constant must have an appendBody
@@ -135,7 +137,9 @@ func runConfigured(p *Package, st *lintStats) []Finding {
 	if determinismPkgs[p.Path] {
 		run("determinism", func() []Finding { return determinism(p) })
 	}
-	run("layering", func() []Finding { return layering(p, coreLayering) })
+	run("layering", func() []Finding {
+		return append(layering(p, coreLayering), importBan(p, bannedImports)...)
+	})
 	if strings.HasPrefix(p.Path, "repro/internal/") {
 		run("errdiscard", func() []Finding { return errdiscard(p, "repro/") })
 		run("gospawn", func() []Finding { return gospawn(p) })

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/dataplane"
-	"repro/internal/discovery"
 	"repro/internal/interdomain"
 	"repro/internal/reca"
 	"repro/internal/routing"
@@ -97,10 +96,12 @@ func TestBatchRoundTripReduction(t *testing.T) {
 		t.Fatalf("batched install used %d barriers, want 1", batchedBarriers)
 	}
 
+	// Reference: one FlowMod+barrier round trip per rule.
 	perRule, pcc := dialCounted(t, net, "S2")
-	perRule.DisableBatch = true
-	if err := perRule.InstallRules(mkRules(4)); err != nil {
-		t.Fatal(err)
+	for _, r := range mkRules(4) {
+		if err := perRule.InstallRule(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	perRuleBarriers := pcc.count(southbound.TypeBarrierRequest)
 	if perRuleBarriers != 4 {
@@ -385,14 +386,18 @@ func (c delayedConn) Send(m southbound.Msg) error {
 	return c.Conn.Send(m)
 }
 
+// perRuleDevice exposes only the Device methods of the ConnDevice it
+// wraps, so installRules falls back to a loop over InstallRule: one
+// synchronous FlowMod+barrier round trip per rule.
+type perRuleDevice struct{ Device }
+
 // benchConnFixture builds a four-switch chain controlled over real
 // binary-framed TCP southbound connections with emulated control-channel
 // latency, so bearer setup pays genuine per-message round-trip costs.
-// perRule disables batching and forces serial device order — the
+// perRule hides the batch capability and forces serial device order — the
 // pre-batching baseline.
 func benchConnFixture(b *testing.B, perRule bool) *Controller {
 	b.Helper()
-	southbound.RegisterGobTypes(&discovery.Frame{})
 	dpn := dataplane.NewNetwork()
 	for _, id := range []dataplane.DeviceID{"S1", "S2", "S3", "S4"} {
 		dpn.AddSwitch(id)
@@ -429,9 +434,13 @@ func benchConnFixture(b *testing.B, perRule bool) *Controller {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dev.DisableBatch = perRule
 		b.Cleanup(func() { dev.Close() })
-		ctrl.AttachDevice(dev)
+		if perRule {
+			dev.setController(ctrl)
+			ctrl.AttachDevice(perRuleDevice{dev})
+		} else {
+			ctrl.AttachDevice(dev)
+		}
 	}
 	ctrl.SetConfig(reca.Config{Radios: []reca.RadioAttachment{
 		{ID: "gA", Attach: dataplane.PortRef{Dev: "S1", Port: rp.ID}, Border: true}}})

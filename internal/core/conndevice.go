@@ -17,7 +17,7 @@ import (
 // prototype where "leaf controllers use the OpenFlow protocol to
 // communicate with switches" (§7.1). It pairs with
 // southbound.SwitchAgent.Serve on the device side and works over both
-// in-process pipes and binary- or gob-framed TCP connections.
+// in-process pipes and binary-framed TCP connections.
 //
 // A pump goroutine dispatches asynchronous events (Packet-In, Port-Status)
 // to the owning controller and routes replies by transaction ID. Fences
@@ -109,11 +109,6 @@ type ConnDevice struct {
 	// MinRTO floors the adaptive timeout so microsecond in-process RTTs
 	// don't arm hair-trigger deadlines that fire on any scheduling blip.
 	MinRTO time.Duration
-	// DisableBatch forces InstallRules back to one synchronous
-	// FlowMod+barrier round trip per rule — the pre-batching behaviour,
-	// kept for wire compatibility with old agents and as the benchmark
-	// baseline.
-	DisableBatch bool
 }
 
 // barrierComp is one outstanding fence: the callback to fire exactly once,
@@ -614,27 +609,16 @@ func (d *ConnDevice) InstallRule(r dataplane.Rule) error {
 // the affected version back with RemoveRulesVersion.
 func (d *ConnDevice) InstallRules(rules []dataplane.Rule) error {
 	ch := make(chan error, 1)
-	if !d.tryInstallRulesAsync(rules, func(err error) { ch <- err }) {
-		// Per-rule compatibility mode: one synchronous round trip per rule.
-		for _, r := range rules {
-			if err := d.InstallRule(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	d.tryInstallRulesAsync(rules, func(err error) { ch <- err })
 	return <-ch
 }
 
 // tryInstallRulesAsync enqueues the rules (batched when possible) and
-// fences them, invoking cb with the outcome when the fence completes; it
-// reports false — and does nothing — when the device is configured for
-// per-rule synchronous installs. cb runs on the device's pump or deadline
-// goroutine and must not block or issue synchronous southbound I/O.
+// fences them, invoking cb with the outcome when the fence completes. Like
+// tryRemoveRulesAsync it is always capable. cb runs on the device's pump
+// or deadline goroutine and must not block or issue synchronous
+// southbound I/O.
 func (d *ConnDevice) tryInstallRulesAsync(rules []dataplane.Rule, cb func(error)) bool {
-	if d.DisableBatch {
-		return false
-	}
 	switch len(rules) {
 	case 0:
 		cb(nil)

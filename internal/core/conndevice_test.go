@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/dataplane"
-	"repro/internal/discovery"
 	"repro/internal/southbound"
 )
 
@@ -200,7 +199,6 @@ func TestEqualRoleRegionHandover(t *testing.T) {
 }
 
 func TestConnDeviceOverTCP(t *testing.T) {
-	southbound.RegisterGobTypes(&discovery.Frame{})
 	net := dataplane.NewNetwork()
 	net.AddSwitch("S1")
 	net.AddSwitch("S2")
@@ -215,10 +213,10 @@ func TestConnDeviceOverTCP(t *testing.T) {
 			if err != nil {
 				return
 			}
-			agent.Serve(southbound.NewGobConn(nc))
+			agent.Serve(southbound.NewBinConn(nc))
 		}()
 		nc := dialLocal(t, ln)
-		dev, err := DialDevice(southbound.NewGobConn(nc), ctrl.ID)
+		dev, err := DialDevice(southbound.NewBinConn(nc), ctrl.ID)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,9 +7,10 @@
 // SoftMoW's controller tree spans a continent-scale cellular WAN, so the
 // control channel between a leaf controller and its switches — and between
 // a child controller and its parent — is itself a WAN path. A clean
-// fixed-delay model (the old southbound.DelayedConn) answers none of the
-// operational questions the paper raises: do barrier fences, discovery
-// convergence, and handover latency degrade gracefully when the WAN does?
+// fixed-delay model (the constant-delay conn wrapper netem replaced)
+// answers none of the operational questions the paper raises: do barrier
+// fences, discovery convergence, and handover latency degrade gracefully
+// when the WAN does?
 // netem provides the missing axis: impairment profiles with the fidelity
 // of Linux tc-netem (delay/jitter/loss/reorder/rate) but driven by an
 // injectable clock and a per-link seeded RNG so replay digests stay

@@ -165,7 +165,7 @@ func TestSetDown(t *testing.T) {
 
 // TestWallLinkCloseOrdering: after Close returns, the sink is never
 // invoked again — queued frames die with the link. This is the regression
-// test for the old DelayedConn race where a queued frame could land on
+// test for the old delayed-conn race where a queued frame could land on
 // the inner conn after Close returned.
 func TestWallLinkCloseOrdering(t *testing.T) {
 	defer leakcheck.Check(t)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataplane"
-	"repro/internal/discovery"
 	"repro/internal/interdomain"
 	"repro/internal/routing"
 	"repro/internal/southbound"
@@ -19,7 +18,6 @@ import (
 // like an in-process child's. The returned device handle is used for
 // link stitching (PortInfo.Underlying) and UE-state pushes.
 func AttachRemoteChild(parent *core.Controller, conn southbound.Conn) (*core.ConnDevice, error) {
-	southbound.RegisterGobTypes(&discovery.Frame{})
 	d, err := core.DialDevice(conn, parent.ID)
 	if err != nil {
 		return nil, err

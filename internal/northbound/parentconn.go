@@ -73,7 +73,6 @@ type ParentConn struct {
 // toward the parent's listener — and hands the conn over; after Connect
 // returns, the child's northbound is live.
 func Connect(child *core.Controller, conn southbound.Conn) (*ParentConn, error) {
-	southbound.RegisterGobTypes(&discovery.Frame{})
 	parentID, err := southbound.Accept(conn, string(child.GSwitchID()))
 	if err != nil {
 		return nil, err

@@ -353,7 +353,8 @@ func (g *Graph) PairMetrics(a, b dataplane.PortRef) dataplane.PathMetrics {
 		return dataplane.PathMetrics{}
 	}
 	// Same-device pairs traverse only the switch backplane; +Inf propagates
-	// through gob and min() correctly, so it is kept as-is.
+	// through the wire codec (IEEE-754 bits) and min() correctly, so it is
+	// kept as-is.
 	c := sc.dist[d]
 	return dataplane.PathMetrics{
 		Latency:   c.Latency,

@@ -15,8 +15,7 @@ import (
 // WriteDeadliner is implemented by connections whose Send can be bounded
 // by a per-write deadline. ConnDevice derives the timeout from its own
 // RequestTimeout at dial, so a stalled peer surfaces as a Send error
-// instead of wedging every sender on the conn (the gob codec's failure
-// mode).
+// instead of wedging every sender on the conn.
 type WriteDeadliner interface {
 	// SetWriteTimeout bounds each subsequent Send; 0 disables the bound.
 	SetWriteTimeout(time.Duration)
@@ -52,16 +51,6 @@ type BinConn struct {
 // NewBinConn wraps a net.Conn in the binary codec.
 func NewBinConn(nc net.Conn) *BinConn {
 	return &BinConn{nc: nc}
-}
-
-// NewWireConn wraps nc in the default binary codec, or in the legacy gob
-// codec when useGob is set — the compatibility flag for peers that predate
-// the binary framing.
-func NewWireConn(nc net.Conn, useGob bool) Conn {
-	if useGob {
-		return NewGobConn(nc)
-	}
-	return NewBinConn(nc)
 }
 
 // SetWriteTimeout implements WriteDeadliner.
@@ -236,16 +225,4 @@ func (c *BinConn) Close() error {
 		c.closeErr = c.nc.Close()
 	})
 	return c.closeErr
-}
-
-// wireGobOnce backs registerWireGob.
-var wireGobOnce sync.Once
-
-// registerWireGob ensures the standard body types are gob-registered
-// before a gob-nested body (FeatureReply, PacketIn, PacketOut) is encoded
-// or decoded, without requiring every binary-codec user to call
-// RegisterGobTypes. Custom Control payloads still need explicit
-// registration, exactly as on the gob codec.
-func registerWireGob() {
-	wireGobOnce.Do(func() { RegisterGobTypes() })
 }

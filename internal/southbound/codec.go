@@ -1,14 +1,13 @@
 package southbound
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"time"
 
 	"repro/internal/dataplane"
+	"repro/internal/discovery"
 )
 
 // Binary wire format (DESIGN.md §7). Each message is one length-prefixed
@@ -23,16 +22,26 @@ import (
 //	12     L     datapath bytes
 //	12+L   …     body (per-type layout below)
 //
-// Hot-path bodies (flow mods, barriers, errors, hellos, port/role events)
-// are hand-encoded with fixed-width integers and length-prefixed strings.
-// Cold bodies that carry interface values or deep structure (FeatureReply,
-// PacketIn, PacketOut) are nested as one gob blob — they flow once per
-// dial or per punted packet, not per rule, so self-describing overhead is
-// irrelevant there and the hot path never pays for reflection.
+// Every body is hand-encoded from the same primitives: fixed-width big
+// endian integers, floats as their IEEE-754 bits (so +Inf bandwidth and
+// every fabric metric survive bit-exact — the state digests depend on
+// it), length-prefixed strings, counted sequences, and a presence byte
+// before an optional *VFabric or *Packet. A zero-length sequence decodes
+// to nil. This file is the only place that knows the layout.
 
 // WireVersion is the binary framing version byte. Decoders reject frames
-// carrying any other value, giving the format room to evolve.
-const WireVersion = 1
+// carrying any other value, giving the format room to evolve. Version 2
+// hand-codes the FeatureReply, PacketIn, PacketOut and NbFabric bodies
+// that version 1 nested as gob blobs.
+const WireVersion = 2
+
+// Control payload tags: PacketIn.Control and PacketOut.Control are a
+// closed union on the wire. Link-discovery frames are the only payload
+// any sender puts there; anything else fails to encode.
+const (
+	controlNil       = 0
+	controlDiscovery = 1
+)
 
 // MaxFrameSize bounds one frame's payload ON THE WIRE. Oversized length
 // prefixes are rejected before any allocation, so a corrupt or hostile
@@ -96,7 +105,7 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 		if dst, err = appendString(dst, b.Sender); err != nil {
 			return nil, err
 		}
-		return binary.BigEndian.AppendUint32(dst, uint32(int32(b.Version))), nil
+		return appendI32(dst, b.Version), nil
 
 	case TypeEchoRequest, TypeEchoReply:
 		b, ok := m.Body.(Echo)
@@ -123,11 +132,10 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 		if !ok {
 			return nil, wireErrorf("flow-mod-batch body is %T", m.Body)
 		}
-		if len(b.Mods) > maxWireString {
-			return nil, wireErrorf("batch of %d mods exceeds limit", len(b.Mods))
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(b.Mods)))
 		var err error
+		if dst, err = appendCount(dst, len(b.Mods), "batched mods"); err != nil {
+			return nil, err
+		}
 		for i := range b.Mods {
 			if dst, err = appendFlowMod(dst, &b.Mods[i]); err != nil {
 				return nil, err
@@ -140,7 +148,7 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 		if !ok {
 			return nil, wireErrorf("port-status body is %T", m.Body)
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(b.Port)))
+		dst = appendI32(dst, b.Port)
 		return appendBool(dst, b.Up), nil
 
 	case TypeRoleRequest:
@@ -170,7 +178,7 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 		if !ok {
 			return nil, wireErrorf("error body is %T", m.Body)
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(b.Code)))
+		dst = appendI32(dst, b.Code)
 		return appendString(dst, b.Message)
 
 	case TypeFrag:
@@ -190,21 +198,21 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 		if !ok {
 			return nil, wireErrorf("nb-bearer body is %T", m.Body)
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(b.From)))
+		dst = appendI32(dst, b.From)
 		var err error
 		if dst, err = appendString(dst, b.Prefix); err != nil {
 			return nil, err
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(b.Objective)))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(b.MaxHops)))
+		dst = appendI32(dst, b.Objective)
+		dst = appendI32(dst, b.MaxHops)
 		dst = binary.BigEndian.AppendUint64(dst, uint64(b.MaxLatency))
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(b.MinBandwidth))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(b.MaxTotalHops)))
+		dst = appendF64(dst, b.MinBandwidth)
+		dst = appendI32(dst, b.MaxTotalHops)
 		dst = binary.BigEndian.AppendUint64(dst, uint64(b.MaxTotalRTT))
 		if dst, err = appendMatch(dst, &b.Match); err != nil {
 			return nil, err
 		}
-		return binary.BigEndian.AppendUint64(dst, math.Float64bits(b.Demand)), nil
+		return appendF64(dst, b.Demand), nil
 
 	case TypeNbPathReply:
 		b, ok := m.Body.(NbPathReply)
@@ -230,8 +238,8 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 				return nil, err
 			}
 		}
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(b.QoS)))
-		return binary.BigEndian.AppendUint32(dst, uint32(int32(b.Objective))), nil
+		dst = appendI32(dst, b.QoS)
+		return appendI32(dst, b.Objective), nil
 
 	case TypeNbTeardown:
 		b, ok := m.Body.(NbTeardown)
@@ -256,11 +264,10 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 		if !ok {
 			return nil, wireErrorf("nb-interdomain body is %T", m.Body)
 		}
-		if len(b.Options) > maxWireString {
-			return nil, wireErrorf("%d route options exceed limit", len(b.Options))
-		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(b.Options)))
 		var err error
+		if dst, err = appendCount(dst, len(b.Options), "route options"); err != nil {
+			return nil, err
+		}
 		for _, o := range b.Options {
 			if dst, err = appendString(dst, o.Prefix); err != nil {
 				return nil, err
@@ -268,8 +275,8 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 			if dst, err = appendString(dst, o.Egress); err != nil {
 				return nil, err
 			}
-			dst = binary.BigEndian.AppendUint32(dst, uint32(int32(o.Port)))
-			dst = binary.BigEndian.AppendUint32(dst, uint32(int32(o.Hops)))
+			dst = appendI32(dst, o.Port)
+			dst = appendI32(dst, o.Hops)
 			dst = binary.BigEndian.AppendUint64(dst, uint64(o.RTT))
 		}
 		return dst, nil
@@ -293,7 +300,7 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 					return nil, err
 				}
 			}
-			dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.QoS)))
+			dst = appendI32(dst, r.QoS)
 			dst = binary.BigEndian.AppendUint64(dst, uint64(r.Path))
 			if dst, err = appendString(dst, r.Owner); err != nil {
 				return nil, err
@@ -302,8 +309,33 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 		}
 		return dst, nil
 
-	case TypeFeatureReply, TypePacketIn, TypePacketOut, TypeNbFabric:
-		return appendGobBody(dst, m)
+	case TypeFeatureReply:
+		b, ok := m.Body.(FeatureReply)
+		if !ok {
+			return nil, wireErrorf("feature-reply body is %T", m.Body)
+		}
+		return appendFeatureReply(dst, &b)
+
+	case TypePacketIn:
+		b, ok := m.Body.(PacketIn)
+		if !ok {
+			return nil, wireErrorf("packet-in body is %T", m.Body)
+		}
+		return appendPacketBody(dst, b.InPort, b.Packet, b.Control)
+
+	case TypePacketOut:
+		b, ok := m.Body.(PacketOut)
+		if !ok {
+			return nil, wireErrorf("packet-out body is %T", m.Body)
+		}
+		return appendPacketBody(dst, b.OutPort, b.Packet, b.Control)
+
+	case TypeNbFabric:
+		b, ok := m.Body.(NbFabric)
+		if !ok {
+			return nil, wireErrorf("nb-fabric body is %T", m.Body)
+		}
+		return appendFabric(dst, b.Fabric), nil
 
 	default:
 		return nil, wireErrorf("cannot encode message type %d", int(m.Type))
@@ -319,14 +351,14 @@ func appendFlowMod(dst []byte, fm *FlowMod) ([]byte, error) {
 	if dst, err = appendString(dst, fm.Owner); err != nil {
 		return nil, err
 	}
-	return binary.BigEndian.AppendUint32(dst, uint32(int32(fm.Version))), nil
+	return appendI32(dst, fm.Version), nil
 }
 
 // appendMatch encodes a flow match: in-port, label predicate, UE/IP/prefix
 // selectors, QoS. Shared by the rule encoding and the northbound bearer
 // delegation body.
 func appendMatch(dst []byte, m *dataplane.Match) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(m.InPort)))
+	dst = appendI32(dst, m.InPort)
 	dst = appendBool(dst, m.HasLabel)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Label))
 	dst = appendBool(dst, m.MatchNoLabel)
@@ -336,44 +368,212 @@ func appendMatch(dst []byte, m *dataplane.Match) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return binary.BigEndian.AppendUint32(dst, uint32(int32(m.QoS))), nil
+	return appendI32(dst, m.QoS), nil
 }
 
 func appendRule(dst []byte, r *dataplane.Rule) ([]byte, error) {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.Priority)))
+	dst = appendI32(dst, r.Priority)
 	var err error
 	if dst, err = appendMatch(dst, &r.Match); err != nil {
 		return nil, err
 	}
-	if len(r.Actions) > maxWireString {
-		return nil, wireErrorf("%d actions exceed limit", len(r.Actions))
+	if dst, err = appendCount(dst, len(r.Actions), "actions"); err != nil {
+		return nil, err
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Actions)))
 	for _, a := range r.Actions {
 		dst = append(dst, byte(a.Op))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(int32(a.Port)))
+		dst = appendI32(dst, a.Port)
 		dst = binary.BigEndian.AppendUint32(dst, uint32(a.Label))
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(int32(r.Version)))
+	dst = appendI32(dst, r.Version)
 	if dst, err = appendString(dst, r.Owner); err != nil {
 		return nil, err
 	}
-	return binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Demand)), nil
+	return appendF64(dst, r.Demand), nil
 }
 
-// appendGobBody nests the body as a length-prefixed gob blob. One-shot
-// encoders resend type descriptors per message; acceptable because these
-// bodies are off the rule-programming hot path.
-func appendGobBody(dst []byte, m *Msg) ([]byte, error) {
-	registerWireGob()
-	var buf bytes.Buffer
-	// Encode through the envelope so interface-valued fields (PacketIn
-	// Control payloads) reuse the registrations the gob codec relies on.
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, wireErrorf("gob body: %v", err)
+func appendFeatureReply(dst []byte, b *FeatureReply) ([]byte, error) {
+	var err error
+	if dst, err = appendString(dst, string(b.Device)); err != nil {
+		return nil, err
 	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(buf.Len()))
-	return append(dst, buf.Bytes()...), nil
+	dst = appendI32(dst, b.Kind)
+	if dst, err = appendCount(dst, len(b.Ports), "ports"); err != nil {
+		return nil, err
+	}
+	for _, p := range b.Ports {
+		dst = appendI32(dst, p.ID)
+		dst = appendBool(dst, p.Up)
+		dst = appendBool(dst, p.External)
+		for _, s := range []string{p.ExternalDomain, string(p.Radio), string(p.Underlying.Dev)} {
+			if dst, err = appendString(dst, s); err != nil {
+				return nil, err
+			}
+		}
+		dst = appendI32(dst, p.Underlying.Port)
+	}
+	dst = appendFabric(dst, b.Fabric)
+	if dst, err = appendCount(dst, len(b.GBSes), "g-bses"); err != nil {
+		return nil, err
+	}
+	for _, g := range b.GBSes {
+		if dst, err = appendString(dst, string(g.ID)); err != nil {
+			return nil, err
+		}
+		dst = appendI32(dst, g.AttachPort)
+		dst = appendBool(dst, g.Border)
+		if dst, err = appendCount(dst, len(g.Groups), "bs groups"); err != nil {
+			return nil, err
+		}
+		for _, id := range g.Groups {
+			if dst, err = appendString(dst, string(id)); err != nil {
+				return nil, err
+			}
+		}
+		dst = appendF64(dst, g.Centroid.X)
+		dst = appendF64(dst, g.Centroid.Y)
+	}
+	if dst, err = appendCount(dst, len(b.GMiddleboxes), "g-middleboxes"); err != nil {
+		return nil, err
+	}
+	for _, g := range b.GMiddleboxes {
+		if dst, err = appendString(dst, string(g.ID)); err != nil {
+			return nil, err
+		}
+		dst = appendI32(dst, g.Type)
+		dst = appendF64(dst, g.Capacity)
+		dst = appendF64(dst, g.Load)
+		if dst, err = appendCount(dst, len(g.AttachPorts), "attach ports"); err != nil {
+			return nil, err
+		}
+		for _, p := range g.AttachPorts {
+			dst = appendI32(dst, p)
+		}
+	}
+	return dst, nil
+}
+
+// appendFabric encodes an optional virtual fabric: presence byte, 4-byte
+// pair count, then each pair in VFabric.Pairs order with its metrics.
+func appendFabric(dst []byte, v *dataplane.VFabric) []byte {
+	dst = appendBool(dst, v != nil)
+	if v == nil {
+		return dst
+	}
+	pairs := v.Pairs()
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(pairs)))
+	for _, pp := range pairs {
+		m, _ := v.Get(pp.A, pp.B)
+		dst = appendI32(dst, pp.A)
+		dst = appendI32(dst, pp.B)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(m.Latency))
+		dst = appendI32(dst, m.Hops)
+		dst = appendF64(dst, m.Bandwidth)
+		dst = appendBool(dst, m.Reachable)
+	}
+	return dst
+}
+
+// appendPacketBody encodes the shared PacketIn/PacketOut layout: port,
+// optional data-plane packet, control payload.
+func appendPacketBody(dst []byte, port dataplane.PortID, p *dataplane.Packet, control interface{}) ([]byte, error) {
+	dst, err := appendPacket(appendI32(dst, port), p)
+	if err != nil {
+		return nil, err
+	}
+	switch c := control.(type) {
+	case nil:
+		return append(dst, controlNil), nil
+	case *discovery.Frame:
+		if c == nil {
+			return nil, wireErrorf("nil %T control payload", c)
+		}
+		dst = append(dst, controlDiscovery)
+		if dst, err = appendCount(dst, len(c.Stack), "discovery stack entries"); err != nil {
+			return nil, err
+		}
+		for _, e := range c.Stack {
+			if dst, err = appendStackEntry(dst, e); err != nil {
+				return nil, err
+			}
+		}
+		dst = binary.BigEndian.AppendUint64(dst, uint64(c.Meta.Latency))
+		dst = appendF64(dst, c.Meta.Bandwidth)
+		return appendStackEntry(dst, c.Receive)
+	default:
+		return nil, wireErrorf("unsupported control payload %T", control)
+	}
+}
+
+// appendPacket encodes an optional data-plane packet: presence byte, the
+// classification fields, then the label stack (bottom first), trace and
+// visited middleboxes as counted sequences, and the observed stack depth.
+func appendPacket(dst []byte, p *dataplane.Packet) ([]byte, error) {
+	dst = appendBool(dst, p != nil)
+	if p == nil {
+		return dst, nil
+	}
+	var err error
+	for _, s := range []string{p.UE, p.SrcIP, p.DstPrefix} {
+		if dst, err = appendString(dst, s); err != nil {
+			return nil, err
+		}
+	}
+	dst = appendI32(dst, p.QoS)
+	labels := p.Labels()
+	if dst, err = appendCount(dst, len(labels), "labels"); err != nil {
+		return nil, err
+	}
+	for _, l := range labels {
+		dst = binary.BigEndian.AppendUint32(dst, uint32(l))
+	}
+	if dst, err = appendCount(dst, len(p.Trace), "trace hops"); err != nil {
+		return nil, err
+	}
+	for _, h := range p.Trace {
+		if dst, err = appendString(dst, string(h.Dev)); err != nil {
+			return nil, err
+		}
+		dst = appendI32(dst, h.InPort)
+		dst = appendI32(dst, h.OutPort)
+		dst = appendI32(dst, h.LabelDepth)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(h.TopLabel))
+	}
+	if dst, err = appendCount(dst, len(p.MiddleboxesVisited), "middleboxes"); err != nil {
+		return nil, err
+	}
+	for _, t := range p.MiddleboxesVisited {
+		dst = appendI32(dst, t)
+	}
+	return appendI32(dst, p.MaxLabelDepth), nil
+}
+
+func appendStackEntry(dst []byte, e discovery.StackEntry) ([]byte, error) {
+	var err error
+	if dst, err = appendString(dst, e.Controller); err != nil {
+		return nil, err
+	}
+	if dst, err = appendString(dst, string(e.Device)); err != nil {
+		return nil, err
+	}
+	return appendI32(dst, e.Port), nil
+}
+
+// appendCount writes a 2-byte element count, the prefix of every counted
+// sequence except fabric pairs and UE rows (4 bytes).
+func appendCount(dst []byte, n int, what string) ([]byte, error) {
+	if n > maxWireString {
+		return nil, wireErrorf("%d %s exceed limit", n, what)
+	}
+	return binary.BigEndian.AppendUint16(dst, uint16(n)), nil
+}
+
+func appendI32[T ~int](dst []byte, v T) []byte {
+	return binary.BigEndian.AppendUint32(dst, uint32(int32(v)))
+}
+
+func appendF64(dst []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
 func appendBool(dst []byte, v bool) []byte {
@@ -399,87 +599,101 @@ func appendLongString(dst []byte, s string) ([]byte, error) {
 	return append(dst, s...), nil
 }
 
-// frameReader is a bounds-checked cursor over one frame payload. Every
-// read reports truncation through ok instead of panicking, which is what
-// lets DecodeFrame run over fuzzer-generated garbage safely.
+// frameReader is a bounds-checked cursor over one frame payload with a
+// sticky error: the first short read latches errTruncated and drops the
+// buffer, so every read after that is short too and returns the zero
+// value. Decoders therefore read field after field unconditionally and
+// report fr.err once — the truncation check lives in the reader, not at
+// each call site — which is what lets DecodeFrame run over
+// fuzzer-generated garbage safely.
 type frameReader struct {
 	b   []byte
 	off int
+	err error
 }
 
-func (fr *frameReader) take(n int) ([]byte, bool) {
+// fail latches err unless an earlier error is already recorded, and ends
+// all further reading.
+func (fr *frameReader) fail(err error) {
+	if fr.err == nil {
+		fr.err = err
+	}
+	fr.b, fr.off = nil, 0
+}
+
+// take returns the next n bytes, or nil (and fails the reader) when fewer
+// remain.
+func (fr *frameReader) take(n int) []byte {
 	if n < 0 || len(fr.b)-fr.off < n {
-		return nil, false
+		fr.fail(errTruncated)
+		return nil
 	}
 	out := fr.b[fr.off : fr.off+n]
 	fr.off += n
-	return out, true
+	return out
 }
 
-func (fr *frameReader) u8() (byte, bool) {
-	b, ok := fr.take(1)
-	if !ok {
-		return 0, false
+func (fr *frameReader) u8() byte {
+	if b := fr.take(1); b != nil {
+		return b[0]
 	}
-	return b[0], true
+	return 0
 }
 
-func (fr *frameReader) u16() (uint16, bool) {
-	b, ok := fr.take(2)
-	if !ok {
-		return 0, false
+func (fr *frameReader) u16() uint16 {
+	if b := fr.take(2); b != nil {
+		return binary.BigEndian.Uint16(b)
 	}
-	return binary.BigEndian.Uint16(b), true
+	return 0
 }
 
-func (fr *frameReader) u32() (uint32, bool) {
-	b, ok := fr.take(4)
-	if !ok {
-		return 0, false
+func (fr *frameReader) u32() uint32 {
+	if b := fr.take(4); b != nil {
+		return binary.BigEndian.Uint32(b)
 	}
-	return binary.BigEndian.Uint32(b), true
+	return 0
 }
 
-func (fr *frameReader) u64() (uint64, bool) {
-	b, ok := fr.take(8)
-	if !ok {
-		return 0, false
+func (fr *frameReader) u64() uint64 {
+	if b := fr.take(8); b != nil {
+		return binary.BigEndian.Uint64(b)
 	}
-	return binary.BigEndian.Uint64(b), true
+	return 0
 }
 
-func (fr *frameReader) i32() (int, bool) {
-	v, ok := fr.u32()
-	return int(int32(v)), ok
+func (fr *frameReader) i32() int { return int(int32(fr.u32())) }
+
+func (fr *frameReader) f64() float64 { return math.Float64frombits(fr.u64()) }
+
+func (fr *frameReader) duration() time.Duration { return time.Duration(fr.u64()) }
+
+func (fr *frameReader) boolean() bool { return fr.u8() != 0 }
+
+func (fr *frameReader) str() string { return string(fr.take(int(fr.u16()))) }
+
+func (fr *frameReader) longStr() string {
+	n := fr.u32()
+	if n > MaxAssembledSize {
+		fr.fail(errTruncated)
+	}
+	return string(fr.take(int(n)))
 }
 
-func (fr *frameReader) boolean() (bool, bool) {
-	v, ok := fr.u8()
-	return v != 0, ok
-}
-
-func (fr *frameReader) str() (string, bool) {
-	n, ok := fr.u16()
-	if !ok {
-		return "", false
+// readSeq decodes a counted sequence of n elements. A hostile count
+// cannot drive allocation: the preallocation is capped and the loop stops
+// at the first element the payload is too short for, so memory stays
+// proportional to the bytes actually present. Zero elements decode to nil.
+func readSeq[T any](fr *frameReader, n uint32, elem func(*frameReader, *T)) []T {
+	if n == 0 {
+		return nil
 	}
-	b, ok := fr.take(int(n))
-	if !ok {
-		return "", false
+	out := make([]T, 0, min(n, 1024))
+	for i := uint32(0); i < n && fr.err == nil; i++ {
+		var zero T
+		out = append(out, zero)
+		elem(fr, &out[len(out)-1])
 	}
-	return string(b), true
-}
-
-func (fr *frameReader) longStr() (string, bool) {
-	n, ok := fr.u32()
-	if !ok || n > MaxAssembledSize {
-		return "", false
-	}
-	b, ok := fr.take(int(n))
-	if !ok {
-		return "", false
-	}
-	return string(b), true
+	return out
 }
 
 var errTruncated = &wireError{msg: "truncated frame"}
@@ -492,26 +706,13 @@ func DecodeFrame(payload []byte) (Msg, error) {
 		return Msg{}, wireErrorf("frame payload %d exceeds limit %d", len(payload), MaxAssembledSize)
 	}
 	fr := &frameReader{b: payload}
-	ver, ok := fr.u8()
-	if !ok {
-		return Msg{}, errTruncated
-	}
-	if ver != WireVersion {
+	if ver := fr.u8(); fr.err == nil && ver != WireVersion {
 		return Msg{}, wireErrorf("unsupported wire version %d (want %d)", ver, WireVersion)
 	}
-	mt, ok := fr.u8()
-	if !ok {
-		return Msg{}, errTruncated
+	m := Msg{Type: MsgType(fr.u8()), Xid: fr.u32(), Datapath: dataplane.DeviceID(fr.str())}
+	if fr.err != nil {
+		return Msg{}, fr.err
 	}
-	m := Msg{Type: MsgType(mt)}
-	if m.Xid, ok = fr.u32(); !ok {
-		return Msg{}, errTruncated
-	}
-	dp, ok := fr.str()
-	if !ok {
-		return Msg{}, errTruncated
-	}
-	m.Datapath = dataplane.DeviceID(dp)
 	if err := decodeBody(fr, &m); err != nil {
 		return Msg{}, err
 	}
@@ -524,444 +725,215 @@ func DecodeFrame(payload []byte) (Msg, error) {
 func decodeBody(fr *frameReader, m *Msg) error {
 	switch m.Type {
 	case TypeHello:
-		var b Hello
-		var ok bool
-		if b.Sender, ok = fr.str(); !ok {
-			return errTruncated
-		}
-		if b.Version, ok = fr.i32(); !ok {
-			return errTruncated
-		}
-		m.Body = b
-		return nil
+		m.Body = Hello{Sender: fr.str(), Version: fr.i32()}
 
 	case TypeEchoRequest, TypeEchoReply:
-		p, ok := fr.longStr()
-		if !ok {
-			return errTruncated
-		}
-		m.Body = Echo{Payload: p}
-		return nil
+		m.Body = Echo{Payload: fr.longStr()}
 
 	case TypeFeatureRequest:
 		m.Body = FeatureRequest{}
-		return nil
 
 	case TypeBarrierRequest, TypeBarrierReply:
 		m.Body = Barrier{}
-		return nil
 
 	case TypeFlowMod:
-		fm, err := decodeFlowMod(fr)
-		if err != nil {
-			return err
-		}
-		m.Body = fm
-		return nil
+		var b FlowMod
+		decodeFlowMod(fr, &b)
+		m.Body = b
 
 	case TypeFlowModBatch:
-		n, ok := fr.u16()
-		if !ok {
-			return errTruncated
-		}
-		b := FlowModBatch{}
-		if n > 0 {
-			b.Mods = make([]FlowMod, 0, min(int(n), 1024))
-			for i := 0; i < int(n); i++ {
-				fm, err := decodeFlowMod(fr)
-				if err != nil {
-					return err
-				}
-				b.Mods = append(b.Mods, fm)
-			}
-		}
-		m.Body = b
-		return nil
+		m.Body = FlowModBatch{Mods: readSeq(fr, uint32(fr.u16()), decodeFlowMod)}
 
 	case TypePortStatus:
-		var b PortStatus
-		port, ok := fr.i32()
-		if !ok {
-			return errTruncated
-		}
-		b.Port = dataplane.PortID(port)
-		if b.Up, ok = fr.boolean(); !ok {
-			return errTruncated
-		}
-		m.Body = b
-		return nil
+		m.Body = PortStatus{Port: dataplane.PortID(fr.i32()), Up: fr.boolean()}
 
 	case TypeRoleRequest:
-		ctrl, role, err := decodeRoleBody(fr)
-		if err != nil {
-			return err
-		}
-		m.Body = RoleRequest{Controller: ctrl, Role: role}
-		return nil
+		m.Body = RoleRequest{Controller: fr.str(), Role: Role(fr.u8())}
 
 	case TypeRoleReply:
-		ctrl, role, err := decodeRoleBody(fr)
-		if err != nil {
-			return err
-		}
-		m.Body = RoleReply{Controller: ctrl, Role: role}
-		return nil
+		m.Body = RoleReply{Controller: fr.str(), Role: Role(fr.u8())}
 
 	case TypeError:
-		var b Error
-		var ok bool
-		if b.Code, ok = fr.i32(); !ok {
-			return errTruncated
-		}
-		if b.Message, ok = fr.str(); !ok {
-			return errTruncated
-		}
-		m.Body = b
-		return nil
+		m.Body = Error{Code: fr.i32(), Message: fr.str()}
 
 	case TypeFrag:
-		var b Frag
-		var ok bool
-		if b.Last, ok = fr.boolean(); !ok {
-			return errTruncated
-		}
-		n, ok := fr.u32()
-		if !ok || n > MaxFrameSize {
-			return errTruncated
-		}
-		data, ok := fr.take(int(n))
-		if !ok {
-			return errTruncated
+		b := Frag{Last: fr.boolean()}
+		n := fr.u32()
+		if n > MaxFrameSize {
+			fr.fail(errTruncated)
 		}
 		// The payload slice aliases the receive scratch buffer; fragments
 		// outlive the frame they arrived in, so copy.
-		b.Data = append([]byte(nil), data...)
+		b.Data = append([]byte(nil), fr.take(int(n))...)
 		m.Body = b
-		return nil
 
 	case TypeNbBearer:
-		var b NbBearer
-		from, ok := fr.i32()
-		if !ok {
-			return errTruncated
+		b := NbBearer{
+			From: dataplane.PortID(fr.i32()), Prefix: fr.str(), Objective: fr.i32(),
+			MaxHops: fr.i32(), MaxLatency: fr.duration(), MinBandwidth: fr.f64(),
+			MaxTotalHops: fr.i32(), MaxTotalRTT: fr.duration(),
 		}
-		b.From = dataplane.PortID(from)
-		if b.Prefix, ok = fr.str(); !ok {
-			return errTruncated
-		}
-		if b.Objective, ok = fr.i32(); !ok {
-			return errTruncated
-		}
-		if b.MaxHops, ok = fr.i32(); !ok {
-			return errTruncated
-		}
-		lat, ok := fr.u64()
-		if !ok {
-			return errTruncated
-		}
-		b.MaxLatency = time.Duration(lat)
-		bw, ok := fr.u64()
-		if !ok {
-			return errTruncated
-		}
-		b.MinBandwidth = math.Float64frombits(bw)
-		if b.MaxTotalHops, ok = fr.i32(); !ok {
-			return errTruncated
-		}
-		rtt, ok := fr.u64()
-		if !ok {
-			return errTruncated
-		}
-		b.MaxTotalRTT = time.Duration(rtt)
-		if err := decodeMatch(fr, &b.Match); err != nil {
-			return err
-		}
-		demand, ok := fr.u64()
-		if !ok {
-			return errTruncated
-		}
-		b.Demand = math.Float64frombits(demand)
+		decodeMatch(fr, &b.Match)
+		b.Demand = fr.f64()
 		m.Body = b
-		return nil
 
 	case TypeNbPathReply:
-		var b NbPathReply
-		path, ok := fr.u64()
-		if !ok {
-			return errTruncated
-		}
-		b.Path = int64(path)
-		if b.Owner, ok = fr.str(); !ok {
-			return errTruncated
-		}
-		if b.Err, ok = fr.str(); !ok {
-			return errTruncated
-		}
-		m.Body = b
-		return nil
+		m.Body = NbPathReply{Path: int64(fr.u64()), Owner: fr.str(), Err: fr.str()}
 
 	case TypeNbHandover:
-		var b NbHandover
-		var ok bool
-		var s [6]string
-		for i := range s {
-			if s[i], ok = fr.str(); !ok {
-				return errTruncated
-			}
+		m.Body = NbHandover{
+			UE: fr.str(), SrcGBS: dataplane.DeviceID(fr.str()), SrcBS: dataplane.DeviceID(fr.str()),
+			DstGBS: dataplane.DeviceID(fr.str()), DstBS: dataplane.DeviceID(fr.str()),
+			Prefix: fr.str(), QoS: fr.i32(), Objective: fr.i32(),
 		}
-		b.UE = s[0]
-		b.SrcGBS = dataplane.DeviceID(s[1])
-		b.SrcBS = dataplane.DeviceID(s[2])
-		b.DstGBS = dataplane.DeviceID(s[3])
-		b.DstBS = dataplane.DeviceID(s[4])
-		b.Prefix = s[5]
-		if b.QoS, ok = fr.i32(); !ok {
-			return errTruncated
-		}
-		if b.Objective, ok = fr.i32(); !ok {
-			return errTruncated
-		}
-		m.Body = b
-		return nil
 
 	case TypeNbTeardown:
-		var b NbTeardown
-		var ok bool
-		if b.Owner, ok = fr.str(); !ok {
-			return errTruncated
-		}
-		path, ok := fr.u64()
-		if !ok {
-			return errTruncated
-		}
-		b.Path = int64(path)
-		m.Body = b
-		return nil
+		m.Body = NbTeardown{Owner: fr.str(), Path: int64(fr.u64())}
 
 	case TypeNbAck:
-		var b NbAck
-		var ok bool
-		if b.Err, ok = fr.str(); !ok {
-			return errTruncated
-		}
-		m.Body = b
-		return nil
+		m.Body = NbAck{Err: fr.str()}
 
 	case TypeNbInterdomain:
-		n, ok := fr.u16()
-		if !ok {
-			return errTruncated
-		}
-		b := NbInterdomain{}
-		if n > 0 {
-			b.Options = make([]NbRouteOption, 0, min(int(n), 1024))
-			for i := 0; i < int(n); i++ {
-				var o NbRouteOption
-				if o.Prefix, ok = fr.str(); !ok {
-					return errTruncated
-				}
-				if o.Egress, ok = fr.str(); !ok {
-					return errTruncated
-				}
-				port, ok := fr.i32()
-				if !ok {
-					return errTruncated
-				}
-				o.Port = dataplane.PortID(port)
-				if o.Hops, ok = fr.i32(); !ok {
-					return errTruncated
-				}
-				rtt, ok := fr.u64()
-				if !ok {
-					return errTruncated
-				}
-				o.RTT = time.Duration(rtt)
-				b.Options = append(b.Options, o)
-			}
-		}
-		m.Body = b
-		return nil
+		m.Body = NbInterdomain{Options: readSeq(fr, uint32(fr.u16()), func(fr *frameReader, o *NbRouteOption) {
+			*o = NbRouteOption{Prefix: fr.str(), Egress: fr.str(),
+				Port: dataplane.PortID(fr.i32()), Hops: fr.i32(), RTT: fr.duration()}
+		})}
 
 	case TypeNbReabstract:
 		m.Body = NbReabstract{}
-		return nil
 
 	case TypeNbUEState:
-		n, ok := fr.u32()
-		if !ok {
-			return errTruncated
-		}
-		b := NbUEState{}
-		if n > 0 {
-			b.Rows = make([]NbUERow, 0, min(int(n), 4096))
-			for i := 0; i < int(n); i++ {
-				var r NbUERow
-				var s [4]string
-				for j := range s {
-					if s[j], ok = fr.str(); !ok {
-						return errTruncated
-					}
-				}
-				r.UE = s[0]
-				r.BS = dataplane.DeviceID(s[1])
-				r.Group = dataplane.DeviceID(s[2])
-				r.Prefix = s[3]
-				if r.QoS, ok = fr.i32(); !ok {
-					return errTruncated
-				}
-				path, ok := fr.u64()
-				if !ok {
-					return errTruncated
-				}
-				r.Path = int64(path)
-				if r.Owner, ok = fr.str(); !ok {
-					return errTruncated
-				}
-				if r.Active, ok = fr.boolean(); !ok {
-					return errTruncated
-				}
-				b.Rows = append(b.Rows, r)
-			}
-		}
-		m.Body = b
-		return nil
+		m.Body = NbUEState{Rows: readSeq(fr, fr.u32(), func(fr *frameReader, r *NbUERow) {
+			*r = NbUERow{UE: fr.str(), BS: dataplane.DeviceID(fr.str()), Group: dataplane.DeviceID(fr.str()),
+				Prefix: fr.str(), QoS: fr.i32(), Path: int64(fr.u64()), Owner: fr.str(), Active: fr.boolean()}
+		})}
 
-	case TypeFeatureReply, TypePacketIn, TypePacketOut, TypeNbFabric:
-		return decodeGobBody(fr, m)
+	case TypeFeatureReply:
+		m.Body = FeatureReply{
+			Device: dataplane.DeviceID(fr.str()), Kind: dataplane.DeviceKind(fr.i32()),
+			Ports: readSeq(fr, uint32(fr.u16()), func(fr *frameReader, p *PortInfo) {
+				*p = PortInfo{ID: dataplane.PortID(fr.i32()), Up: fr.boolean(), External: fr.boolean(),
+					ExternalDomain: fr.str(), Radio: dataplane.DeviceID(fr.str()),
+					Underlying: dataplane.PortRef{Dev: dataplane.DeviceID(fr.str()), Port: dataplane.PortID(fr.i32())}}
+			}),
+			Fabric: decodeFabric(fr),
+			GBSes: readSeq(fr, uint32(fr.u16()), func(fr *frameReader, g *dataplane.GBSInfo) {
+				*g = dataplane.GBSInfo{ID: dataplane.DeviceID(fr.str()), AttachPort: dataplane.PortID(fr.i32()),
+					Border: fr.boolean(), Groups: readSeq(fr, uint32(fr.u16()), decodeDeviceID),
+					Centroid: dataplane.GeoPoint{X: fr.f64(), Y: fr.f64()}}
+			}),
+			GMiddleboxes: readSeq(fr, uint32(fr.u16()), func(fr *frameReader, g *dataplane.GMiddleboxInfo) {
+				*g = dataplane.GMiddleboxInfo{ID: dataplane.DeviceID(fr.str()),
+					Type: dataplane.MiddleboxType(fr.i32()), Capacity: fr.f64(), Load: fr.f64(),
+					AttachPorts: readSeq(fr, uint32(fr.u16()), decodePortID)}
+			}),
+		}
+
+	case TypePacketIn:
+		m.Body = PacketIn{InPort: dataplane.PortID(fr.i32()), Packet: decodePacket(fr), Control: decodeControl(fr)}
+
+	case TypePacketOut:
+		m.Body = PacketOut{OutPort: dataplane.PortID(fr.i32()), Packet: decodePacket(fr), Control: decodeControl(fr)}
+
+	case TypeNbFabric:
+		m.Body = NbFabric{Fabric: decodeFabric(fr)}
 
 	default:
 		return wireErrorf("cannot decode message type %d", int(m.Type))
 	}
+	return fr.err
 }
 
-func decodeRoleBody(fr *frameReader) (string, Role, error) {
-	ctrl, ok := fr.str()
-	if !ok {
-		return "", 0, errTruncated
-	}
-	role, ok := fr.u8()
-	if !ok {
-		return "", 0, errTruncated
-	}
-	return ctrl, Role(role), nil
-}
-
-func decodeFlowMod(fr *frameReader) (FlowMod, error) {
-	var fm FlowMod
-	cmd, ok := fr.u8()
-	if !ok {
-		return fm, errTruncated
-	}
-	fm.Command = FlowModCommand(cmd)
-	if err := decodeRule(fr, &fm.Rule); err != nil {
-		return fm, err
-	}
-	if fm.Owner, ok = fr.str(); !ok {
-		return fm, errTruncated
-	}
-	if fm.Version, ok = fr.i32(); !ok {
-		return fm, errTruncated
-	}
-	return fm, nil
+func decodeFlowMod(fr *frameReader, fm *FlowMod) {
+	fm.Command = FlowModCommand(fr.u8())
+	decodeRule(fr, &fm.Rule)
+	fm.Owner = fr.str()
+	fm.Version = fr.i32()
 }
 
 // decodeMatch is the inverse of appendMatch.
-func decodeMatch(fr *frameReader, m *dataplane.Match) error {
-	inPort, ok := fr.i32()
-	if !ok {
-		return errTruncated
-	}
-	m.InPort = dataplane.PortID(inPort)
-	if m.HasLabel, ok = fr.boolean(); !ok {
-		return errTruncated
-	}
-	label, ok := fr.u32()
-	if !ok {
-		return errTruncated
-	}
-	m.Label = dataplane.Label(label)
-	if m.MatchNoLabel, ok = fr.boolean(); !ok {
-		return errTruncated
-	}
-	if m.UE, ok = fr.str(); !ok {
-		return errTruncated
-	}
-	if m.SrcIP, ok = fr.str(); !ok {
-		return errTruncated
-	}
-	if m.DstPrefix, ok = fr.str(); !ok {
-		return errTruncated
-	}
-	if m.QoS, ok = fr.i32(); !ok {
-		return errTruncated
-	}
-	return nil
+func decodeMatch(fr *frameReader, m *dataplane.Match) {
+	m.InPort = dataplane.PortID(fr.i32())
+	m.HasLabel = fr.boolean()
+	m.Label = dataplane.Label(fr.u32())
+	m.MatchNoLabel = fr.boolean()
+	m.UE, m.SrcIP, m.DstPrefix = fr.str(), fr.str(), fr.str()
+	m.QoS = fr.i32()
 }
 
-func decodeRule(fr *frameReader, r *dataplane.Rule) error {
-	var ok bool
-	if r.Priority, ok = fr.i32(); !ok {
-		return errTruncated
+func decodeRule(fr *frameReader, r *dataplane.Rule) {
+	r.Priority = fr.i32()
+	decodeMatch(fr, &r.Match)
+	r.Actions = readSeq(fr, uint32(fr.u16()), func(fr *frameReader, a *dataplane.Action) {
+		*a = dataplane.Action{Op: dataplane.ActionOp(fr.u8()), Port: dataplane.PortID(fr.i32()),
+			Label: dataplane.Label(fr.u32())}
+	})
+	r.Version = fr.i32()
+	r.Owner = fr.str()
+	r.Demand = fr.f64()
+}
+
+func decodeDeviceID(fr *frameReader, id *dataplane.DeviceID) { *id = dataplane.DeviceID(fr.str()) }
+
+func decodePortID(fr *frameReader, p *dataplane.PortID) { *p = dataplane.PortID(fr.i32()) }
+
+// decodeFabric is the inverse of appendFabric. Each pair needs 29 payload
+// bytes, so the map grows with the input, never with the count.
+func decodeFabric(fr *frameReader) *dataplane.VFabric {
+	if !fr.boolean() {
+		return nil
 	}
-	if err := decodeMatch(fr, &r.Match); err != nil {
-		return err
+	v := dataplane.NewVFabric()
+	for n := fr.u32(); n > 0 && fr.err == nil; n-- {
+		a, b := dataplane.PortID(fr.i32()), dataplane.PortID(fr.i32())
+		v.Set(a, b, dataplane.PathMetrics{Latency: fr.duration(), Hops: fr.i32(),
+			Bandwidth: fr.f64(), Reachable: fr.boolean()})
 	}
-	nActs, ok := fr.u16()
-	if !ok {
-		return errTruncated
+	return v
+}
+
+// decodePacket is the inverse of appendPacket. The label stack is rebuilt
+// through PushLabel (four payload bytes per label, so it too grows with
+// the input only); the recorded MaxLabelDepth then overrides what the
+// pushes observed.
+func decodePacket(fr *frameReader) *dataplane.Packet {
+	if !fr.boolean() {
+		return nil
 	}
-	if nActs > 0 {
-		r.Actions = make([]dataplane.Action, 0, min(int(nActs), 256))
-		for i := 0; i < int(nActs); i++ {
-			op, ok := fr.u8()
-			if !ok {
-				return errTruncated
-			}
-			port, ok := fr.i32()
-			if !ok {
-				return errTruncated
-			}
-			label, ok := fr.u32()
-			if !ok {
-				return errTruncated
-			}
-			r.Actions = append(r.Actions, dataplane.Action{
-				Op: dataplane.ActionOp(op), Port: dataplane.PortID(port),
-				Label: dataplane.Label(label),
-			})
+	p := &dataplane.Packet{UE: fr.str(), SrcIP: fr.str(), DstPrefix: fr.str(), QoS: fr.i32()}
+	for n := fr.u16(); n > 0 && fr.err == nil; n-- {
+		p.PushLabel(dataplane.Label(fr.u32()))
+	}
+	p.Trace = readSeq(fr, uint32(fr.u16()), func(fr *frameReader, h *dataplane.Hop) {
+		*h = dataplane.Hop{Dev: dataplane.DeviceID(fr.str()), InPort: dataplane.PortID(fr.i32()),
+			OutPort: dataplane.PortID(fr.i32()), LabelDepth: fr.i32(), TopLabel: dataplane.Label(fr.u32())}
+	})
+	p.MiddleboxesVisited = readSeq(fr, uint32(fr.u16()), func(fr *frameReader, t *dataplane.MiddleboxType) {
+		*t = dataplane.MiddleboxType(fr.i32())
+	})
+	p.MaxLabelDepth = fr.i32()
+	return p
+}
+
+// decodeControl is the inverse of appendPacketBody's control switch.
+func decodeControl(fr *frameReader) interface{} {
+	switch tag := fr.u8(); tag {
+	case controlNil:
+		return nil
+	case controlDiscovery:
+		f := &discovery.Frame{
+			Stack: readSeq(fr, uint32(fr.u16()), decodeStackEntry),
+			Meta:  discovery.LinkMeta{Latency: fr.duration(), Bandwidth: fr.f64()},
 		}
+		decodeStackEntry(fr, &f.Receive)
+		return f
+	default:
+		fr.fail(wireErrorf("unknown control payload tag %d", tag))
+		return nil
 	}
-	if r.Version, ok = fr.i32(); !ok {
-		return errTruncated
-	}
-	if r.Owner, ok = fr.str(); !ok {
-		return errTruncated
-	}
-	demand, ok := fr.u64()
-	if !ok {
-		return errTruncated
-	}
-	r.Demand = math.Float64frombits(demand)
-	return nil
 }
 
-func decodeGobBody(fr *frameReader, m *Msg) error {
-	n, ok := fr.u32()
-	if !ok || n > MaxAssembledSize {
-		return errTruncated
-	}
-	blob, ok := fr.take(int(n))
-	if !ok {
-		return errTruncated
-	}
-	registerWireGob()
-	var inner Msg
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&inner); err != nil {
-		return wireErrorf("gob body: %v", err)
-	}
-	if inner.Type != m.Type {
-		return wireErrorf("gob body type %s under %s envelope", inner.Type, m.Type)
-	}
-	m.Body = inner.Body
-	return nil
+func decodeStackEntry(fr *frameReader, e *discovery.StackEntry) {
+	*e = discovery.StackEntry{Controller: fr.str(), Device: dataplane.DeviceID(fr.str()),
+		Port: dataplane.PortID(fr.i32())}
 }

@@ -2,17 +2,21 @@ package southbound
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dataplane"
+	"repro/internal/discovery"
 	"repro/internal/testutil/leakcheck"
 )
 
@@ -22,7 +26,34 @@ import (
 func sampleMsgs() []Msg {
 	fab := dataplane.NewVFabric()
 	fab.Set(1, 2, dataplane.PathMetrics{Hops: 3, Latency: 5 * time.Millisecond, Bandwidth: 1000})
+	// The same-device pair keeps its +Inf bandwidth and the unreachable
+	// pair its zero metrics bit for bit.
+	gfab := dataplane.NewVFabric()
+	gfab.Set(1, 1, dataplane.PathMetrics{Bandwidth: math.Inf(1), Reachable: true})
+	gfab.Set(1, 2, dataplane.PathMetrics{Hops: 4, Latency: 7 * time.Millisecond, Bandwidth: 812.5, Reachable: true})
+	gfab.Set(2, 3, dataplane.PathMetrics{})
 	pkt := &dataplane.Packet{UE: "ue0000001", SrcIP: "10.0.0.1", DstPrefix: "pfx1", QoS: 1}
+	// A packet mid-flight: two labels on the stack, a deeper stack seen
+	// earlier, trace hops and visited middleboxes.
+	deep := &dataplane.Packet{UE: "ue0000002", SrcIP: "10.0.0.2", DstPrefix: "pfx2", QoS: 2,
+		Trace: []dataplane.Hop{
+			{Dev: "A0", InPort: 1, OutPort: 2, LabelDepth: 1, TopLabel: 7},
+			{Dev: "A1", InPort: dataplane.PortAny, OutPort: 3, LabelDepth: 2, TopLabel: 8},
+		},
+		MiddleboxesVisited: []dataplane.MiddleboxType{1, 0},
+	}
+	deep.PushLabel(7)
+	deep.PushLabel(8)
+	deep.MaxLabelDepth = 3
+	frame := &discovery.Frame{
+		Stack: []discovery.StackEntry{
+			{Controller: "L0", Device: "A0", Port: 2},
+			{Controller: "M0", Device: "gsw-L0", Port: 5},
+			{Controller: "root", Device: "gsw-M0", Port: 9},
+		},
+		Meta:    discovery.LinkMeta{Latency: 3 * time.Millisecond, Bandwidth: 400},
+		Receive: discovery.StackEntry{Controller: "L1", Device: "B0", Port: 1},
+	}
 	rule := dataplane.Rule{
 		Priority: 107,
 		Match: dataplane.Match{
@@ -42,8 +73,28 @@ func sampleMsgs() []Msg {
 			Ports:  []PortInfo{{ID: 1, Up: true}, {ID: 2, Up: false, External: true, ExternalDomain: "isp0"}},
 			Fabric: fab,
 		}},
+		{Type: TypeFeatureReply, Xid: 2, Datapath: "A1", Body: FeatureReply{Device: "A1", Kind: dataplane.KindSwitch}},
+		{Type: TypeFeatureReply, Xid: 2, Datapath: "gsw-L0", Body: FeatureReply{
+			Device: "gsw-L0", Kind: dataplane.KindGSwitch,
+			Ports: []PortInfo{
+				{ID: 1, Up: true, Underlying: dataplane.PortRef{Dev: "A0", Port: 4}},
+				{ID: 2, Up: true, Radio: "gbs-L0-0", Underlying: dataplane.PortRef{Dev: "A1", Port: 2}},
+			},
+			Fabric: gfab,
+			GBSes: []dataplane.GBSInfo{
+				{ID: "gbs-L0-0", AttachPort: 2, Border: true, Groups: []dataplane.DeviceID{"g0", "g1"},
+					Centroid: dataplane.GeoPoint{X: 12.5, Y: -3.25}},
+				{ID: "gbs-L0-1", AttachPort: 3},
+			},
+			GMiddleboxes: []dataplane.GMiddleboxInfo{
+				{ID: "gmb-L0-fw", Type: 1, Capacity: 40, Load: 12.5, AttachPorts: []dataplane.PortID{1, 2}},
+			},
+		}},
 		{Type: TypePacketIn, Xid: 3, Datapath: "A0", Body: PacketIn{InPort: 1, Packet: pkt}},
+		{Type: TypePacketIn, Xid: 3, Datapath: "A1", Body: PacketIn{InPort: 3, Packet: deep}},
+		{Type: TypePacketIn, Xid: 3, Datapath: "gsw-L0", Body: PacketIn{InPort: 5, Control: frame}},
 		{Type: TypePacketOut, Xid: 4, Datapath: "A0", Body: PacketOut{OutPort: 2, Packet: pkt}},
+		{Type: TypePacketOut, Xid: 4, Datapath: "A0", Body: PacketOut{OutPort: 2, Control: frame}},
 		{Type: TypeFlowMod, Xid: 5, Datapath: "A0", Body: FlowMod{Command: FlowAdd, Rule: rule}},
 		{Type: TypeFlowMod, Xid: 6, Datapath: "A0", Body: FlowMod{
 			Command: FlowDeleteOwnerVersion, Owner: "L0/p12", Version: 7,
@@ -77,7 +128,8 @@ func sampleMsgs() []Msg {
 			{Prefix: "pfx9", Egress: "X0", Port: 4, Hops: 3, RTT: 12 * time.Millisecond},
 			{Prefix: "pfx8", Egress: "X1", Port: 2, Hops: 5, RTT: 30 * time.Millisecond},
 		}}},
-		{Type: TypeNbFabric, Xid: 15, Datapath: "gsw-L0", Body: NbFabric{Fabric: fab}},
+		{Type: TypeNbFabric, Xid: 15, Datapath: "gsw-L0", Body: NbFabric{Fabric: gfab}},
+		{Type: TypeNbFabric, Xid: 15, Datapath: "gsw-L0", Body: NbFabric{}},
 		{Type: TypeNbReabstract, Xid: 16, Datapath: "gsw-L0", Body: NbReabstract{}},
 		{Type: TypeNbUEState, Xid: 17, Datapath: "gsw-L0", Body: NbUEState{Rows: []NbUERow{
 			{UE: "ue0000001", BS: "b0-1", Group: "g0", Prefix: "pfx1", QoS: 1, Path: 9001, Owner: "root", Active: true},
@@ -94,6 +146,41 @@ func frameOnlyMsgs() []Msg {
 		{Type: TypeFrag, Body: Frag{Last: false, Data: []byte{1, 2, 3, 4}}},
 		{Type: TypeFrag, Body: Frag{Last: true}},
 	}
+}
+
+// hostileCountSeeds are frames whose element count claims far more than
+// the payload holds: decoding must fail without allocating for the claim.
+func hostileCountSeeds() map[string][]byte {
+	hdr := func(t MsgType, body ...byte) []byte {
+		return append([]byte{WireVersion, byte(t), 0, 0, 0, 1, 0, 0}, body...)
+	}
+	return map[string][]byte{
+		"seed-batch-huge-count":    hdr(TypeFlowModBatch, 0xFF, 0xFF),
+		"seed-ue-state-huge-count": hdr(TypeNbUEState, 0xFF, 0xFF, 0xFF, 0xFF),
+		// empty device name, kind 0, then the port count
+		"seed-feature-huge-count": hdr(TypeFeatureReply, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF),
+		// in-port, packet present, three empty strings, qos, label count
+		"seed-packet-huge-count": hdr(TypePacketIn, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF),
+		// in-port, no packet, discovery tag, stack count
+		"seed-frame-stack-huge-count": hdr(TypePacketIn, 0, 0, 0, 1, 0, controlDiscovery, 0xFF, 0xFF),
+		// nb-fabric present with a 4-byte pair count
+		"seed-fabric-huge-count": hdr(TypeNbFabric, 1, 0xFF, 0xFF, 0xFF, 0xFF),
+	}
+}
+
+// readSeed returns the payload of a committed single-[]byte corpus file.
+func readSeed(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzFrameDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(data), "\n")[1], "[]byte("), ")")
+	payload, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return []byte(payload)
 }
 
 // encodePayload returns the frame payload (length prefix stripped).
@@ -158,6 +245,37 @@ func TestFrameRejectsMalformed(t *testing.T) {
 			t.Fatal("oversized payload decoded without error")
 		}
 	})
+	t.Run("v1 gob-nested frame", func(t *testing.T) {
+		// A peer still on wire version 1 is refused by version, before any
+		// of its gob blob is looked at.
+		if _, err := DecodeFrame(readSeed(t, "seed-v1-feature-rep-gob")); err == nil || !strings.Contains(err.Error(), "unsupported wire version 1") {
+			t.Fatalf("got %v, want unsupported wire version error", err)
+		}
+	})
+	t.Run("unknown control tag", func(t *testing.T) {
+		bad := encodePayload(t, Msg{Type: TypePacketIn, Body: PacketIn{InPort: 1}})
+		bad[len(bad)-1] = 9
+		if _, err := DecodeFrame(bad); err == nil || !strings.Contains(err.Error(), "control payload tag") {
+			t.Fatalf("got %v, want control tag error", err)
+		}
+	})
+	for name, payload := range hostileCountSeeds() {
+		t.Run(name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeFrame(payload)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("hostile count decoded without error")
+			}
+			// Allocating for the claim would take megabytes (65535 PortInfo
+			// is 4.5 MiB) to gigabytes (2^32 UE rows); the capped
+			// preallocation stays far below the smallest of those.
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Fatalf("decoding a %d-byte frame allocated %d bytes", len(payload), got)
+			}
+		})
+	}
 	t.Run("oversized encode", func(t *testing.T) {
 		big := Msg{Type: TypeEchoRequest, Body: Echo{Payload: strings.Repeat("x", MaxAssembledSize)}}
 		if _, err := AppendFrame(nil, &big); err == nil {
@@ -167,7 +285,9 @@ func TestFrameRejectsMalformed(t *testing.T) {
 }
 
 // TestBinConnOverTCP exercises the binary codec end to end over a real
-// socket, including a gob-nested body.
+// socket. A control payload outside the closed set fails Send with a wire
+// error before any byte is written, so the conn carries every sample
+// message afterwards.
 func TestBinConnOverTCP(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -180,17 +300,22 @@ func TestBinConnOverTCP(t *testing.T) {
 		if err != nil {
 			return
 		}
-		accepted <- NewWireConn(nc, false)
+		accepted <- NewBinConn(nc)
 	}()
 	nc, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewWireConn(nc, false)
+	client := NewBinConn(nc)
 	defer client.Close()
 	server := <-accepted
 	defer server.Close()
 
+	err = client.Send(Msg{Type: TypePacketOut, Body: PacketOut{OutPort: 1, Control: "not a frame"}})
+	var we *wireError
+	if !errors.As(err, &we) || !strings.Contains(err.Error(), "unsupported control payload string") {
+		t.Fatalf("Send with a string control payload: got %v, want a wire error naming the type", err)
+	}
 	for _, m := range sampleMsgs() {
 		if err := client.Send(m); err != nil {
 			t.Fatalf("Send(%s): %v", m.Type, err)
@@ -275,74 +400,9 @@ func TestBinConnFragmentation(t *testing.T) {
 	}
 }
 
-// TestWireConnGobCompat verifies the compatibility flag: both ends on
-// NewWireConn(useGob=true) interop through the legacy gob codec.
-func TestWireConnGobCompat(t *testing.T) {
-	RegisterGobTypes()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	accepted := make(chan Conn, 1)
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		accepted <- NewWireConn(nc, true)
-	}()
-	nc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := NewWireConn(nc, true)
-	defer client.Close()
-	server := <-accepted
-	defer server.Close()
-
-	if err := Handshake(clientHalf{client, server}, "L0"); err != nil {
-		t.Fatalf("handshake over gob compat: %v", err)
-	}
-	m := Msg{Type: TypeFlowMod, Xid: 3, Datapath: "A0", Body: FlowMod{
-		Command: FlowAdd,
-		Rule:    dataplane.Rule{Priority: 10, Match: dataplane.AnyMatch(), Owner: "L0/p1"},
-	}}
-	if err := client.Send(m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := server.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Errorf("gob compat mismatch: got %#v want %#v", got, m)
-	}
-}
-
-// clientHalf adapts a (client, server) pair into one loopback Conn for
-// Handshake, echoing the server side.
-type clientHalf struct {
-	c Conn
-	s Conn
-}
-
-func (h clientHalf) Send(m Msg) error {
-	if err := h.c.Send(m); err != nil {
-		return err
-	}
-	got, err := h.s.Recv()
-	if err != nil {
-		return err
-	}
-	return h.s.Send(got) // server answers hello with its own; echo suffices for version check
-}
-func (h clientHalf) Recv() (Msg, error) { return h.c.Recv() }
-func (h clientHalf) Close() error       { return h.c.Close() }
-
 // TestBinConnWriteDeadline pins the satellite-2 fix: a Send blocked on a
 // peer that stopped reading fails within the configured write timeout
-// instead of wedging forever (the gob codec's failure mode).
+// instead of wedging forever.
 func TestBinConnWriteDeadline(t *testing.T) {
 	client, _ := tcpPair(t)
 	client.SetWriteTimeout(100 * time.Millisecond)
@@ -426,18 +486,19 @@ func tcpPair(t *testing.T) (*BinConn, net.Conn) {
 }
 
 // FuzzFrameDecode feeds arbitrary payloads to the decoder: it must never
-// panic, and anything it accepts must re-encode and re-decode to an
-// equivalent message. Gob-nested bodies (feature replies, packet in/out)
-// are exempt from the deep-equality check — gob tolerates value shapes
-// (NaNs, aliasing) whose equality Go cannot decide structurally; their
-// canonical round trip is pinned by TestFrameRoundTripAllTypes instead.
+// panic, and anything it accepts must re-encode and re-decode to the same
+// bytes. Every body is hand-coded and canonical, so a second encode is
+// byte-compared — which also holds for NaN floats where DeepEqual would
+// not.
 func FuzzFrameDecode(f *testing.F) {
 	for _, m := range append(sampleMsgs(), frameOnlyMsgs()...) {
 		f.Add(encodePayload(f, m))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{WireVersion})
-	f.Add([]byte{WireVersion, byte(TypeFlowModBatch), 0, 0, 0, 1, 0, 0, 0xFF, 0xFF})
+	for _, payload := range hostileCountSeeds() {
+		f.Add(payload)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := DecodeFrame(data)
 		if err != nil {
@@ -451,21 +512,12 @@ func FuzzFrameDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded message failed to decode: %v (%#v)", err, m)
 		}
-		switch m.Type {
-		case TypeFeatureReply, TypePacketIn, TypePacketOut, TypeNbFabric:
-			if m2.Type != m.Type || m2.Xid != m.Xid || m2.Datapath != m.Datapath {
-				t.Fatalf("gob-body envelope mismatch: %#v vs %#v", m2, m)
-			}
-		default:
-			// Hand-coded bodies are canonical: byte-compare a second encode,
-			// which also holds for NaN floats where DeepEqual would not.
-			enc2, err := AppendFrame(nil, &m2)
-			if err != nil {
-				t.Fatalf("second re-encode failed: %v", err)
-			}
-			if !bytes.Equal(enc, enc2) {
-				t.Fatalf("round trip not canonical:\n 1st %x\n 2nd %x", enc, enc2)
-			}
+		enc2, err := AppendFrame(nil, &m2)
+		if err != nil {
+			t.Fatalf("second re-encode failed: %v", err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip not canonical:\n 1st %x\n 2nd %x", enc, enc2)
 		}
 	})
 }
@@ -490,7 +542,8 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	for i, m := range append(sampleMsgs(), frameOnlyMsgs()...) {
 		write(fmt.Sprintf("seed-%02d-%s", i, m.Type), encodePayload(t, m))
 	}
-	write("seed-truncated", encodePayload(t, sampleMsgs()[7])[:9])
-	write("seed-batch-huge-count", []byte{WireVersion, byte(TypeFlowModBatch), 0, 0, 0, 1, 0, 0, 0xFF, 0xFF})
-	write("seed-ue-state-huge-count", []byte{WireVersion, byte(TypeNbUEState), 0, 0, 0, 1, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	write("seed-truncated", encodePayload(t, Msg{Type: TypeFlowMod, Xid: 5, Datapath: "A0", Body: FlowMod{}})[:9])
+	for name, payload := range hostileCountSeeds() {
+		write(name, payload)
+	}
 }

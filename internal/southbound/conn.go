@@ -1,14 +1,10 @@
 package southbound
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
-
-	"repro/internal/dataplane"
 )
 
 // Conn is a bidirectional message channel between a controller and a
@@ -100,81 +96,6 @@ func (c *chanConn) Close() error {
 		}
 	}
 	return nil
-}
-
-// gobConn frames messages with encoding/gob over a net.Conn for
-// distributed deployments. Encoders and decoders are guarded so a gobConn
-// may be shared by a sender and a receiver goroutine.
-type gobConn struct {
-	nc   net.Conn
-	encM sync.Mutex
-	// enc is the shared stream encoder, guarded by encM.
-	enc  *gob.Encoder
-	decM sync.Mutex
-	// dec is the shared stream decoder, guarded by decM.
-	dec *gob.Decoder
-
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// NewGobConn wraps a net.Conn in the gob codec.
-func NewGobConn(nc net.Conn) Conn {
-	return &gobConn{nc: nc, enc: gob.NewEncoder(nc), dec: gob.NewDecoder(nc)}
-}
-
-// Send implements Conn.
-func (g *gobConn) Send(m Msg) error {
-	g.encM.Lock()
-	defer g.encM.Unlock()
-	if err := g.enc.Encode(&m); err != nil {
-		return fmt.Errorf("southbound: encode: %w", err)
-	}
-	return nil
-}
-
-// Recv implements Conn.
-func (g *gobConn) Recv() (Msg, error) {
-	g.decM.Lock()
-	defer g.decM.Unlock()
-	var m Msg
-	if err := g.dec.Decode(&m); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
-			return Msg{}, io.EOF
-		}
-		return Msg{}, fmt.Errorf("southbound: decode: %w", err)
-	}
-	return m, nil
-}
-
-// Close implements Conn.
-func (g *gobConn) Close() error {
-	g.closeOnce.Do(func() { g.closeErr = g.nc.Close() })
-	return g.closeErr
-}
-
-// RegisterGobTypes registers every Body payload type plus control payloads
-// supplied by higher layers with encoding/gob. Callers sending custom
-// Control payloads over gob connections must register them too.
-func RegisterGobTypes(extra ...interface{}) {
-	gob.Register(Hello{})
-	gob.Register(Echo{})
-	gob.Register(FeatureRequest{})
-	gob.Register(FeatureReply{})
-	gob.Register(PacketIn{})
-	gob.Register(PacketOut{})
-	gob.Register(FlowMod{})
-	gob.Register(FlowModBatch{})
-	gob.Register(PortStatus{})
-	gob.Register(RoleRequest{})
-	gob.Register(RoleReply{})
-	gob.Register(Barrier{})
-	gob.Register(Error{})
-	gob.Register(NbFabric{})
-	gob.Register(&dataplane.Packet{})
-	for _, e := range extra {
-		gob.Register(e)
-	}
 }
 
 // Handshake performs the Hello exchange from the initiating side and

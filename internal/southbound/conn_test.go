@@ -144,72 +144,8 @@ func TestHandshakeWrongFirstMessage(t *testing.T) {
 	}
 }
 
-func TestGobConnOverTCP(t *testing.T) {
-	RegisterGobTypes()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	type result struct {
-		msg Msg
-		err error
-	}
-	got := make(chan result, 1)
-	go func() {
-		nc, err := ln.Accept()
-		if err != nil {
-			got <- result{err: err}
-			return
-		}
-		c := NewGobConn(nc)
-		defer c.Close()
-		m, err := c.Recv()
-		got <- result{msg: m, err: err}
-	}()
-
-	nc, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewGobConn(nc)
-	defer c.Close()
-
-	fabric := dataplane.NewVFabric()
-	fabric.Set(1, 2, dataplane.PathMetrics{Hops: 3, Latency: 5 * time.Millisecond, Bandwidth: 800, Reachable: true})
-	sent := Msg{
-		Type:     TypeFeatureReply,
-		Xid:      42,
-		Datapath: "GS1",
-		Body: FeatureReply{
-			Device: "GS1",
-			Kind:   dataplane.KindGSwitch,
-			Ports:  []PortInfo{{ID: 1, Up: true}, {ID: 2, Up: true, External: true, ExternalDomain: "isp"}},
-		},
-	}
-	if err := c.Send(sent); err != nil {
-		t.Fatal(err)
-	}
-	r := <-got
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if r.msg.Type != TypeFeatureReply || r.msg.Datapath != "GS1" || r.msg.Xid != 42 {
-		t.Fatalf("envelope mangled: %+v", r.msg)
-	}
-	body, ok := r.msg.Body.(FeatureReply)
-	if !ok {
-		t.Fatalf("body type %T", r.msg.Body)
-	}
-	if len(body.Ports) != 2 || !body.Ports[1].External {
-		t.Fatalf("ports mangled: %+v", body.Ports)
-	}
-}
-
-func TestGobConnEOFOnClose(t *testing.T) {
+func TestBinConnEOFOnClose(t *testing.T) {
 	leakcheck.Check(t)
-	RegisterGobTypes()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +158,8 @@ func TestGobConnEOFOnClose(t *testing.T) {
 			errc <- err
 			return
 		}
-		c := NewGobConn(nc)
+		c := NewBinConn(nc)
+		defer c.Close()
 		_, err = c.Recv()
 		errc <- err
 	}()
@@ -230,26 +167,38 @@ func TestGobConnEOFOnClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewGobConn(nc)
+	c := NewBinConn(nc)
 	c.Close()
 	if err := <-errc; err != io.EOF {
 		t.Fatalf("err = %v, want EOF", err)
 	}
 }
 
-func TestPacketOverGob(t *testing.T) {
-	RegisterGobTypes()
-	ln, _ := net.Listen("tcp", "127.0.0.1:0")
+// TestPacketLabelsOverBinConn: the unexported label stack survives the
+// wire, and the decoded packet's stack is live (pop/push work on it).
+func TestPacketLabelsOverBinConn(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer ln.Close()
 	got := make(chan Msg, 1)
 	go func() {
-		nc, _ := ln.Accept()
-		c := NewGobConn(nc)
+		nc, err := ln.Accept()
+		if err != nil {
+			close(got)
+			return
+		}
+		c := NewBinConn(nc)
+		defer c.Close()
 		m, _ := c.Recv()
 		got <- m
 	}()
-	nc, _ := net.Dial("tcp", ln.Addr().String())
-	c := NewGobConn(nc)
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewBinConn(nc)
 	defer c.Close()
 	pkt := &dataplane.Packet{UE: "ue9", DstPrefix: "p1", QoS: 5}
 	pkt.PushLabel(77)
@@ -257,11 +206,11 @@ func TestPacketOverGob(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := <-got
-	pi := m.Body.(PacketIn)
-	if pi.Packet.UE != "ue9" {
-		t.Fatalf("packet mangled: %+v", pi.Packet)
+	pi, ok := m.Body.(PacketIn)
+	if !ok || pi.Packet == nil || pi.Packet.UE != "ue9" {
+		t.Fatalf("packet mangled: %+v", m)
 	}
-	if l, ok := pi.Packet.TopLabel(); !ok || l != 77 {
+	if l, ok := pi.Packet.PopLabel(); !ok || l != 77 || pi.Packet.LabelDepth() != 0 {
 		t.Fatalf("label lost over the wire: %v %v", l, ok)
 	}
 }

@@ -2,7 +2,6 @@ package southbound
 
 import (
 	"math/rand"
-	"time"
 
 	"repro/internal/netem"
 )
@@ -13,8 +12,7 @@ import (
 // while Recv stays immediate — the opposite leg is modeled by wrapping
 // the peer's conn instead. Wrapping the connection an agent serves
 // therefore impairs the device→controller leg (replies and events), so
-// one wrapped direction models the full round trip, exactly as the old
-// constant-delay wrapper did.
+// one wrapped direction models the full round trip.
 //
 // Dropped frames still return nil from Send — a datagram sender on a
 // lossy WAN gets no error either; recovery is the protocol's job (the
@@ -25,10 +23,6 @@ type ImpairedConn struct {
 	link  *netem.Link
 }
 
-// DelayedConn is the historical name for the constant-delay special case;
-// it is now an ImpairedConn running a pure-delay profile.
-type DelayedConn = ImpairedConn
-
 // NewImpairedConn wraps inner so every Send traverses a WAN link impaired
 // per prof, drawing impairment randomness from rng (nil is fine for
 // profiles with no random dimension; see netem.LinkRNG for deriving
@@ -38,13 +32,6 @@ func NewImpairedConn(inner Conn, prof netem.Profile, rng *rand.Rand) *ImpairedCo
 	c := &ImpairedConn{inner: inner}
 	c.link = netem.NewWallLink(c.deliver, prof, rng)
 	return c
-}
-
-// NewDelayedConn wraps inner so every Send is delivered delay later —
-// the trivial Profile{Delay: d} impairment, kept as a compat alias so
-// existing call sites read unchanged.
-func NewDelayedConn(inner Conn, delay time.Duration) *DelayedConn {
-	return NewImpairedConn(inner, netem.Profile{Delay: delay}, nil)
 }
 
 // Link exposes the underlying netem link for live reconfiguration

@@ -36,16 +36,15 @@ func (r *recordingConn) Send(m Msg) error {
 func (r *recordingConn) Recv() (Msg, error) { return Msg{}, io.EOF }
 func (r *recordingConn) Close() error       { return nil }
 
-// TestImpairedConnCloseOrdering is the regression test for the old
-// DelayedConn race: a queued frame must never land on the inner conn
-// after Close returns. Races Close against deliveries coming due across
+// TestImpairedConnCloseOrdering is the regression test for a close race:
+// a queued frame must never land on the inner conn after Close returns. Races Close against deliveries coming due across
 // many rounds and phases.
 func TestImpairedConnCloseOrdering(t *testing.T) {
 	defer leakcheck.Check(t)
 	for round := 0; round < 100; round++ {
 		var closeReturned atomic.Bool
 		inner := &recordingConn{closeReturned: &closeReturned}
-		c := NewDelayedConn(inner, 100*time.Microsecond)
+		c := NewImpairedConn(inner, netem.Profile{Delay: 100 * time.Microsecond}, nil)
 		for i := 0; i < 20; i++ {
 			if err := c.Send(Msg{Type: TypeEchoReply, Xid: uint32(i)}); err != nil {
 				t.Fatalf("send: %v", err)
@@ -71,7 +70,7 @@ func TestImpairedConnCloseOrdering(t *testing.T) {
 func TestImpairedConnCloseLate(t *testing.T) {
 	var closeReturned atomic.Bool
 	inner := &recordingConn{closeReturned: &closeReturned}
-	c := NewDelayedConn(inner, 500*time.Microsecond)
+	c := NewImpairedConn(inner, netem.Profile{Delay: 500 * time.Microsecond}, nil)
 	for i := 0; i < 50; i++ {
 		if err := c.Send(Msg{Type: TypeEchoReply, Xid: uint32(i)}); err != nil {
 			t.Fatalf("send: %v", err)
@@ -89,13 +88,12 @@ func TestImpairedConnCloseLate(t *testing.T) {
 	}
 }
 
-// TestDelayedConnCompat: the compat constructor still behaves as the old
-// constant-delay wrapper — frames arrive in order, no earlier than the
-// configured delay, and none are lost.
-func TestDelayedConnCompat(t *testing.T) {
+// TestImpairedConnPureDelay: under a delay-only profile frames arrive in
+// order, no earlier than the configured delay, and none are lost.
+func TestImpairedConnPureDelay(t *testing.T) {
 	defer leakcheck.Check(t)
 	a, b := Pipe(64)
-	c := NewDelayedConn(a, 2*time.Millisecond)
+	c := NewImpairedConn(a, netem.Profile{Delay: 2 * time.Millisecond}, nil)
 	start := time.Now()
 	const n = 10
 	for i := 0; i < n; i++ {

@@ -6,8 +6,9 @@
 // to support our virtual fabric feature").
 //
 // Two transports are provided: an in-process channel pair (Pipe) for
-// simulations, and a gob-encoded length-delimited TCP codec (NewGobConn)
-// for distributed deployments. Both satisfy the Conn interface.
+// simulations, and the length-prefixed binary codec over TCP (NewBinConn)
+// for distributed deployments. Both satisfy the Conn interface, and
+// codec.go is the only place that knows how a Msg becomes bytes.
 //
 // # Message model
 //
@@ -27,8 +28,9 @@
 //
 //   - messages.go — wire types: MsgType, Msg, FlowMod, FlowModBatch,
 //     FeatureReply, PacketIn/Out, PortStatus, roles, errors
-//   - conn.go — Conn interface, Pipe, the gob/TCP codec, handshakes
-//     (Dial/Accept), and gob type registration
+//   - conn.go — Conn interface, Pipe, handshakes (Handshake/Accept)
+//   - codec.go, binconn.go — the binary frame codec and BinConn, its TCP
+//     transport with fragmentation and write deadlines
 //   - agent.go — SwitchAgent, the device-side endpoint serving a
 //     physical switch to one or more controllers with role arbitration
 package southbound

@@ -224,8 +224,10 @@ type PacketIn struct {
 	InPort dataplane.PortID
 	// Packet is set for punted data-plane packets.
 	Packet *dataplane.Packet
-	// Control is set for encapsulated control payloads (discovery
-	// messages, interdomain route advertisements, bearer requests...).
+	// Control is set for encapsulated control payloads. In-process pipes
+	// carry any value; the wire codec carries nil or a *discovery.Frame
+	// (the one payload any sender uses) and refuses to encode anything
+	// else.
 	Control interface{}
 }
 
@@ -399,7 +401,7 @@ type NbInterdomain struct {
 }
 
 // NbFabric is the Body of TypeNbFabric: the child's updated virtual
-// fabric (gob-nested — fabrics are deep structure off the hot path).
+// fabric, encoded like FeatureReply.Fabric.
 type NbFabric struct {
 	Fabric *dataplane.VFabric
 }

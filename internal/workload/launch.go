@@ -319,6 +319,9 @@ func assembleDistReport(cfg Config, procs int, results []ProcResult, sections []
 		rep.Events += res.Events
 		rep.Failures += res.Failures
 		rep.Stalls += res.Stalls
+		if rep.FirstErr == "" {
+			rep.FirstErr = res.FirstErr
+		}
 		if res.ElapsedSec > maxElapsed {
 			maxElapsed = res.ElapsedSec
 		}
@@ -328,7 +331,7 @@ func assembleDistReport(cfg Config, procs int, results []ProcResult, sections []
 		}
 		rep.Distributed.Per = append(rep.Distributed.Per, RegionProcStats{
 			Proc: res.Proc, Lo: res.Lo, Hi: res.Hi,
-			Events: res.Events, Failures: res.Failures,
+			Events: res.Events, Failures: res.Failures, FirstErr: res.FirstErr,
 			ElapsedSec: res.ElapsedSec, EventsPerSec: eps,
 			RegionEvents: res.RegionEvents,
 		})

@@ -115,6 +115,7 @@ type Report struct {
 	Config       ReportConfig        `json:"config"`
 	Events       int                 `json:"events"`
 	Failures     int64               `json:"failures"`
+	FirstErr     string              `json:"first_err,omitempty"` // distributed runs: the first process error below
 	ElapsedSec   float64             `json:"elapsed_sec"`
 	EventsPerSec float64             `json:"events_per_sec"`
 	Stalls       int64               `json:"stalls"`
@@ -181,6 +182,7 @@ type RegionProcStats struct {
 	// Events is the number of schedule ops the process executed.
 	Events       int     `json:"events"`
 	Failures     int64   `json:"failures"`
+	FirstErr     string  `json:"first_err,omitempty"` // the process's first failed op
 	ElapsedSec   float64 `json:"elapsed_sec"`
 	EventsPerSec float64 `json:"events_per_sec"`
 	// RegionEvents maps each owned region index to its op count.

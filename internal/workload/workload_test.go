@@ -199,3 +199,29 @@ func TestMixFromLTE(t *testing.T) {
 		t.Fatalf("LTE-derived run failed: %v", res.FirstErr)
 	}
 }
+
+// TestAssembleDistReportKeepsFirstErr: a region process that failed ops
+// reports why, and the merged report says so per process and at the top —
+// a failure count with no reason is how fence exhaustion went unseen.
+func TestAssembleDistReportKeepsFirstErr(t *testing.T) {
+	cfg := testConfig()
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	const reason = "op 17 (bearer-setup ue0000003): fence failed after 3 attempts"
+	rep := assembleDistReport(cfg, 3, []ProcResult{
+		{Proc: 0, Lo: 0, Hi: 1, Events: 500, ElapsedSec: 1},
+		{Proc: 1, Lo: 1, Hi: 2, Events: 498, Failures: 2, ElapsedSec: 1, FirstErr: reason},
+		{Proc: 2, Lo: 2, Hi: 3, Events: 499, Failures: 1, ElapsedSec: 1, FirstErr: "a later failure"},
+	}, nil, 0)
+	if rep.Failures != 3 {
+		t.Fatalf("Failures = %d, want 3", rep.Failures)
+	}
+	if rep.FirstErr != reason {
+		t.Fatalf("report FirstErr = %q, want the first failing process's %q", rep.FirstErr, reason)
+	}
+	per := rep.Distributed.Per
+	if per[0].FirstErr != "" || per[1].FirstErr != reason || per[2].FirstErr != "a later failure" {
+		t.Fatalf("per-process FirstErr not carried: %+v", per)
+	}
+}
