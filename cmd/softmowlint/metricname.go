@@ -37,6 +37,7 @@ var prodMetricRegistry = map[string]map[string]bool{
 		"core.pathsetup.setup_latency":      true,
 		"core.pathsetup.teardown_latency":   true,
 		"core.pathsetup.reroute_latency":    true,
+		"core.pathsetup.reused":             true,
 		"core.graph.cache_hits":             true,
 		"core.graph.cache_misses":           true,
 		"core.graph.rebuilds":               true,

@@ -30,7 +30,9 @@ func (h *Harness) CheckInvariants() error {
 
 // checkUEConsistency asserts every controller's UE table is coherent with
 // the path store and the radio index: an active row's owning controller
-// still holds its path record as active, a row's serving group (when the
+// still holds its path record as active (the path table keeps live records
+// only, so a released path reads as unknown, never as deactivated; an
+// inactive record is a failed repair), a row's serving group (when the
 // UE has not roamed away) is the group its BS actually camps on and that
 // group has a radio attachment. A violation means a concurrent mobility
 // operation tore a row and its path apart.
@@ -71,8 +73,10 @@ func (h *Harness) checkUEConsistency() error {
 
 // checkNoOrphanRules asserts every rule installed on a physical switch is
 // owned by a path record some controller still considers active, at the
-// record's current version. A violation means a rollback, repair, or
-// teardown leaked state into the data plane.
+// record's current version. PathOwners lists live records only, so a rule
+// surviving its path's release shows up as "unknown to every controller".
+// A violation means a rollback, repair, or teardown leaked state into the
+// data plane.
 func (h *Harness) checkNoOrphanRules() error {
 	owners := make(map[string]core.PathOwnerInfo)
 	for _, c := range h.hier.All {

@@ -34,6 +34,9 @@ var (
 	setupLatency            = metrics.NewDurationHist("core.pathsetup.setup_latency")
 	teardownLatency         = metrics.NewDurationHist("core.pathsetup.teardown_latency")
 	rerouteLatency          = metrics.NewDurationHist("core.pathsetup.reroute_latency")
+	// pathsReused counts bearer requests answered by the path the bearer
+	// already had (a same-group handover or a repeat attach).
+	pathsReused = metrics.NewCounter("core.pathsetup.reused")
 )
 
 // BatchInstaller is the optional Device extension for batched rule
@@ -113,6 +116,27 @@ type asyncInstaller interface {
 // teardown and rollback fan-out.
 type asyncRemover interface {
 	tryRemoveRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error)) bool
+}
+
+// removeOwned issues one delete command for owner on every listed device:
+// pipelined on devices with asynchronous completion, through the matching
+// Device method otherwise. Every device is visited; first error wins.
+func (c *Controller) removeOwned(devs []Device, cmd southbound.FlowModCommand, owner string, version int) error {
+	return c.fanPerDevice(devs,
+		func(d Device, cb func(error)) bool {
+			ar, ok := d.(asyncRemover)
+			return ok && ar.tryRemoveRulesAsync(cmd, owner, version, cb)
+		},
+		func(d Device) error {
+			switch cmd {
+			case southbound.FlowDeleteOwnerBefore:
+				return d.RemoveRulesBefore(owner, version)
+			case southbound.FlowDeleteOwnerVersion:
+				return d.RemoveRulesVersion(owner, version)
+			default:
+				return d.RemoveRules(owner)
+			}
+		})
 }
 
 // fanPerDevice overlaps one action per device. Devices capable of
@@ -243,12 +267,7 @@ func (c *Controller) flushBatch(b *ruleBatch, owner string, version int) error {
 		// removed), so its own error carries no extra signal. It stays
 		// version-exact: only the batches this flush fenced are removed.
 		//softmow:allow errdiscard rollback is best-effort, the install error propagates
-		_ = c.fanPerDevice(devs,
-			func(d Device, cb func(error)) bool {
-				ar, ok := d.(asyncRemover)
-				return ok && ar.tryRemoveRulesAsync(southbound.FlowDeleteOwnerVersion, owner, version, cb)
-			},
-			func(d Device) error { return d.RemoveRulesVersion(owner, version) })
+		_ = c.removeOwned(devs, southbound.FlowDeleteOwnerVersion, owner, version)
 		return err
 	}
 	flushLatency.Observe(time.Since(start))

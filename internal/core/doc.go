@@ -24,8 +24,9 @@
 //   - device.go — Device interface, in-process SwitchDevice, and the
 //     logicalDevice that translates parent rules into child paths
 //   - conndevice.go — ConnDevice, the wire-backed device over southbound
-//   - batch.go — ruleBatch, flushBatch, runPerDevice, BatchInstaller
-//   - pathsetup.go — path install/teardown/reroute and rule translation
+//   - batch.go — ruleBatch, flushBatch, removeOwned, BatchInstaller
+//   - pathsetup.go — path install/teardown/reroute and rule translation;
+//     the path table holds live paths only (DESIGN.md §5.2)
 //   - policy.go — middlebox service-policy routing and installation
 //   - mobility.go — bearer admission, §5.1 handovers, UE table
 //   - repair.go — §6 link/switch failure repair

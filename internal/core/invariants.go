@@ -14,11 +14,12 @@ type PathOwnerInfo struct {
 	Active  bool
 }
 
-// PathOwners returns every path owner tag this controller has ever issued,
-// with the path's current version and activity. Rules found in the data
-// plane whose owner is missing from the union of all controllers' maps —
-// or which belong to an inactive path, or carry a version other than the
-// record's current one after a committed update — are orphans.
+// PathOwners returns the owner tag of every live path record, with the
+// path's current version and activity; a released path is not listed.
+// Rules found in the data plane whose owner is missing from the union of
+// all controllers' maps — or which belong to an inactive (failed-repair)
+// path, or carry a version other than the record's current one after a
+// committed update — are orphans.
 func (c *Controller) PathOwners() map[string]PathOwnerInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -27,6 +28,15 @@ func (c *Controller) PathOwners() map[string]PathOwnerInfo {
 		out[rec.Owner] = PathOwnerInfo{ID: id, Version: rec.Version, Active: rec.Active}
 	}
 	return out
+}
+
+// PathTableSize reports how many records the path table holds: the live
+// paths plus any failed repair still awaiting its bearer's release. It
+// returns to the live bearer count once churn stops.
+func (c *Controller) PathTableSize() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.paths)
 }
 
 // ExposedPortFor maps an underlying (device, port) in this controller's

@@ -107,8 +107,11 @@ var ErrUnknownBS = errors.New("core: unknown base station")
 // HandleBearerRequest processes a UE bearer request at a leaf controller
 // (§5.1): route locally, delegating to ancestors when the local region
 // cannot satisfy the QoS, then implement the path and record it. A repeat
-// request for an attached UE replaces its default bearer make-before-break
-// (the new path is installed before the old one is released).
+// request for an attached UE keeps its bearer path when the request moves
+// nothing in the core (same group, prefix, QoS and route on a live path
+// this controller owns, §7.1 "most handovers are intra-group"); otherwise
+// it replaces the path make-before-break (the new path is installed before
+// the old one is released).
 func (c *Controller) HandleBearerRequest(req BearerRequest) (*UERecord, error) {
 	done := c.ue.lockUE(req.UE)
 	defer done()
@@ -137,12 +140,31 @@ func (c *Controller) handleBearerRequestLocked(req BearerRequest) (*UERecord, er
 		InPort: dataplane.PortAny, UE: req.UE, SrcIP: req.SrcIP,
 		DstPrefix: string(req.Prefix), QoS: req.QoS,
 	}
+	// The per-UE operation lock is held, so the row cannot change under us.
+	old, hasRow := c.ue.get(req.UE)
 	// Route locally first; when this region cannot satisfy the QoS the
 	// request ascends the northbound (§4.2) and the resolving ancestor
 	// implements the path and returns its handle.
 	var pathID PathID
 	var owner PathOwner
 	if res, err := c.Route(routeReq); err == nil {
+		if hasRow && old.Active && old.HandledBy == PathOwner(c) &&
+			old.Group == group && old.Prefix == req.Prefix && old.QoS == req.QoS &&
+			c.pathCarries(old.PathID, match, req.Constraints.MinBandwidth, res.Path) {
+			// Nothing moves in the core: the bearer keeps its path and only
+			// the row's BS changes. Anything else — a route the topology
+			// changed, a broken or ancestor-owned path — is replaced below,
+			// which is also what heals it.
+			bs := req.BS // the closure captures one word, not the request: this path must not allocate for it
+			c.ue.update(req.UE, func(r *UERecord) { r.BS = bs })
+			pathsReused.Inc()
+			c.mu.Lock()
+			c.stats.BearersHandled++
+			c.mu.Unlock()
+			kept := old
+			kept.BS = bs
+			return &kept, nil
+		}
 		if pathID, err = c.SetupPathWithDemand(match, res.Path, req.Constraints.MinBandwidth); err != nil {
 			return nil, err
 		}
@@ -170,7 +192,7 @@ func (c *Controller) handleBearerRequestLocked(req BearerRequest) (*UERecord, er
 	// an installed path no table row records. The new path is already
 	// carrying traffic (its classify rules outrank the old version's), so
 	// the release is best-effort cleanup.
-	if old, ok := c.ue.get(req.UE); ok && old.Active {
+	if hasRow && old.Active {
 		_ = old.HandledBy.TeardownPath(old.PathID) //softmow:allow errdiscard best-effort release of the replaced bearer path; teardown is idempotent
 	}
 	rec := &UERecord{
@@ -258,9 +280,10 @@ func (c *Controller) handoverLocked(ue string, dstGBS, dstBS dataplane.DeviceID)
 	}
 	if _, local := c.GroupOfBS(dstBS); local {
 		// Intra-region handover: recompute the path from the new group.
-		// handleBearerRequestLocked installs the new path first and then
-		// releases the replaced one (make-before-break), rewriting the UE
-		// table row itself.
+		// handleBearerRequestLocked keeps the path when the new BS is in the
+		// bearer's own group, else installs the new path first and then
+		// releases the replaced one (make-before-break); either way it
+		// rewrites the UE table row itself.
 		if _, err := c.handleBearerRequestLocked(BearerRequest{
 			UE: ue, BS: dstBS, Prefix: rec.Prefix, QoS: rec.QoS,
 		}); err != nil {

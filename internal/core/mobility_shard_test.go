@@ -230,27 +230,36 @@ func TestTransferReconcilesRadioIndexes(t *testing.T) {
 	}
 }
 
-// TestBearerReplacementReleasesOldPath: a repeat bearer request for an
-// attached UE replaces the bearer make-before-break and releases the old
-// path, so concurrent overlapping attaches cannot leak installed paths.
+// TestBearerReplacementReleasesOldPath: a repeat bearer request that moves
+// the bearer (here: another prefix from a BS of the same group, resolved by
+// the root instead of the leaf) replaces the path make-before-break and
+// forgets the old one, so overlapping attaches cannot leak installed
+// paths. A repeat request that moves nothing keeps the path — see
+// TestSameGroupHandoverKeepsPath.
 func TestBearerReplacementReleasesOldPath(t *testing.T) {
 	f := buildFig5(t, pathimpl.ModeSwap)
 	first, err := f.l1.HandleBearerRequest(BearerRequest{UE: "u1", BS: "b1", Prefix: "pfxNear"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := f.l1.HandleBearerRequest(BearerRequest{UE: "u1", BS: "b2", Prefix: "pfxNear"})
+	second, err := f.l1.HandleBearerRequest(BearerRequest{UE: "u1", BS: "b2", Prefix: "pfxFar"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old, ok := first.HandledBy.Path(first.PathID); !ok || old.Active {
-		t.Fatalf("replaced path still active: %+v ok=%v", old, ok)
+	if old, ok := first.HandledBy.Path(first.PathID); ok {
+		t.Fatalf("replaced path still in its owner's table: %+v", old)
+	}
+	if got := f.l1.PathTableSize(); got != 0 {
+		t.Fatalf("leaf holds %d path records after its path was replaced", got)
+	}
+	if second.HandledBy.OwnerID() != "root" {
+		t.Fatalf("replacement owned by %s, want root", second.HandledBy.OwnerID())
 	}
 	if cur, ok := second.HandledBy.Path(second.PathID); !ok || !cur.Active {
 		t.Fatalf("replacement path not active: %+v ok=%v", cur, ok)
 	}
 	rec, _ := f.l1.UE("u1")
-	if rec.PathID != second.PathID || rec.BS != "b2" {
+	if rec.PathID != second.PathID || rec.BS != "b2" || rec.Prefix != "pfxFar" {
 		t.Fatalf("UE row not rewritten: %+v", rec)
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/dataplane"
@@ -15,7 +17,10 @@ import (
 type PathID int
 
 // PathRecord is the path-table entry the mobility application caches
-// (§5.1).
+// (§5.1). The table holds live paths only: a record exists from the
+// moment its rules are installed until TeardownPath releases it. The one
+// inactive record the table can hold is a path RepairPaths found no
+// alternative for, which waits there for its bearer's release.
 type PathRecord struct {
 	ID      PathID
 	Owner   string
@@ -85,12 +90,7 @@ func (c *Controller) SetupPath(match dataplane.Match, path *routing.Path) (PathI
 // admit the demand.
 func (c *Controller) SetupPathWithDemand(match dataplane.Match, path *routing.Path, demandMbps float64) (PathID, error) {
 	start := time.Now() //softmow:allow determinism wall clock feeds the setup-latency histogram only, never control decisions
-	c.mu.Lock()
-	c.nextPath++
-	id := c.nextPath
-	version := c.versions.Next()
-	owner := fmt.Sprintf("%s/p%d", c.ID, id)
-	c.mu.Unlock()
+	id, owner, version := c.allocPath()
 
 	ctx := ruleCtx{kind: kindClassify, match: match, demand: demandMbps}
 	if err := c.installPathRules(ctx, path, owner, version); err != nil {
@@ -110,7 +110,48 @@ func (c *Controller) SetupPathWithDemand(match dataplane.Match, path *routing.Pa
 	return id, nil
 }
 
-// Path returns a path record.
+// allocPath draws the next path ID, its owner tag "<controller>/p<id>" and
+// the version its first rules carry.
+func (c *Controller) allocPath() (PathID, string, int) {
+	c.mu.Lock()
+	c.nextPath++
+	id := c.nextPath
+	version := c.versions.Next()
+	c.mu.Unlock()
+	var buf [40]byte
+	tag := append(buf[:0], c.ID...)
+	tag = append(tag, "/p"...)
+	tag = strconv.AppendInt(tag, int64(id), 10)
+	return id, string(tag), version
+}
+
+// pathCarries reports whether path id is live and already forwards match,
+// with the same reservation, along exactly route's points — installing
+// route for match again would change nothing in the data plane. The
+// comparison runs under c.mu, so it sees a reroute (PrepareReroute,
+// RepairPaths) either not at all or complete.
+func (c *Controller) pathCarries(id PathID, match dataplane.Match, demandMbps float64, route *routing.Path) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	rec, ok := c.paths[id]
+	return ok && rec.Active && rec.lastPath != nil && rec.Match == match &&
+		rec.demand == demandMbps && slices.Equal(rec.lastPath.Points, route.Points)
+}
+
+// attached resolves device IDs to the handles still attached, in order.
+func (c *Controller) attached(ids []dataplane.DeviceID) []Device {
+	devs := make([]Device, 0, len(ids))
+	c.mu.Lock()
+	for _, id := range ids {
+		if d := c.devices[id]; d != nil {
+			devs = append(devs, d)
+		}
+	}
+	c.mu.Unlock()
+	return devs
+}
+
+// Path returns a live path's record; a released path is not found.
 func (c *Controller) Path(id PathID) (PathRecord, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -135,36 +176,30 @@ func (c *Controller) NumPaths() int {
 }
 
 // TeardownPath removes a path's rules everywhere (recursively through
-// children) and deactivates the record (§5.1 deactivatePath).
+// children) and forgets the record (§5.1 deactivatePath). Release is
+// idempotent: tearing down an ID this controller issued and has already
+// released is a no-op that programs nothing; an ID it never issued is an
+// error.
 func (c *Controller) TeardownPath(id PathID) error {
 	c.mu.Lock()
 	rec, ok := c.paths[id]
-	if ok {
-		rec.Active = false
-	}
+	delete(c.paths, id)
+	issued := id > 0 && id <= c.nextPath
 	c.mu.Unlock()
 	if !ok {
+		if issued {
+			return nil
+		}
 		return fmt.Errorf("core: unknown path %d", id)
 	}
 	start := time.Now() //softmow:allow determinism wall clock feeds the teardown-latency histogram only, never control decisions
-	devs := make([]Device, 0, len(rec.Devices))
-	for _, devID := range rec.Devices {
-		if d := c.Device(devID); d != nil {
-			devs = append(devs, d)
-		}
-	}
-	// Teardown is best-effort: the record is already deactivated, removals
-	// are idempotent filters, and a device that failed here is either gone
+	// Teardown is best-effort: the record is already gone, removals are
+	// idempotent filters, and a device that failed here is either gone
 	// (its rules died with it) or will be scrubbed by a later delete. The
 	// deletes fan out with pipelined fences, so a multi-region path tears
 	// down in one wire round trip.
-	//softmow:allow errdiscard best-effort teardown of a deactivated path
-	_ = c.fanPerDevice(devs,
-		func(d Device, cb func(error)) bool {
-			ar, ok := d.(asyncRemover)
-			return ok && ar.tryRemoveRulesAsync(southbound.FlowDeleteOwner, rec.Owner, 0, cb)
-		},
-		func(d Device) error { return d.RemoveRules(rec.Owner) })
+	//softmow:allow errdiscard best-effort teardown of a released path
+	_ = c.removeOwned(c.attached(rec.Devices), southbound.FlowDeleteOwner, rec.Owner, 0)
 	teardownLatency.Observe(time.Since(start))
 	return nil
 }
@@ -198,6 +233,15 @@ func (c *Controller) PrepareReroute(id PathID, newPath *routing.Path) error {
 		return err
 	}
 	c.mu.Lock()
+	if c.paths[id] != rec {
+		// The bearer released the path while its new version was being
+		// installed: the teardown's deletes may have passed these installs
+		// on the wire, so scrub the version nobody will ever release.
+		c.mu.Unlock()
+		//softmow:allow errdiscard best-effort scrub of a version installed for a path released meanwhile
+		_ = c.removeOwned(c.attached(newPath.Devices()), southbound.FlowDeleteOwnerVersion, owner, version)
+		return fmt.Errorf("core: path %d not active", id)
+	}
 	rec.Version = version
 	rec.Cost = newPath.Cost
 	rec.Devices = dedupeDevices(append(rec.Devices, newPath.Devices()...))
@@ -215,18 +259,7 @@ func (c *Controller) CommitReroute(id PathID) error {
 	if !ok {
 		return fmt.Errorf("core: unknown path %d", id)
 	}
-	devs := make([]Device, 0, len(rec.Devices))
-	for _, devID := range rec.Devices {
-		if d := c.Device(devID); d != nil {
-			devs = append(devs, d)
-		}
-	}
-	return c.fanPerDevice(devs,
-		func(d Device, cb func(error)) bool {
-			ar, ok := d.(asyncRemover)
-			return ok && ar.tryRemoveRulesAsync(southbound.FlowDeleteOwnerBefore, rec.Owner, rec.Version, cb)
-		},
-		func(d Device) error { return d.RemoveRulesBefore(rec.Owner, rec.Version) })
+	return c.removeOwned(c.attached(rec.Devices), southbound.FlowDeleteOwnerBefore, rec.Owner, rec.Version)
 }
 
 // ReroutePath performs a full consistent update: make-before-break with
@@ -337,7 +370,8 @@ func (c *Controller) TranslateRule(r dataplane.Rule) error {
 func (c *Controller) RemoveTranslated(owner string) error {
 	// Removals are idempotent filters; a detached device's rules died with
 	// it, so there is no failure mode the parent could act on.
-	_ = c.runPerDevice(c.Devices(), func(d Device) error { return d.RemoveRules(owner) }) //softmow:allow errdiscard idempotent delete, nothing for the parent to act on
+	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
+	_ = c.removeOwned(c.Devices(), southbound.FlowDeleteOwner, owner, 0)
 	return nil
 }
 
@@ -345,7 +379,7 @@ func (c *Controller) RemoveTranslated(owner string) error {
 // version (§6 consistent updates).
 func (c *Controller) RemoveTranslatedBefore(owner string, version int) error {
 	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
-	_ = c.runPerDevice(c.Devices(), func(d Device) error { return d.RemoveRulesBefore(owner, version) })
+	_ = c.removeOwned(c.Devices(), southbound.FlowDeleteOwnerBefore, owner, version)
 	return nil
 }
 
@@ -354,7 +388,7 @@ func (c *Controller) RemoveTranslatedBefore(owner string, version int) error {
 // live versions untouched.
 func (c *Controller) RemoveTranslatedVersion(owner string, version int) error {
 	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
-	_ = c.runPerDevice(c.Devices(), func(d Device) error { return d.RemoveRulesVersion(owner, version) })
+	_ = c.removeOwned(c.Devices(), southbound.FlowDeleteOwnerVersion, owner, version)
 	return nil
 }
 
@@ -402,11 +436,11 @@ func (c *Controller) classificationSources(gport dataplane.PortID) ([]dataplane.
 
 // decoded is the action summary of a virtual rule.
 type decoded struct {
-	out    dataplane.PortID
-	hasOut bool
-	pops   int
-	pushes []dataplane.Label
-	swapTo dataplane.Label
+	out     dataplane.PortID
+	hasOut  bool
+	pops    int
+	pushes  []dataplane.Label
+	swapTo  dataplane.Label
 	hasSwap bool
 }
 

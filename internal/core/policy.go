@@ -174,12 +174,7 @@ func (c *Controller) SetupPolicyPath(match dataplane.Match, pr *PolicyRoute) (Pa
 		return 0, ErrEmptyPath
 	}
 	start := time.Now() //softmow:allow determinism wall clock feeds the setup-latency histogram only, never control decisions
-	c.mu.Lock()
-	c.nextPath++
-	id := c.nextPath
-	version := c.versions.Next()
-	owner := fmt.Sprintf("%s/p%d", c.ID, id)
-	c.mu.Unlock()
+	id, owner, version := c.allocPath()
 
 	// All legs accumulate into one batch: a waypoint switch shared by two
 	// consecutive legs collects both rules behind a single barrier, and a

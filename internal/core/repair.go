@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/routing"
+	"repro/internal/southbound"
 )
 
 // Switch and link failure recovery (§6): "the controller finds affected
@@ -16,8 +17,10 @@ import (
 
 // RepairPaths re-routes every active path of this controller that
 // traverses the given (now unusable) port. It returns the repaired and
-// failed path IDs. Paths with no alternative stay broken (and deactivate),
-// mirroring the escalation to ancestors in the paper.
+// failed path IDs. Paths with no alternative stay broken: their record
+// deactivates — the one inactive record the path table holds — and waits
+// for the bearer's release, mirroring the escalation to ancestors in the
+// paper.
 func (c *Controller) RepairPaths(ref dataplane.PortRef) (repaired, failed []PathID) {
 	type job struct {
 		id   PathID
@@ -59,9 +62,7 @@ func (c *Controller) RepairPaths(ref dataplane.PortRef) (repaired, failed []Path
 				// removals are idempotent filters and the path is already
 				// marked failed, so a partial cleanup cannot make it worse
 				//softmow:allow errdiscard best-effort cleanup of an already-failed path
-				_ = c.runPerDevice(c.Devices(), func(d Device) error {
-					return d.RemoveRules(owner)
-				})
+				_ = c.removeOwned(c.Devices(), southbound.FlowDeleteOwner, owner, 0)
 			}
 			failed = append(failed, j.id)
 			continue

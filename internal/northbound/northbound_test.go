@@ -240,8 +240,15 @@ func TestDistributedDelegation(t *testing.T) {
 	if got := dt.totalRules(); got != base {
 		t.Fatalf("rules after detach = %d, want baseline %d", got, base)
 	}
-	if pr, ok := dt.root.Path(rec.PathID); !ok || pr.Active {
-		t.Fatalf("root path after remote teardown: ok=%v active=%v", ok, pr.Active)
+	if pr, ok := dt.root.Path(rec.PathID); ok {
+		t.Fatalf("root still holds the path after remote teardown: %+v", pr)
+	}
+	// A repeat release of the forgotten path crosses the wire as a no-op.
+	if err := rec.HandledBy.TeardownPath(rec.PathID); err != nil {
+		t.Fatalf("repeat remote teardown: %v", err)
+	}
+	if got := dt.totalRules(); got != base {
+		t.Fatalf("rules after repeat teardown = %d, want baseline %d", got, base)
 	}
 }
 

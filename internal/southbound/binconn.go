@@ -1,6 +1,7 @@
 package southbound
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,13 +31,18 @@ var framePool = sync.Pool{New: func() interface{} {
 // BinConn frames messages with the hand-rolled binary codec (codec.go)
 // over a net.Conn. Encoding appends into a pooled buffer and decoding
 // reads into a per-conn scratch slice, so steady-state sends and receives
-// of hot-path messages do not allocate.
+// of hot-path messages do not allocate. Reads go through a buffer the conn
+// owns, so a frame's length prefix and payload — and any frames the peer
+// wrote back to back, like a FlowMod and the Barrier fencing it — arrive
+// in one read of the socket.
 type BinConn struct {
 	nc net.Conn
 
 	wM sync.Mutex // serializes writers on nc
 
 	rM sync.Mutex
+	// br buffers reads from nc, guarded by rM.
+	br *bufio.Reader
 	// rbuf is the receive scratch buffer, guarded by rM.
 	rbuf []byte
 
@@ -50,13 +56,18 @@ type BinConn struct {
 
 // NewBinConn wraps a net.Conn in the binary codec.
 func NewBinConn(nc net.Conn) *BinConn {
-	return &BinConn{nc: nc}
+	return &BinConn{nc: nc, br: bufio.NewReaderSize(nc, readBufSize)}
 }
 
 // SetWriteTimeout implements WriteDeadliner.
 func (c *BinConn) SetWriteTimeout(d time.Duration) {
 	c.writeTimeout.Store(int64(d))
 }
+
+// readBufSize sizes the receive buffer: room for a few dozen hot-path
+// frames (a FlowMod is ~100 bytes). A payload larger than the buffer is
+// read straight into the scratch slice, bypassing it.
+const readBufSize = 8 << 10
 
 // fragChunkSize is the largest Frag.Data slice Send will emit per
 // continuation frame. The margin below MaxFrameSize covers the frame
@@ -192,7 +203,7 @@ func (c *BinConn) Recv() (Msg, error) {
 // the next readFrameLocked call.
 func (c *BinConn) readFrameLocked() ([]byte, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(c.nc, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
 		return nil, c.recvErr(err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
@@ -204,7 +215,7 @@ func (c *BinConn) readFrameLocked() ([]byte, error) {
 		c.rbuf = make([]byte, n)
 	}
 	payload := c.rbuf[:n]
-	if _, err := io.ReadFull(c.nc, payload); err != nil {
+	if _, err := io.ReadFull(c.br, payload); err != nil {
 		return nil, c.recvErr(err)
 	}
 	return payload, nil

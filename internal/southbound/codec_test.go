@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -327,6 +328,100 @@ func TestBinConnOverTCP(t *testing.T) {
 		if !reflect.DeepEqual(got, m) {
 			t.Errorf("%s over TCP mismatch:\n got %#v\nwant %#v", m.Type, got, m)
 		}
+	}
+}
+
+// readCountingConn counts Read calls on the wrapped net.Conn — the read(2)
+// system calls a socket would see.
+type readCountingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *readCountingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestBinConnReadsPerFrame pins the buffered receive path: a frame costs at
+// most one read of the socket (length prefix and payload together), a
+// FlowMod and the Barrier written behind it cost one between them, and
+// Close still unblocks a reader parked in an empty buffer. net.Pipe makes
+// the count exact: one Write is handed to one sufficiently large Read.
+func TestBinConnReadsPerFrame(t *testing.T) {
+	near, far := net.Pipe()
+	defer near.Close()
+	sock := &readCountingConn{Conn: far}
+	c := NewBinConn(sock)
+	defer c.Close()
+
+	mod := Msg{Type: TypeFlowMod, Xid: 1, Body: FlowMod{Command: FlowDeleteOwner, Owner: "L1/p1"}}
+	fence := Msg{Type: TypeBarrierRequest, Xid: 2}
+	single, err := AppendFrame(nil, &mod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := AppendFrame(append([]byte(nil), single...), &fence)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pairs = 50
+	werr := make(chan error, 1)
+	go func() {
+		if _, err := near.Write(single); err != nil {
+			werr <- err
+			return
+		}
+		for i := 0; i < pairs; i++ {
+			if _, err := near.Write(pair); err != nil {
+				werr <- err
+				return
+			}
+		}
+		werr <- nil
+	}()
+
+	recv := func(want MsgType) {
+		t.Helper()
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Type != want {
+			t.Fatalf("received %s, want %s", m.Type, want)
+		}
+	}
+	recv(TypeFlowMod)
+	if got := sock.reads.Load(); got != 1 {
+		t.Fatalf("a lone frame cost %d reads, want 1", got)
+	}
+	for i := 0; i < pairs; i++ {
+		recv(TypeFlowMod)
+		recv(TypeBarrierRequest)
+	}
+	if err := <-werr; err != nil {
+		t.Fatal(err)
+	}
+	if got := sock.reads.Load(); got != 1+pairs {
+		t.Fatalf("%d frames cost %d reads, want %d (one per write, so at most one per frame)", 1+2*pairs, got, 1+pairs)
+	}
+
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := c.Recv()
+		blocked <- err
+	}()
+	for sock.reads.Load() == 1+pairs { // wait until the reader is parked in Read
+		time.Sleep(time.Millisecond)
+	}
+	c.Close()
+	select {
+	case err := <-blocked:
+		if err == nil {
+			t.Fatal("Recv returned a frame after Close")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not unblock the reader")
 	}
 }
 
