@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos check bench-test bench bench-workload smoke-dist smoke-failover smoke-impaired docs-check lint fuzz
+.PHONY: build test vet race chaos check bench-test bench-smoke bench bench-workload smoke-dist smoke-failover smoke-impaired docs-check lint fuzz
 
 build:
 	$(GO) build ./...
@@ -44,18 +44,32 @@ fuzz:
 bench-test:
 	cd bench && $(GO) vet . && $(GO) test .
 
-check: vet race docs-check lint bench-test
+# The layer benchmarks behind BENCH_layers.json, one iteration each: they
+# are run for real by `make bench`; this only keeps them from rotting.
+LAYER_BENCH = BenchmarkFencedModPipe|BenchmarkPipeRoundTrip|BenchmarkWallSchedulerAt
+LAYER_PKGS = ./internal/core ./internal/southbound ./internal/netem
+bench-smoke:
+	$(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchtime=1x $(LAYER_PKGS)
+
+check: vet race docs-check lint bench-test bench-smoke
 
 # Run the routing/abstraction/controller hot-path benchmarks and record the
-# results as JSON lines in BENCH_routing.json (the committed baseline for
-# spotting regressions; compare with `git diff BENCH_routing.json`).
+# results as JSON lines in BENCH_routing.json, and the southbound layer
+# benchmarks (fenced mod over Pipe + SwitchAgent behind a 200 us link, Pipe
+# round trip, WallScheduler.At) in BENCH_layers.json — the committed
+# baselines for spotting regressions; compare with `git diff`.
+BENCH_CONFIG = printf '{"config":{"go_version":"%s","gomaxprocs":%s,"num_cpu":%s}}\n' \
+	"$$($(GO) env GOVERSION)" "$${GOMAXPROCS:-$$(nproc)}" "$$(nproc)"
+# One JSON object per benchmark line, one key per reported unit
+# (ns/op -> ns_op, B/op -> b_op, allocs/op -> allocs_op, wakeups/op -> wakeups_op).
+BENCH_JSON = awk '/^Benchmark/ { gsub(/-[0-9]+$$/, "", $$1); printf("{\"name\":\"%s\",\"iters\":%s", $$1, $$2); \
+	for (i = 3; i < NF; i += 2) { u = tolower($$(i+1)); gsub(/\//, "_", u); printf(",\"%s\":%s", u, $$i) } print "}" }'
 bench:
-	( printf '{"config":{"go_version":"%s","gomaxprocs":%s,"num_cpu":%s}}\n' \
-	    "$$($(GO) env GOVERSION)" "$${GOMAXPROCS:-$$(nproc)}" "$$(nproc)"; \
+	( $(BENCH_CONFIG); \
 	  $(GO) test -run '^$$' -bench 'BenchmarkBuildGraph|BenchmarkShortestPath|BenchmarkMetricsFrom|BenchmarkPairMetrics|BenchmarkCompute|BenchmarkRouteRecursive|BenchmarkGraphCacheHit|BenchmarkBearerSetup' \
-	  -benchmem ./internal/routing ./internal/reca ./internal/core \
-	  | awk '/^Benchmark/ { gsub(/-[0-9]+$$/, "", $$1); printf("{\"name\":\"%s\",\"iters\":%s,\"ns_op\":%s,\"b_op\":%s,\"allocs_op\":%s}\n", $$1, $$2, $$3, $$5, $$7) }' ) \
-	  | tee BENCH_routing.json
+	  -benchmem ./internal/routing ./internal/reca ./internal/core | $(BENCH_JSON) ) | tee BENCH_routing.json
+	( $(BENCH_CONFIG); \
+	  $(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchmem $(LAYER_PKGS) | $(BENCH_JSON) ) | tee BENCH_layers.json
 
 # Run the deterministic UE workload driver at benchmark scale and record
 # BENCH_workload.json: sustained events/sec, p50/p99 per op type, replay

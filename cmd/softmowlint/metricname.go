@@ -24,6 +24,7 @@ var prodMetricRegistry = map[string]map[string]bool{
 		"core.southbound.barriers":          true,
 		"core.southbound.barrier_retries":   true,
 		"core.southbound.sync_roundtrips":   true,
+		"core.southbound.deadline_wakeups":  true,
 		"core.southbound.flush_rollbacks":   true,
 		"core.southbound.flush_latency":     true,
 		"core.southbound.rtt_samples":       true,
@@ -68,6 +69,7 @@ var prodMetricRegistry = map[string]map[string]bool{
 		"netem.dropped_partition": true,
 		"netem.reordered":         true,
 		"netem.delay":             true,
+		"netem.sched_wakeups":     true,
 	},
 }
 

@@ -21,6 +21,9 @@ var (
 	connBarriers       = metrics.NewCounter("core.southbound.barriers")
 	connBarrierRetries = metrics.NewCounter("core.southbound.barrier_retries")
 	connSyncRoundTrips = metrics.NewCounter("core.southbound.sync_roundtrips")
+	// connDeadlineWakeups counts the times a ConnDevice deadline loop
+	// parked on its timer: against barriers, wake-ups per fence.
+	connDeadlineWakeups = metrics.NewCounter("core.southbound.deadline_wakeups")
 	// Adaptive-timeout observability: every accepted RTT sample, the
 	// attempt timeouts the estimator armed, and barrier replies that
 	// arrived after their fence expired (the spurious-retry fingerprint
@@ -83,24 +86,55 @@ func installRules(d Device, rules []dataplane.Rule) error {
 }
 
 // ruleBatch accumulates the rules of one logical operation grouped per
-// device, preserving first-touch device order so serial flushes install
-// along the path direction.
+// device, in first-touch device order so serial flushes install along the
+// path direction. A path touches a handful of devices, nearly always once
+// each, so the batch is a slice searched linearly and a device's first
+// rule lives in its entry: the common batch is one allocation.
 type ruleBatch struct {
-	order []dataplane.DeviceID
-	rules map[dataplane.DeviceID][]dataplane.Rule
-	size  int
+	devs []devRules
+	size int
 }
 
-func newRuleBatch() *ruleBatch {
-	return &ruleBatch{rules: make(map[dataplane.DeviceID][]dataplane.Rule)}
+// devRules is one device's share of a ruleBatch.
+type devRules struct {
+	dev  dataplane.DeviceID
+	one  [1]dataplane.Rule // the device's only rule...
+	many []dataplane.Rule  // ...or all of them, once a second arrives
 }
+
+func newRuleBatch() *ruleBatch { return &ruleBatch{} }
 
 func (b *ruleBatch) add(dev dataplane.DeviceID, r dataplane.Rule) {
-	if _, seen := b.rules[dev]; !seen {
-		b.order = append(b.order, dev)
-	}
-	b.rules[dev] = append(b.rules[dev], r)
 	b.size++
+	for i := range b.devs {
+		if e := &b.devs[i]; e.dev == dev {
+			if e.many == nil {
+				e.many = append(e.many, e.one[0])
+			}
+			e.many = append(e.many, r)
+			return
+		}
+	}
+	b.devs = append(b.devs, devRules{dev: dev, one: [1]dataplane.Rule{r}})
+}
+
+// rules returns the device's rules in the order they were added. The
+// slice aliases the batch: valid until the next add.
+func (e *devRules) rules() []dataplane.Rule {
+	if e.many != nil {
+		return e.many
+	}
+	return e.one[:]
+}
+
+// rulesOf returns dev's rules, nil when the batch never touched dev.
+func (b *ruleBatch) rulesOf(dev dataplane.DeviceID) []dataplane.Rule {
+	for i := range b.devs {
+		if e := &b.devs[i]; e.dev == dev {
+			return e.rules()
+		}
+	}
+	return nil
 }
 
 // asyncInstaller is the optional Device extension for pipelined batch
@@ -150,34 +184,52 @@ func (c *Controller) fanPerDevice(devs []Device, tryAsync func(Device, func(erro
 	if c.SerialSouthbound || len(devs) == 0 {
 		return c.runPerDevice(devs, syncF)
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	record := func(err error) {
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-		}
-	}
+	// One join and one bound method serve every device's completion.
+	j := new(fanJoin)
+	done := j.done
 	var syncDevs []Device
 	for _, d := range devs {
-		wg.Add(1)
-		if tryAsync(d, func(err error) { record(err); wg.Done() }) {
-			continue
+		j.wg.Add(1)
+		if !tryAsync(d, done) {
+			j.wg.Done()
+			syncDevs = append(syncDevs, d)
 		}
-		wg.Done()
-		syncDevs = append(syncDevs, d)
 	}
 	if len(syncDevs) > 0 {
-		record(c.runPerDevice(syncDevs, syncF))
+		j.wg.Add(1)
+		done(c.runPerDevice(syncDevs, syncF))
 	}
-	wg.Wait()
-	return firstErr
+	return j.wait()
+}
+
+// fanJoin joins the per-device completions of one fan-out: first error
+// wins.
+type fanJoin struct {
+	wg sync.WaitGroup
+	mu sync.Mutex
+	// err is the first error reported, guarded by mu.
+	err error
+}
+
+// done records one completion; it is safe as an asynchronous fence
+// callback (it never blocks).
+func (j *fanJoin) done(err error) {
+	if err != nil {
+		j.mu.Lock()
+		if j.err == nil {
+			j.err = err
+		}
+		j.mu.Unlock()
+	}
+	j.wg.Done()
+}
+
+// wait blocks until every completion added to wg was recorded.
+func (j *fanJoin) wait() error {
+	j.wg.Wait()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.err
 }
 
 // runPerDevice applies f to every device, concurrently when the set
@@ -203,26 +255,13 @@ func (c *Controller) runPerDevice(devs []Device, f func(Device) error) error {
 		}
 		return nil
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	j := new(fanJoin)
+	j.wg.Add(len(devs))
 	for _, d := range devs {
-		wg.Add(1)
-		go func(d Device) {
-			defer wg.Done()
-			if err := f(d); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(d)
+		//softmow:allow gospawn done marks the join's WaitGroup, which wait() below blocks on
+		go func(d Device) { j.done(f(d)) }(d)
 	}
-	wg.Wait()
-	return firstErr
+	return j.wait()
 }
 
 // flushBatch programs an accumulated batch: owner and version are
@@ -238,16 +277,17 @@ func (c *Controller) flushBatch(b *ruleBatch, owner string, version int) error {
 		return nil
 	}
 	start := time.Now() //softmow:allow determinism wall clock feeds the flush-latency histogram only, never control decisions
-	devs := make([]Device, 0, len(b.order))
-	for _, id := range b.order {
-		d := c.Device(id)
+	devs := make([]Device, 0, len(b.devs))
+	for i := range b.devs {
+		e := &b.devs[i]
+		d := c.Device(e.dev)
 		if d == nil {
-			return fmt.Errorf("core: %s: path device %s not attached", c.ID, id)
+			return fmt.Errorf("core: %s: path device %s not attached", c.ID, e.dev)
 		}
-		rules := b.rules[id]
-		for i := range rules {
-			rules[i].Owner = owner
-			rules[i].Version = version
+		rules := e.rules()
+		for j := range rules {
+			rules[j].Owner = owner
+			rules[j].Version = version
 		}
 		devs = append(devs, d)
 	}
@@ -257,9 +297,9 @@ func (c *Controller) flushBatch(b *ruleBatch, owner string, version int) error {
 	err := c.fanPerDevice(devs,
 		func(d Device, cb func(error)) bool {
 			ai, ok := d.(asyncInstaller)
-			return ok && ai.tryInstallRulesAsync(b.rules[d.ID()], cb)
+			return ok && ai.tryInstallRulesAsync(b.rulesOf(d.ID()), cb)
 		},
-		func(d Device) error { return installRules(d, b.rules[d.ID()]) })
+		func(d Device) error { return installRules(d, b.rulesOf(d.ID())) })
 	if err != nil {
 		flushRollbacks.Inc()
 		// The install error is what the caller acts on; the scrub is

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,8 +49,11 @@ type ConnDevice struct {
 	barriers map[uint32]*barrierComp
 	// dl is the fence deadline queue sorted by expiry (adaptive timeouts
 	// and retry backoff make deadlines non-monotonic, so entries insert
-	// in order rather than append FIFO), guarded by mu.
+	// in order rather than append FIFO); the live entries are
+	// dl[dlHead:], popped slots are zeroed. guarded by mu.
 	dl []dlEntry
+	// dlHead indexes the earliest queued deadline in dl, guarded by mu.
+	dlHead int
 	// srtt is the smoothed round-trip estimate (Jacobson/Karels EWMA,
 	// gain 1/8), guarded by mu.
 	srtt time.Duration
@@ -68,8 +72,10 @@ type ConnDevice struct {
 	// child controller's RecA agent rather than a switch. guarded by mu.
 	peerHandler func(southbound.Msg)
 
-	// dlKick wakes the deadline loop after an append to an empty queue.
-	dlKick chan struct{}
+	// dlTimer wakes the deadline loop, its only receiver. It is re-armed
+	// under mu, by the loop before it parks and by whoever inserts a new
+	// head into dl; a deadline queued behind the head wakes nobody.
+	dlTimer *time.Timer
 	// done is closed on teardown to stop the deadline loop.
 	done     chan struct{}
 	doneOnce sync.Once
@@ -145,7 +151,6 @@ func DialDevice(conn southbound.Conn, controllerID string) (*ConnDevice, error) 
 		pending:         make(map[uint32]chan southbound.Msg),
 		mods:            make(map[uint32]error),
 		barriers:        make(map[uint32]*barrierComp),
-		dlKick:          make(chan struct{}, 1),
 		done:            make(chan struct{}),
 		RequestTimeout:  5 * time.Second,
 		BarrierRetries:  2,
@@ -182,6 +187,7 @@ func DialDevice(conn southbound.Conn, controllerID string) (*ConnDevice, error) 
 			d.backlog = append(d.backlog, m)
 		}
 	}
+	d.dlTimer = time.NewTimer(time.Hour) // re-armed by the first fence; deadlineLoop stops it
 	d.loops.Add(2)
 	go d.pump()
 	go d.deadlineLoop()
@@ -285,7 +291,7 @@ func (d *ConnDevice) failAll() {
 	}
 	d.barriers = make(map[uint32]*barrierComp)
 	d.mods = make(map[uint32]error)
-	d.dl = nil
+	d.dl, d.dlHead = nil, 0
 	d.mu.Unlock()
 	d.doneOnce.Do(func() { close(d.done) })
 	for _, ch := range pend {
@@ -722,12 +728,11 @@ func (d *ConnDevice) fenceAsync(modXid uint32, cb func(error)) {
 		return
 	}
 	timeout := d.rtoLocked()
-	comp.sentAt = wallDeadline(0)
+	comp.sentAt = time.Now() //softmow:allow determinism fence pacing and RTT measurement, never feeds replayable state
 	d.barriers[bx] = comp
-	d.insertDeadlineLocked(dlEntry{comp: comp, xid: bx, at: wallDeadline(timeout)})
+	d.insertDeadlineLocked(dlEntry{comp: comp, xid: bx, at: comp.sentAt.Add(timeout)}, comp.sentAt)
 	d.mu.Unlock()
 	connRTTTimeout.Observe(timeout)
-	d.kickDeadlines()
 	if err := d.conn.Send(southbound.Msg{Type: southbound.TypeBarrierRequest, Xid: bx, Body: southbound.Barrier{}}); err != nil {
 		if merr, ok := d.completeFence(bx, comp); ok {
 			if merr == nil {
@@ -738,21 +743,27 @@ func (d *ConnDevice) fenceAsync(modXid uint32, cb func(error)) {
 	}
 }
 
-// wallDeadline computes a fence expiry on the wall clock; fence pacing is
-// measurement-side machinery and never feeds replayable state.
-func wallDeadline(timeout time.Duration) time.Time {
-	return time.Now().Add(timeout) //softmow:allow determinism fence timeout scheduling, never feeds replayable state
-}
-
 // insertDeadlineLocked inserts e into the expiry-sorted deadline queue
-// (adaptive timeouts and retry backoff make arrival order non-monotonic);
-// caller holds mu. Insertion is O(n) in the worst case but the common
-// case — a stable RTO — appends at the tail.
-func (d *ConnDevice) insertDeadlineLocked(e dlEntry) {
-	i := sort.Search(len(d.dl), func(i int) bool { return d.dl[i].at.After(e.at) })
-	d.dl = append(d.dl, dlEntry{})
-	copy(d.dl[i+1:], d.dl[i:])
-	d.dl[i] = e
+// (adaptive timeouts and retry backoff make arrival order non-monotonic)
+// and re-arms the loop's timer when e is the new head; caller holds mu.
+// The common case — a stable RTO — appends at the tail and wakes nobody.
+func (d *ConnDevice) insertDeadlineLocked(e dlEntry, now time.Time) {
+	// Compact instead of growing once half the slice is popped slots, so
+	// a steady stream of fences reuses one backing array.
+	if d.dlHead > 0 && d.dlHead >= len(d.dl)/2 && len(d.dl) == cap(d.dl) {
+		d.dl, d.dlHead = slices.Delete(d.dl, 0, d.dlHead), 0 // zeroes the vacated tail
+	}
+	d.dl = append(d.dl, e)
+	live := d.dl[d.dlHead:]
+	i := len(live) - 1
+	if i > 0 && live[i-1].at.After(e.at) {
+		i = sort.Search(i, func(j int) bool { return live[j].at.After(e.at) })
+		copy(live[i+1:], live[i:])
+		live[i] = e
+	}
+	if i == 0 {
+		d.dlTimer.Reset(e.at.Sub(now))
+	}
 }
 
 // completeFence removes the fence from the table iff it is still keyed by
@@ -768,62 +779,31 @@ func (d *ConnDevice) completeFence(xid uint32, comp *barrierComp) (error, bool) 
 	return d.takeModErrLocked(comp), true
 }
 
-func (d *ConnDevice) kickDeadlines() {
-	select {
-	case d.dlKick <- struct{}{}:
-	default:
-	}
-}
-
-// deadlineLoop drives fence timeouts off one reusable timer, always armed
-// for the head of the expiry-sorted queue. A kick mid-wait re-arms: with
-// adaptive timeouts a newly fenced mod can carry a deadline earlier than
-// the one the timer is sleeping toward.
+// deadlineLoop drives fence timeouts off one timer, armed for the
+// earliest live deadline. It parks until that deadline (or an earlier one
+// inserted meanwhile, see insertDeadlineLocked) passes; fences that
+// complete in time never wake it.
 func (d *ConnDevice) deadlineLoop() {
 	defer d.loops.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
+	defer d.dlTimer.Stop()
 	for {
-		d.mu.Lock()
-		hasWork := len(d.dl) > 0
-		var wait time.Duration
-		if hasWork {
-			wait = time.Until(d.dl[0].at)
-		}
-		d.mu.Unlock()
-		if !hasWork {
-			select {
-			case <-d.dlKick:
-				continue
-			case <-d.done:
-				return
-			}
-		}
-		if wait > 0 {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(wait)
-			select {
-			case <-timer.C:
-			case <-d.dlKick:
-				continue // head may have moved earlier; recompute
-			case <-d.done:
-				return
-			}
-		}
 		d.fireDeadlines()
+		connDeadlineWakeups.Inc()
+		select {
+		case <-d.dlTimer.C:
+		case <-d.done:
+			return
+		}
 	}
 }
 
 // fireDeadlines expires every due fence: attempts with retry budget left
 // are re-keyed under a fresh barrier xid and their barrier resent; the
 // rest fail with the fence-timeout error. Stale entries — fences already
-// completed or re-keyed — are skipped because their xid snapshot no longer
-// matches the barrier table.
+// completed or re-keyed, whose xid snapshot no longer matches the barrier
+// table — are dropped from the head whether due or not, so the timer is
+// armed for the first deadline that can still fire and stays unarmed when
+// there is none.
 func (d *ConnDevice) fireDeadlines() {
 	now := time.Now() //softmow:allow determinism fence timeout detection, never feeds replayable state
 	type resend struct {
@@ -833,11 +813,17 @@ func (d *ConnDevice) fireDeadlines() {
 	var resends []resend
 	var failed []*barrierComp
 	d.mu.Lock()
-	for len(d.dl) > 0 && !d.dl[0].at.After(now) {
-		e := d.dl[0]
-		d.dl = d.dl[1:]
+	for d.dlHead < len(d.dl) {
+		e := d.dl[d.dlHead]
 		comp, ok := d.barriers[e.xid]
-		if !ok || comp != e.comp {
+		live := ok && comp == e.comp
+		if live && e.at.After(now) {
+			d.dlTimer.Reset(e.at.Sub(now))
+			break
+		}
+		d.dl[d.dlHead] = dlEntry{}
+		d.dlHead++
+		if !live {
 			continue
 		}
 		delete(d.barriers, e.xid)
@@ -855,7 +841,7 @@ func (d *ConnDevice) fireDeadlines() {
 			}
 			nx := d.xid.Add(1)
 			d.barriers[nx] = comp
-			d.insertDeadlineLocked(dlEntry{comp: comp, xid: nx, at: now.Add(backoff)})
+			d.insertDeadlineLocked(dlEntry{comp: comp, xid: nx, at: now.Add(backoff)}, now)
 			resends = append(resends, resend{comp: comp, xid: nx})
 		} else {
 			d.takeModErrLocked(comp) //softmow:allow errdiscard timeout wins over any recorded mod error; the stash is drained so it cannot leak to a later fence

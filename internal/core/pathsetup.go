@@ -485,6 +485,7 @@ func (c *Controller) appendPathRules(b *ruleBatch, ctx ruleCtx, path *routing.Pa
 	if len(segs) == 0 {
 		return ErrEmptyPath
 	}
+	b.devs = slices.Grow(b.devs, len(segs)) // one entry per segment unless the path revisits a device
 	install := func(devID dataplane.DeviceID, rule dataplane.Rule) error {
 		rule.Demand = ctx.demand
 		b.add(devID, rule)

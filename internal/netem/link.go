@@ -2,6 +2,7 @@ package netem
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -53,7 +54,7 @@ func (s *Stats) Add(o Stats) {
 // Deliver is a Link's sink: it receives each surviving payload when its
 // impaired delivery time arrives. It runs on the scheduler's callback
 // goroutine, so it must not block indefinitely.
-type Deliver func(payload interface{})
+type Deliver[T any] func(payload T)
 
 // Link applies a Profile to a one-way stream of opaque payloads: Send
 // stamps each frame with the impairment pipeline's verdict (drop, or a
@@ -64,10 +65,13 @@ type Deliver func(payload interface{})
 // All impairment randomness comes from the per-link seeded RNG, never
 // from the clock, so a Link driven by a SimScheduler produces a delivery
 // trace that is a pure function of (seed, profile, send sequence).
-type Link struct {
+type Link[T any] struct {
 	sched Scheduler
-	sink  Deliver
+	sink  Deliver[T]
 	own   *WallScheduler // stopped on Close when the link owns its scheduler
+	// fireNext is l.deliverNext bound once, so scheduling an in-order
+	// frame allocates nothing.
+	fireNext func()
 
 	mu sync.Mutex
 	// prof is the active impairment profile, guarded by mu.
@@ -87,6 +91,13 @@ type Link struct {
 	closed bool
 	// stats counts frame fates, guarded by mu.
 	stats Stats
+	// fifo holds the in-order frames awaiting delivery, oldest at
+	// fifo[head:]; their due times never decrease and the scheduler fires
+	// equal times in insertion order, so the k-th fireNext callback
+	// belongs to the k-th frame. guarded by mu.
+	fifo []T
+	// head indexes the oldest undelivered frame in fifo, guarded by mu.
+	head int
 
 	// inflight tracks deliveries past the closed check, so Close can
 	// wait out any sink call already in progress.
@@ -98,17 +109,19 @@ type Link struct {
 // lifecycle. rng may be nil for a profile that needs no randomness
 // (pure delay/rate/partition); a randomized profile with a nil rng
 // falls back to a fixed-seed source.
-func NewLink(sched Scheduler, sink Deliver, prof Profile, rng *rand.Rand) *Link {
+func NewLink[T any](sched Scheduler, sink Deliver[T], prof Profile, rng *rand.Rand) *Link[T] {
 	if rng == nil {
 		rng = LinkRNG(0, "default")
 	}
-	return &Link{sched: sched, sink: sink, prof: prof, rng: rng}
+	l := &Link[T]{sched: sched, sink: sink, prof: prof, rng: rng}
+	l.fireNext = l.deliverNext
+	return l
 }
 
 // NewWallLink creates a link with its own private WallScheduler, stopped
 // automatically on Close. This is the production path for wrapping live
 // connections.
-func NewWallLink(sink Deliver, prof Profile, rng *rand.Rand) *Link {
+func NewWallLink[T any](sink Deliver[T], prof Profile, rng *rand.Rand) *Link[T] {
 	ws := NewWallScheduler()
 	l := NewLink(ws, sink, prof, rng)
 	l.own = ws
@@ -120,7 +133,7 @@ func NewWallLink(sink Deliver, prof Profile, rng *rand.Rand) *Link {
 // state and rate-cap backlog carry over. Used by the workload harness to
 // bootstrap on a clean link and activate impairment once the handshake is
 // done.
-func (l *Link) SetProfile(p Profile) {
+func (l *Link[T]) SetProfile(p Profile) {
 	l.mu.Lock()
 	l.prof = p
 	l.mu.Unlock()
@@ -130,14 +143,14 @@ func (l *Link) SetProfile(p Profile) {
 // independent of the profile's scheduled windows. Frames sent while down
 // are dropped; frames already in flight still arrive, as light already
 // on the fiber does.
-func (l *Link) SetDown(down bool) {
+func (l *Link[T]) SetDown(down bool) {
 	l.mu.Lock()
 	l.down = down
 	l.mu.Unlock()
 }
 
 // Stats snapshots the link's frame-fate counters.
-func (l *Link) Stats() Stats {
+func (l *Link[T]) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats
@@ -147,7 +160,7 @@ func (l *Link) Stats() Stats {
 // the impairment pipeline. A dropped frame still returns nil — the sender
 // of a datagram on a lossy WAN gets no error either; only a closed link
 // reports ErrClosed.
-func (l *Link) Send(payload interface{}, size int) error {
+func (l *Link[T]) Send(payload T, size int) error {
 	now := l.sched.Now()
 	l.mu.Lock()
 	if l.closed {
@@ -228,34 +241,59 @@ func (l *Link) Send(payload interface{}, size int) error {
 			due = l.lastDue
 		}
 		l.lastDue = due
+		// Compact instead of growing once half the slice is delivered
+		// frames, so a steady stream reuses one backing array.
+		if l.head > 0 && l.head >= len(l.fifo)/2 && len(l.fifo) == cap(l.fifo) {
+			l.fifo, l.head = slices.Delete(l.fifo, 0, l.head), 0 // zeroes the vacated tail
+		}
+		l.fifo = append(l.fifo, payload)
 	}
 	l.mu.Unlock()
-	if reordered {
-		netemReordered.Inc()
-	}
 	netemDelay.Observe(due - now)
-
-	l.sched.At(due, func() {
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return
-		}
-		l.inflight.Add(1)
-		l.stats.Delivered++
-		l.mu.Unlock()
-		netemDelivered.Inc()
-		l.sink(payload)
-		l.inflight.Done()
-	})
+	if reordered {
+		// A reordered frame leaves the FIFO chain, so it carries its own
+		// payload instead of a queue position.
+		netemReordered.Inc()
+		l.sched.At(due, func() { l.deliver(payload, false) })
+	} else {
+		l.sched.At(due, l.fireNext)
+	}
 	return nil
+}
+
+// deliverNext hands the oldest in-order frame to the sink.
+func (l *Link[T]) deliverNext() {
+	var zero T
+	l.deliver(zero, true)
+}
+
+// deliver hands one frame whose delivery time arrived to the sink — the
+// head of the in-order queue, or the reordered payload given — unless the
+// link closed first.
+func (l *Link[T]) deliver(payload T, next bool) {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return
+	}
+	if next {
+		var zero T
+		payload, l.fifo[l.head] = l.fifo[l.head], zero
+		l.head++
+	}
+	l.inflight.Add(1)
+	l.stats.Delivered++
+	l.mu.Unlock()
+	netemDelivered.Inc()
+	l.sink(payload)
+	l.inflight.Done()
 }
 
 // Close stops the link: subsequent Sends fail with ErrClosed, scheduled
 // but undelivered frames are dropped, and any sink call already in
 // progress completes before Close returns — after Close, the sink is
 // never invoked again. Idempotent.
-func (l *Link) Close() error {
+func (l *Link[T]) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()

@@ -1,10 +1,11 @@
 package netem
 
 import (
-	"container/heap"
+	"math"
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/simnet"
 )
 
@@ -28,60 +29,97 @@ type wallEvent struct {
 	fn  func()
 }
 
-// wallQueue is a min-heap of pending events ordered by due time with
-// insertion-order tie-breaking.
+// before orders events by due time with insertion-order tie-breaking.
+func (e *wallEvent) before(o *wallEvent) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// wallQueue is a binary min-heap of pending events on a typed slice: no
+// interface boxing per push, and a FIFO link's pushes (non-decreasing due
+// times) never sift.
 type wallQueue []wallEvent
 
-func (q wallQueue) Len() int { return len(q) }
-func (q wallQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q *wallQueue) push(ev wallEvent) {
+	h := append(*q, ev)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	*q = h
 }
-func (q wallQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-// Push implements heap.Interface.
-func (q *wallQueue) Push(x interface{}) { *q = append(*q, x.(wallEvent)) }
-
-// Pop implements heap.Interface.
-func (q *wallQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1].fn = nil
-	*q = old[:n-1]
-	return ev
+func (q *wallQueue) pop() func() {
+	h := *q
+	fn, n := h[0].fn, len(h)-1
+	h[0], h[n] = h[n], wallEvent{}
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return fn
 }
+
+// schedWakeups counts iterations of WallScheduler.run that parked on the
+// timer: with netem.delivered it reads as wake-ups per frame.
+var schedWakeups = metrics.NewCounter("netem.sched_wakeups")
 
 // WallScheduler drives Link callbacks off the wall clock with a single
 // timer goroutine. The wall clock here only shapes measured latency; it
 // never feeds replayable state (impairment decisions are drawn from the
 // link's seeded RNG, not from time), so seed determinism of the workload
 // digests is unaffected.
+//
+// The goroutine parks on one timer and is woken only by it: At re-arms
+// the timer itself, and only when the new event is due before the time
+// the goroutine will next look at the queue (sleepUntil). A FIFO link
+// enqueues behind the head, so its frames cost no wake-up of their own.
 type WallScheduler struct {
 	epoch time.Time
+	timer *time.Timer   // armed under mu; run is its only receiver
+	done  chan struct{} // closed on Stop
+	loop  sync.WaitGroup
 
 	mu sync.Mutex
 	// q holds pending events, guarded by mu.
 	q wallQueue
 	// seq is the next insertion sequence number, guarded by mu.
 	seq uint64
+	// sleepUntil is the link-local time run will next examine the queue
+	// unprompted: the head's due time while parked on the timer, idle
+	// while parked on an empty queue, 0 while it is firing callbacks (it
+	// re-examines the queue before parking). guarded by mu.
+	sleepUntil time.Duration
 	// stopped records Stop, guarded by mu.
 	stopped bool
-
-	wake chan struct{} // cap 1, kicked on enqueue
-	done chan struct{} // closed on Stop
-	loop sync.WaitGroup
 }
+
+// idle is sleepUntil on an empty queue: any new event is due before it.
+const idle = time.Duration(math.MaxInt64)
 
 // NewWallScheduler starts a wall-clock scheduler; the caller must Stop it.
 func NewWallScheduler() *WallScheduler {
 	s := &WallScheduler{
 		epoch: time.Now(), //softmow:allow determinism wall epoch shapes measured latency only, never replayable state
-		wake:  make(chan struct{}, 1),
+		timer: time.NewTimer(time.Hour),
 		done:  make(chan struct{}),
 	}
+	s.timer.Stop()
 	s.loop.Add(1)
 	go s.run()
 	return s
@@ -95,16 +133,15 @@ func (s *WallScheduler) Now() time.Duration {
 // At implements Scheduler.
 func (s *WallScheduler) At(t time.Duration, fn func()) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.stopped {
-		s.mu.Unlock()
 		return
 	}
-	heap.Push(&s.q, wallEvent{at: t, seq: s.seq, fn: fn})
+	s.q.push(wallEvent{at: t, seq: s.seq, fn: fn})
 	s.seq++
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	if t < s.sleepUntil {
+		s.sleepUntil = t
+		s.timer.Reset(t - s.Now())
 	}
 }
 
@@ -113,61 +150,51 @@ func (s *WallScheduler) At(t time.Duration, fn func()) {
 // Idempotent.
 func (s *WallScheduler) Stop() {
 	s.mu.Lock()
-	if s.stopped {
-		s.mu.Unlock()
-		s.loop.Wait()
-		return
+	if !s.stopped {
+		s.stopped = true
+		s.q = nil
+		close(s.done)
 	}
-	s.stopped = true
 	s.mu.Unlock()
-	close(s.done)
 	s.loop.Wait()
 }
 
-// run is the timer goroutine: it fires due events in order and sleeps
-// until the next due time otherwise.
+// run is the timer goroutine: each wake-up pops every due event under one
+// lock and one clock reading, fires them in order, and parks until the
+// next due time. A tick that finds nothing due (a re-arm racing the
+// expiry it replaced) just re-arms.
 func (s *WallScheduler) run() {
 	defer s.loop.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
+	defer s.timer.Stop()
+	var due []func()
 	for {
 		s.mu.Lock()
-		var fn func()
-		wait := time.Duration(-1)
-		if len(s.q) > 0 {
-			if now := s.Now(); s.q[0].at <= now {
-				fn = heap.Pop(&s.q).(wallEvent).fn
-			} else {
-				wait = s.q[0].at - now
-			}
+		now := s.Now()
+		for len(s.q) > 0 && s.q[0].at <= now {
+			due = append(due, s.q.pop())
+		}
+		switch {
+		case len(due) > 0:
+			s.sleepUntil = 0
+		case len(s.q) > 0:
+			s.sleepUntil = s.q[0].at
+			s.timer.Reset(s.sleepUntil - now)
+		default:
+			s.sleepUntil = idle
 		}
 		s.mu.Unlock()
-		if fn != nil {
-			fn()
+		if len(due) > 0 {
+			for i, fn := range due {
+				fn()
+				due[i] = nil
+			}
+			due = due[:0]
 			continue
 		}
-		if wait < 0 {
-			select {
-			case <-s.wake:
-				continue
-			case <-s.done:
-				return
-			}
-		}
-		timer.Reset(wait)
+		schedWakeups.Inc()
 		select {
-		case <-timer.C:
-		case <-s.wake:
-			if !timer.Stop() {
-				<-timer.C
-			}
+		case <-s.timer.C:
 		case <-s.done:
-			if !timer.Stop() {
-				<-timer.C
-			}
 			return
 		}
 	}

@@ -22,79 +22,103 @@ type Conn interface {
 // ErrClosed is returned by Send on a closed connection.
 var ErrClosed = errors.New("southbound: connection closed")
 
-// chanConn is one end of an in-process connection.
-type chanConn struct {
-	out chan<- Msg
-	in  <-chan Msg
+// pipeQueue is one direction of a Pipe: a bounded FIFO under one mutex.
+type pipeQueue struct {
+	limit int
 
 	mu sync.Mutex
-	// closed records a local Close, guarded by mu.
+	// buf is the backlog in arrival order, guarded by mu.
+	buf []Msg
+	// closed records Close from either end, guarded by mu.
 	closed bool
-	done   chan struct{} // shared between both ends
+	// nonEmpty wakes the receiver and nonFull the senders blocked at
+	// limit; both wait on mu.
+	nonEmpty, nonFull sync.Cond
 }
 
-// Pipe returns two connected in-process Conn endpoints with the given
-// buffer depth per direction. Closing either end closes both.
+func newPipeQueue(limit int) *pipeQueue {
+	q := &pipeQueue{limit: max(limit, 1)}
+	q.nonEmpty.L, q.nonFull.L = &q.mu, &q.mu
+	return q
+}
+
+func (q *pipeQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.mu.Unlock()
+	q.nonEmpty.Broadcast()
+	q.nonFull.Broadcast()
+}
+
+// pipeConn is one end of an in-process connection.
+type pipeConn struct {
+	out, in *pipeQueue
+
+	rmu sync.Mutex // serializes receivers, as BinConn does
+	// batch is the backlog the last refill took from in, consumed from
+	// batch[next:] without touching in.mu; guarded by rmu.
+	batch []Msg
+	// next indexes the first undelivered message of batch, guarded by rmu.
+	next int
+}
+
+// Pipe returns two connected in-process Conn endpoints holding up to
+// buffer messages per direction (at least one); a Send beyond that blocks
+// until the receiver takes the backlog. Closing either end closes both.
 func Pipe(buffer int) (Conn, Conn) {
-	ab := make(chan Msg, buffer)
-	ba := make(chan Msg, buffer)
-	done := make(chan struct{})
-	a := &chanConn{out: ab, in: ba, done: done}
-	b := &chanConn{out: ba, in: ab, done: done}
-	return a, b
+	ab, ba := newPipeQueue(buffer), newPipeQueue(buffer)
+	return &pipeConn{out: ab, in: ba}, &pipeConn{out: ba, in: ab}
 }
 
 // Send implements Conn.
-func (c *chanConn) Send(m Msg) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+func (c *pipeConn) Send(m Msg) error {
+	q := c.out
+	q.mu.Lock()
+	for len(q.buf) >= q.limit && !q.closed {
+		q.nonFull.Wait()
+	}
+	if q.closed {
+		q.mu.Unlock()
 		return ErrClosed
 	}
-	c.mu.Unlock()
-	select {
-	case c.out <- m:
-		return nil
-	case <-c.done:
-		return ErrClosed
-	}
+	q.buf = append(q.buf, m)
+	q.mu.Unlock()
+	q.nonEmpty.Signal()
+	return nil
 }
 
-// Recv implements Conn.
-func (c *chanConn) Recv() (Msg, error) {
-	// Prefer buffered messages so close doesn't drop in-flight traffic: a
-	// closed connection keeps yielding queued messages until the buffer is
-	// empty, then reports io.EOF.
-	select {
-	case m := <-c.in:
-		return m, nil
-	default:
-	}
-	select {
-	case m := <-c.in:
-		return m, nil
-	case <-c.done:
-		select {
-		case m := <-c.in:
-			return m, nil
-		default:
+// Recv implements Conn. One lock takes the whole backlog (swapping it for
+// the emptied previous batch, so steady state allocates nothing) and the
+// following calls return from it lock-free of the senders. Close does not
+// drop in-flight traffic: queued messages keep coming until the backlog
+// is empty, then Recv reports io.EOF.
+func (c *pipeConn) Recv() (Msg, error) {
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if c.next == len(c.batch) {
+		q := c.in
+		q.mu.Lock()
+		for len(q.buf) == 0 && !q.closed {
+			q.nonEmpty.Wait()
+		}
+		if len(q.buf) == 0 {
+			q.mu.Unlock()
 			return Msg{}, io.EOF
 		}
+		c.batch, q.buf, c.next = q.buf, c.batch[:0], 0
+		q.mu.Unlock()
+		q.nonFull.Broadcast()
 	}
+	m := c.batch[c.next]
+	c.batch[c.next] = Msg{}
+	c.next++
+	return m, nil
 }
 
 // Close implements Conn.
-func (c *chanConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.closed {
-		c.closed = true
-		select {
-		case <-c.done:
-		default:
-			close(c.done)
-		}
-	}
+func (c *pipeConn) Close() error {
+	c.out.close()
+	c.in.close()
 	return nil
 }
 

@@ -20,7 +20,7 @@ import (
 // re-emits, liveness probes re-ping).
 type ImpairedConn struct {
 	inner Conn
-	link  *netem.Link
+	link  *netem.Link[Msg]
 }
 
 // NewImpairedConn wraps inner so every Send traverses a WAN link impaired
@@ -37,13 +37,13 @@ func NewImpairedConn(inner Conn, prof netem.Profile, rng *rand.Rand) *ImpairedCo
 // Link exposes the underlying netem link for live reconfiguration
 // (SetProfile to activate impairment after a clean bootstrap, SetDown to
 // force a partition) and per-link Stats.
-func (c *ImpairedConn) Link() *netem.Link { return c.link }
+func (c *ImpairedConn) Link() *netem.Link[Msg] { return c.link }
 
 // deliver is the link's sink: a surviving frame lands on the inner conn.
-func (c *ImpairedConn) deliver(payload interface{}) {
+func (c *ImpairedConn) deliver(m Msg) {
 	// The inner conn is gone; this frame and everything behind it dies
 	// with it, exactly as frames in flight do on a real broken link.
-	_ = c.inner.Send(payload.(Msg)) //softmow:allow errdiscard frames in flight die with a broken link; recovery is the fence/probe protocol's job
+	_ = c.inner.Send(m) //softmow:allow errdiscard frames in flight die with a broken link; recovery is the fence/probe protocol's job
 }
 
 // Send implements Conn: the message enters the impairment pipeline and
