@@ -41,7 +41,7 @@ func run(switches, regions, bs, ues int, seed int64) error {
 		switches, regions, bs)
 	ev, err := experiments.BuildEval(experiments.Params{
 		Seed: seed, Switches: switches, Regions: regions, BS: bs,
-		Prefixes: 200, Egress: (regions+1)/2, UEs: 100000,
+		Prefixes: 200, Egress: (regions + 1) / 2, UEs: 100000,
 	})
 	if err != nil {
 		return err

@@ -23,10 +23,10 @@ func cacheTestController() (*Controller, nib.Link, nib.Link) {
 			Ports: []nib.PortRecord{{ID: 1, Up: true}, {ID: 2, Up: true}}})
 	}
 	l12 := nib.Link{A: dataplane.PortRef{Dev: "S1", Port: 1},
-		B: dataplane.PortRef{Dev: "S2", Port: 1},
+		B:       dataplane.PortRef{Dev: "S2", Port: 1},
 		Latency: time.Millisecond, Bandwidth: 1000, Up: true}
 	l34 := nib.Link{A: dataplane.PortRef{Dev: "S3", Port: 1},
-		B: dataplane.PortRef{Dev: "S4", Port: 1},
+		B:       dataplane.PortRef{Dev: "S4", Port: 1},
 		Latency: time.Millisecond, Bandwidth: 1000, Up: true}
 	c.NIB.PutLink(l12)
 	c.NIB.PutLink(l34)

@@ -176,4 +176,3 @@ func TestNoStackingRulesInSwapMode(t *testing.T) {
 		}
 	}
 }
-

@@ -18,11 +18,11 @@ import (
 
 // RouteOptReport summarizes one optimization pass.
 type RouteOptReport struct {
-	Examined    int
-	Rerouted    int
-	HopsSaved   int
-	RTTSaved    time.Duration
-	Failed      int
+	Examined  int
+	Rerouted  int
+	HopsSaved int
+	RTTSaved  time.Duration
+	Failed    int
 }
 
 // OptimizeRoutes re-routes every active path whose destination prefix now

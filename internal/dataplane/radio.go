@@ -23,9 +23,9 @@ func (g GeoPoint) Dist(o GeoPoint) float64 {
 // (§2.1), so base stations carry only identity, location and group
 // membership; radio scheduling is out of scope.
 type BaseStation struct {
-	ID       DeviceID
-	Loc      GeoPoint
-	GroupID  DeviceID
+	ID      DeviceID
+	Loc     GeoPoint
+	GroupID DeviceID
 	// AdvertisedGBS is the border G-BS ID broadcast on the physical
 	// broadcast channel for inter-region handover targeting (§5.2); empty
 	// for internal base stations.

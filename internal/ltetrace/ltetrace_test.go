@@ -316,7 +316,7 @@ func TestHandoverGraphBSLocality(t *testing.T) {
 func TestHandoverGraphGroupsDropsInternal(t *testing.T) {
 	m := smallModel()
 	bs := m.HandoverGraphBS(12*60, 13*60)
-	grp := m.HandoverGraphGroups(12 * 60, 13 * 60)
+	grp := m.HandoverGraphGroups(12*60, 13*60)
 	if grp.TotalWeight() >= bs.TotalWeight() {
 		t.Fatalf("group aggregation should drop intra-group handovers: %d vs %d",
 			grp.TotalWeight(), bs.TotalWeight())
@@ -431,4 +431,3 @@ func TestEventKindStrings(t *testing.T) {
 		seen[k.String()] = true
 	}
 }
-

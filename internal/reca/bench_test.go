@@ -27,12 +27,12 @@ func gridNIB(n int) *nib.NIB {
 		for c := 0; c < n; c++ {
 			if c+1 < n {
 				nb.PutLink(nib.Link{A: dataplane.PortRef{Dev: id(r, c), Port: 1},
-					B: dataplane.PortRef{Dev: id(r, c+1), Port: 2},
+					B:       dataplane.PortRef{Dev: id(r, c+1), Port: 2},
 					Latency: 5 * time.Millisecond, Bandwidth: 1000, Up: true})
 			}
 			if r+1 < n {
 				nb.PutLink(nib.Link{A: dataplane.PortRef{Dev: id(r, c), Port: 3},
-					B: dataplane.PortRef{Dev: id(r+1, c), Port: 4},
+					B:       dataplane.PortRef{Dev: id(r+1, c), Port: 4},
 					Latency: 5 * time.Millisecond, Bandwidth: 1000, Up: true})
 			}
 		}

@@ -16,14 +16,14 @@ import (
 func leafNIB() *nib.NIB {
 	n := nib.New()
 	n.PutDevice(nib.Device{ID: "SW1", Kind: dataplane.KindSwitch, Ports: []nib.PortRecord{
-		{ID: 1, Up: true},              // dangling: cross-region port
-		{ID: 2, Up: true},              // link to SW2
-		{ID: 3, Up: true},              // link to SW3
-		{ID: 4, Up: false},             // down port: ignored
+		{ID: 1, Up: true},  // dangling: cross-region port
+		{ID: 2, Up: true},  // link to SW2
+		{ID: 3, Up: true},  // link to SW3
+		{ID: 4, Up: false}, // down port: ignored
 	}})
 	n.PutDevice(nib.Device{ID: "SW2", Kind: dataplane.KindSwitch, Ports: []nib.PortRecord{
-		{ID: 1, Up: true},                                           // link to SW1
-		{ID: 2, Up: true, External: true, ExternalDomain: "isp-1"},  // egress
+		{ID: 1, Up: true}, // link to SW1
+		{ID: 2, Up: true, External: true, ExternalDomain: "isp-1"}, // egress
 	}})
 	n.PutDevice(nib.Device{ID: "SW3", Kind: dataplane.KindSwitch, Ports: []nib.PortRecord{
 		{ID: 1, Up: true}, // link to SW1
