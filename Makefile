@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race chaos check bench-test bench-smoke bench bench-workload smoke-dist smoke-failover smoke-impaired docs-check lint fuzz
+.PHONY: build test vet race fmt-check chaos check bench-test bench-smoke bench bench-workload smoke-dist smoke-failover smoke-impaired docs-check lint fuzz
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,11 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# Fail when a Go file outside the analyzers' deliberately malformed
+# fixtures is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l cmd internal bench *.go | grep -v testdata)"
 
 # A longer randomized fault-injection run than the bounded tier-1 test;
 # prints its seed so any violation can be replayed exactly.
@@ -51,23 +56,28 @@ LAYER_PKGS = ./internal/core ./internal/southbound ./internal/netem
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchtime=1x $(LAYER_PKGS)
 
-check: vet race docs-check lint bench-test bench-smoke
+check: fmt-check vet race docs-check lint bench-test bench-smoke
 
 # Run the routing/abstraction/controller hot-path benchmarks and record the
-# results as JSON lines in BENCH_routing.json, and the southbound layer
-# benchmarks (fenced mod over Pipe + SwitchAgent behind a 200 us link, Pipe
-# round trip, WallScheduler.At) in BENCH_layers.json — the committed
-# baselines for spotting regressions; compare with `git diff`.
+# results as JSON lines in BENCH_routing.json (BenchmarkShortestPath is the
+# path-memo hit, ...Cold the Dijkstra run behind a miss, RouteMemoParallel
+# the hit at -cpu 1,2), and the southbound layer benchmarks (fenced mod
+# over Pipe + SwitchAgent behind a 200 us link, Pipe round trip,
+# WallScheduler.At) in BENCH_layers.json — the committed baselines for
+# spotting regressions; compare with `git diff`.
 BENCH_CONFIG = printf '{"config":{"go_version":"%s","gomaxprocs":%s,"num_cpu":%s}}\n' \
 	"$$($(GO) env GOVERSION)" "$${GOMAXPROCS:-$$(nproc)}" "$$(nproc)"
-# One JSON object per benchmark line, one key per reported unit
-# (ns/op -> ns_op, B/op -> b_op, allocs/op -> allocs_op, wakeups/op -> wakeups_op).
-BENCH_JSON = awk '/^Benchmark/ { gsub(/-[0-9]+$$/, "", $$1); printf("{\"name\":\"%s\",\"iters\":%s", $$1, $$2); \
+# One JSON object per benchmark line: the name without its -GOMAXPROCS
+# suffix, the suffix as "cpu", and one key per reported unit (ns/op ->
+# ns_op, B/op -> b_op, allocs/op -> allocs_op, wakeups/op -> wakeups_op).
+BENCH_JSON = awk '/^Benchmark/ { cpu = 1; if (match($$1, /-[0-9]+$$/)) { cpu = substr($$1, RSTART + 1); $$1 = substr($$1, 1, RSTART - 1) } \
+	printf("{\"name\":\"%s\",\"cpu\":%s,\"iters\":%s", $$1, cpu, $$2); \
 	for (i = 3; i < NF; i += 2) { u = tolower($$(i+1)); gsub(/\//, "_", u); printf(",\"%s\":%s", u, $$i) } print "}" }'
 bench:
 	( $(BENCH_CONFIG); \
 	  $(GO) test -run '^$$' -bench 'BenchmarkBuildGraph|BenchmarkShortestPath|BenchmarkMetricsFrom|BenchmarkPairMetrics|BenchmarkCompute|BenchmarkRouteRecursive|BenchmarkGraphCacheHit|BenchmarkBearerSetup' \
-	  -benchmem ./internal/routing ./internal/reca ./internal/core | $(BENCH_JSON) ) | tee BENCH_routing.json
+	  -benchmem ./internal/routing ./internal/reca ./internal/core | $(BENCH_JSON); \
+	  $(GO) test -run '^$$' -bench 'BenchmarkRouteMemoParallel' -cpu 1,2 -benchmem ./internal/routing | $(BENCH_JSON) ) | tee BENCH_routing.json
 	( $(BENCH_CONFIG); \
 	  $(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchmem $(LAYER_PKGS) | $(BENCH_JSON) ) | tee BENCH_layers.json
 

@@ -44,6 +44,10 @@ var prodMetricRegistry = map[string]map[string]bool{
 		"core.graph.rebuilds":               true,
 		"core.graph.build_latency":          true,
 	},
+	"repro/internal/routing": {
+		"routing.path_memo_hits":   true,
+		"routing.path_memo_misses": true,
+	},
 	"repro/internal/reca": {
 		"reca.compute.count":   true,
 		"reca.compute.latency": true,

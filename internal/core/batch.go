@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -137,19 +138,15 @@ func (b *ruleBatch) rulesOf(dev dataplane.DeviceID) []dataplane.Rule {
 	return nil
 }
 
-// asyncInstaller is the optional Device extension for pipelined batch
-// installs: the device enqueues the batch, fences it with a barrier-ID
-// completion, and invokes the callback when the fence resolves. The
-// callback runs on the device's receive or deadline goroutine and must
-// not block.
-type asyncInstaller interface {
-	tryInstallRulesAsync(rules []dataplane.Rule, cb func(error)) bool
-}
-
-// asyncRemover is the delete-side counterpart of asyncInstaller, used for
-// teardown and rollback fan-out.
-type asyncRemover interface {
-	tryRemoveRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error)) bool
+// asyncDevice is a Device with the optional extension for pipelined
+// modifications: the device enqueues the batch (or the one delete
+// command), fences it with a barrier-ID completion, and invokes the
+// callback when the fence resolves. The callback runs on the device's
+// receive or deadline goroutine and must not block.
+type asyncDevice interface {
+	Device
+	installRulesAsync(rules []dataplane.Rule, cb func(error))
+	removeRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error))
 }
 
 // removeOwned issues one delete command for owner on every listed device:
@@ -157,10 +154,7 @@ type asyncRemover interface {
 // Device method otherwise. Every device is visited; first error wins.
 func (c *Controller) removeOwned(devs []Device, cmd southbound.FlowModCommand, owner string, version int) error {
 	return c.fanPerDevice(devs,
-		func(d Device, cb func(error)) bool {
-			ar, ok := d.(asyncRemover)
-			return ok && ar.tryRemoveRulesAsync(cmd, owner, version, cb)
-		},
+		func(d asyncDevice, cb func(error)) { d.removeRulesAsync(cmd, owner, version, cb) },
 		func(d Device) error {
 			switch cmd {
 			case southbound.FlowDeleteOwnerBefore:
@@ -178,10 +172,12 @@ func (c *Controller) removeOwned(devs []Device, cmd southbound.FlowModCommand, o
 // fences issued back to back and joined at the end, so N remote devices
 // cost roughly one wire round trip of wall time — with no goroutine
 // hand-off per device. Devices without the capability run through
-// runPerDevice (concurrent for remote devices, serial otherwise). First
-// error wins, and every device is always visited.
-func (c *Controller) fanPerDevice(devs []Device, tryAsync func(Device, func(error)) bool, syncF func(Device) error) error {
-	if c.SerialSouthbound || len(devs) == 0 {
+// runPerDevice (concurrent for remote devices, serial otherwise); a set
+// with no asyncDevice at all (every SwitchDevice set, the root's
+// logicalDevices) goes there whole and pays for no join. First error wins.
+func (c *Controller) fanPerDevice(devs []Device, asyncF func(asyncDevice, func(error)), syncF func(Device) error) error {
+	isAsync := func(d Device) bool { _, ok := d.(asyncDevice); return ok }
+	if c.SerialSouthbound || !slices.ContainsFunc(devs, isAsync) {
 		return c.runPerDevice(devs, syncF)
 	}
 	// One join and one bound method serve every device's completion.
@@ -189,9 +185,10 @@ func (c *Controller) fanPerDevice(devs []Device, tryAsync func(Device, func(erro
 	done := j.done
 	var syncDevs []Device
 	for _, d := range devs {
-		j.wg.Add(1)
-		if !tryAsync(d, done) {
-			j.wg.Done()
+		if ad, ok := d.(asyncDevice); ok {
+			j.wg.Add(1)
+			asyncF(ad, done)
+		} else {
 			syncDevs = append(syncDevs, d)
 		}
 	}
@@ -295,10 +292,7 @@ func (c *Controller) flushBatch(b *ruleBatch, owner string, version int) error {
 	c.stats.RulesInstalled += b.size
 	c.mu.Unlock()
 	err := c.fanPerDevice(devs,
-		func(d Device, cb func(error)) bool {
-			ai, ok := d.(asyncInstaller)
-			return ok && ai.tryInstallRulesAsync(b.rulesOf(d.ID()), cb)
-		},
+		func(d asyncDevice, cb func(error)) { d.installRulesAsync(b.rulesOf(d.ID()), cb) },
 		func(d Device) error { return installRules(d, b.rulesOf(d.ID())) })
 	if err != nil {
 		flushRollbacks.Inc()

@@ -615,25 +615,24 @@ func (d *ConnDevice) InstallRule(r dataplane.Rule) error {
 // the affected version back with RemoveRulesVersion.
 func (d *ConnDevice) InstallRules(rules []dataplane.Rule) error {
 	ch := make(chan error, 1)
-	d.tryInstallRulesAsync(rules, func(err error) { ch <- err })
+	d.installRulesAsync(rules, func(err error) { ch <- err })
 	return <-ch
 }
 
-// tryInstallRulesAsync enqueues the rules (batched when possible) and
-// fences them, invoking cb with the outcome when the fence completes. Like
-// tryRemoveRulesAsync it is always capable. cb runs on the device's pump
-// or deadline goroutine and must not block or issue synchronous
-// southbound I/O.
-func (d *ConnDevice) tryInstallRulesAsync(rules []dataplane.Rule, cb func(error)) bool {
+// installRulesAsync enqueues the rules (batched when possible) and
+// fences them, invoking cb with the outcome when the fence completes. cb
+// runs on the device's pump or deadline goroutine and must not block or
+// issue synchronous southbound I/O.
+func (d *ConnDevice) installRulesAsync(rules []dataplane.Rule, cb func(error)) {
 	switch len(rules) {
 	case 0:
 		cb(nil)
-		return true
+		return
 	case 1:
 		connFlowMods.Inc()
 		d.modAsync(southbound.Msg{Type: southbound.TypeFlowMod,
 			Body: southbound.FlowMod{Command: southbound.FlowAdd, Rule: rules[0]}}, cb)
-		return true
+		return
 	}
 	mods := make([]southbound.FlowMod, len(rules))
 	for i, r := range rules {
@@ -643,17 +642,14 @@ func (d *ConnDevice) tryInstallRulesAsync(rules []dataplane.Rule, cb func(error)
 	connFlowMods.Add(int64(len(rules)))
 	d.modAsync(southbound.Msg{Type: southbound.TypeFlowModBatch,
 		Body: southbound.FlowModBatch{Mods: mods}}, cb)
-	return true
 }
 
-// tryRemoveRulesAsync enqueues one delete command and fences it, invoking
-// cb when the fence completes. Deletes are single mods on every
-// configuration, so this is always capable. cb must not block.
-func (d *ConnDevice) tryRemoveRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error)) bool {
+// removeRulesAsync enqueues one delete command and fences it, invoking cb
+// when the fence completes. cb must not block.
+func (d *ConnDevice) removeRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error)) {
 	connFlowMods.Inc()
 	d.modAsync(southbound.Msg{Type: southbound.TypeFlowMod,
 		Body: southbound.FlowMod{Command: cmd, Owner: owner, Version: version}}, cb)
-	return true
 }
 
 // RemoveRules implements Device.

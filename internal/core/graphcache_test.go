@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,11 +82,24 @@ func TestGraphCacheReturnsFreshGraph(t *testing.T) {
 // while one writer flaps an independent link and the main goroutine
 // mutates and immediately asserts freshness. Readers must never crash or
 // observe a torn graph, and the main goroutine must never observe a stale
-// one.
+// one — neither a stale graph nor, through the graph's path memo, a stale
+// route: with S1—S2 down the answer is the two-hop detour over S5, with it
+// up the direct hop, on the very next call.
 func TestGraphCacheConcurrent(t *testing.T) {
 	c, l12, l34 := cacheTestController()
 	src := dataplane.PortRef{Dev: "S1", Port: 2}
 	dst := dataplane.PortRef{Dev: "S2", Port: 2}
+	c.NIB.PutDevice(nib.Device{ID: "S5", Kind: dataplane.KindSwitch,
+		Ports: []nib.PortRecord{{ID: 1, Up: true}, {ID: 2, Up: true}}})
+	for _, l := range []nib.Link{
+		{A: src, B: dataplane.PortRef{Dev: "S5", Port: 1}},
+		{A: dataplane.PortRef{Dev: "S5", Port: 2}, B: dst},
+	} {
+		l.Latency, l.Bandwidth, l.Up = time.Millisecond, 1000, true
+		c.NIB.PutLink(l)
+	}
+	direct := []dataplane.DeviceID{"S1", "S2"}
+	detour := []dataplane.DeviceID{"S1", "S5", "S2"}
 	bgSrc := dataplane.PortRef{Dev: "S3", Port: 2}
 	bgDst := dataplane.PortRef{Dev: "S4", Port: 2}
 
@@ -106,8 +120,17 @@ func TestGraphCacheConcurrent(t *testing.T) {
 				}
 				// Outcomes vary with the flapping; only invariants are
 				// checked: no panic, no torn state, metrics consistent.
-				if _, err := g.ShortestPath(src, dst, routing.MinHops, routing.Constraints{}); err != nil && !errors.Is(err, routing.ErrNoPath) {
+				p, err := g.ShortestPath(src, dst, routing.MinHops, routing.Constraints{})
+				if err != nil {
 					errc <- fmt.Errorf("reader ShortestPath: %w", err)
+					return
+				}
+				if d := p.Devices(); !slices.Equal(d, direct) && !slices.Equal(d, detour) {
+					errc <- fmt.Errorf("reader route %v is neither the direct hop nor the detour", d)
+					return
+				}
+				if q, _ := g.ShortestPath(src, dst, routing.MinHops, routing.Constraints{}); q != p {
+					errc <- errors.New("one graph gave two answers to one question")
 					return
 				}
 				row := g.MetricsFrom(bgSrc)
@@ -136,16 +159,16 @@ func TestGraphCacheConcurrent(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for i := 0; time.Now().Before(deadline); i++ {
 		c.NIB.SetLinkUp(l12.Key(), false)
-		if _, err := c.Graph().ShortestPath(src, dst, routing.MinHops, routing.Constraints{}); !errors.Is(err, routing.ErrNoPath) {
+		if p, err := c.Graph().ShortestPath(src, dst, routing.MinHops, routing.Constraints{}); err != nil || !slices.Equal(p.Devices(), detour) {
 			stop.Store(true)
 			wg.Wait()
-			t.Fatalf("iteration %d: stale graph: down link S1—S2 still routes (err=%v)", i, err)
+			t.Fatalf("iteration %d: stale route: S1—S2 is down, got %+v (err=%v), want the detour", i, p, err)
 		}
 		c.NIB.SetLinkUp(l12.Key(), true)
-		if _, err := c.Graph().ShortestPath(src, dst, routing.MinHops, routing.Constraints{}); err != nil {
+		if p, err := c.Graph().ShortestPath(src, dst, routing.MinHops, routing.Constraints{}); err != nil || !slices.Equal(p.Devices(), direct) {
 			stop.Store(true)
 			wg.Wait()
-			t.Fatalf("iteration %d: restored link S1—S2 missing: %v", i, err)
+			t.Fatalf("iteration %d: stale route: S1—S2 is back, got %+v (err=%v), want the direct hop", i, p, err)
 		}
 	}
 	stop.Store(true)

@@ -113,8 +113,8 @@ var ErrUnknownBS = errors.New("core: unknown base station")
 // it replaces the path make-before-break (the new path is installed before
 // the old one is released).
 func (c *Controller) HandleBearerRequest(req BearerRequest) (*UERecord, error) {
-	done := c.ue.lockUE(req.UE)
-	defer done()
+	hold := c.ue.lockUE(req.UE)
+	defer hold.unlock()
 	return c.handleBearerRequestLocked(req)
 }
 
@@ -212,8 +212,8 @@ func (c *Controller) handleBearerRequestLocked(req BearerRequest) (*UERecord, er
 // application continues to request bearer deactivation from its parent via
 // RecA").
 func (c *Controller) DeactivateBearer(ue string) error {
-	done := c.ue.lockUE(ue)
-	defer done()
+	hold := c.ue.lockUE(ue)
+	defer hold.unlock()
 	return c.deactivateBearerLocked(ue)
 }
 
@@ -236,8 +236,8 @@ func (c *Controller) deactivateBearerLocked(ue string) error {
 // table row is deleted. Detach is the terminal transition of the §5.1 UE
 // lifecycle; re-attaching later is a fresh HandleBearerRequest.
 func (c *Controller) Detach(ue string) error {
-	done := c.ue.lockUE(ue)
-	defer done()
+	hold := c.ue.lockUE(ue)
+	defer hold.unlock()
 	rec, ok := c.ue.get(ue)
 	if !ok {
 		return fmt.Errorf("core: unknown UE %s", ue)
@@ -267,8 +267,8 @@ type HandoverRequest struct {
 // this leaf's region the intra-region procedure applies; otherwise the
 // request ascends to the lowest ancestor controlling both G-BSes (§5.2).
 func (c *Controller) Handover(ue string, dstGBS, dstBS dataplane.DeviceID) error {
-	done := c.ue.lockUE(ue)
-	defer done()
+	hold := c.ue.lockUE(ue)
+	defer hold.unlock()
 	return c.handoverLocked(ue, dstGBS, dstBS)
 }
 

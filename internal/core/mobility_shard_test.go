@@ -19,14 +19,14 @@ func TestLockUESerializesSameUE(t *testing.T) {
 	go func() {
 		done := s.lockUE("u1")
 		close(acquired)
-		done()
+		done.unlock()
 	}()
 	select {
 	case <-acquired:
 		t.Fatal("second op on the same UE acquired while the first was held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	release()
+	release.unlock()
 	select {
 	case <-acquired:
 	case <-time.After(time.Second):
@@ -39,14 +39,14 @@ func TestLockUESerializesSameUE(t *testing.T) {
 func TestLockUEParallelDistinctUEs(t *testing.T) {
 	s := newUEState(2) // 2 shards force plenty of same-shard UE pairs
 	release := s.lockUE("u-held")
-	defer release()
+	defer release.unlock()
 	for i := 0; i < 32; i++ {
 		ue := fmt.Sprintf("u%d", i)
 		acquired := make(chan struct{})
 		go func() {
 			done := s.lockUE(ue)
 			close(acquired)
-			done()
+			done.unlock()
 		}()
 		select {
 		case <-acquired:
@@ -66,7 +66,7 @@ func TestLockUEReclaimsOpLocks(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			done := s.lockUE(fmt.Sprintf("u%d", i))
-			done()
+			done.unlock()
 		}(i)
 	}
 	wg.Wait()
@@ -93,14 +93,14 @@ func TestCoarseModeSerializesEverything(t *testing.T) {
 	go func() {
 		done := s.lockUE("b")
 		close(acquired)
-		done()
+		done.unlock()
 	}()
 	select {
 	case <-acquired:
 		t.Fatal("coarse mode let distinct UEs run concurrently")
 	case <-time.After(20 * time.Millisecond):
 	}
-	release()
+	release.unlock()
 	select {
 	case <-acquired:
 	case <-time.After(time.Second):

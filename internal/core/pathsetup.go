@@ -22,16 +22,18 @@ type PathID int
 // inactive record the table can hold is a path RepairPaths found no
 // alternative for, which waits there for its bearer's release.
 type PathRecord struct {
-	ID      PathID
-	Owner   string
-	Match   dataplane.Match
-	Cost    routing.Cost
+	ID    PathID
+	Owner string
+	Match dataplane.Match
+	Cost  routing.Cost
+	// Devices lists every device that may hold the path's rules. Read-only:
+	// until a reroute widens it, it is the shared route's own Devices().
 	Devices []dataplane.DeviceID
 	Active  bool
 	Version int
 
 	// lastPath is the currently installed route, kept for reroute
-	// rollback (nil for policy paths).
+	// rollback (nil for policy paths); shared and immutable.
 	lastPath *routing.Path
 	// demand is the bandwidth reservation the path carries.
 	demand float64
@@ -135,7 +137,8 @@ func (c *Controller) pathCarries(id PathID, match dataplane.Match, demandMbps fl
 	defer c.mu.Unlock()
 	rec, ok := c.paths[id]
 	return ok && rec.Active && rec.lastPath != nil && rec.Match == match &&
-		rec.demand == demandMbps && slices.Equal(rec.lastPath.Points, route.Points)
+		rec.demand == demandMbps &&
+		(rec.lastPath == route || slices.Equal(rec.lastPath.Points, route.Points)) // same graph, same *Path
 }
 
 // attached resolves device IDs to the handles still attached, in order.
@@ -244,6 +247,7 @@ func (c *Controller) PrepareReroute(id PathID, newPath *routing.Path) error {
 	}
 	rec.Version = version
 	rec.Cost = newPath.Cost
+	// Shared route slices are full, so this append copies.
 	rec.Devices = dedupeDevices(append(rec.Devices, newPath.Devices()...))
 	rec.lastPath = newPath
 	c.mu.Unlock()

@@ -60,10 +60,10 @@ type ueState struct {
 	// SetUEShardCount swaps in a whole new ueState during bootstrap.
 	shards []ueShard
 	// coarse marks the single-shard compatibility mode in which every
-	// mobility operation serializes on opMu.
+	// mobility operation serializes on op.
 	coarse bool
-	// opMu is the store-wide operation lock used only in coarse mode.
-	opMu sync.Mutex
+	// op is the store-wide operation lock used only in coarse mode.
+	op ueOpLock
 
 	radio *radioIndex
 }
@@ -76,6 +76,9 @@ type ueShard struct {
 	// ops holds the per-UE operation locks of UEs with a mobility
 	// operation in flight, guarded by mu.
 	ops map[string]*ueOpLock
+	// free holds released operation locks for reuse (at most the shard's
+	// peak concurrency of them), guarded by mu.
+	free []*ueOpLock
 }
 
 // ueOpLock serializes mobility operations on one UE.
@@ -83,9 +86,17 @@ type ueOpLock struct {
 	// mu is held for the full duration of one mobility operation.
 	mu sync.Mutex
 	// refs counts holders and waiters; it is read and written only while
-	// holding the owning shard's mutex, and the lock is dropped from the
-	// shard's ops map when it reaches zero.
+	// holding the owning shard's mutex, and the lock moves from the
+	// shard's ops map to its free list when it reaches zero.
 	refs int
+}
+
+// ueHold is one held per-UE operation lock: a plain value, so taking and
+// deferring it allocates nothing.
+type ueHold struct {
+	sh *ueShard // nil in coarse mode
+	l  *ueOpLock
+	ue string
 }
 
 // radioIndex is the management-plane radio configuration the mobility
@@ -133,35 +144,46 @@ func (s *ueState) shardOf(ue string) *ueShard {
 	return &s.shards[h&uint32(len(s.shards)-1)]
 }
 
-// lockUE serializes mobility operations per UE and returns the release
-// function the caller must invoke when its operation completes. While
-// held, no other operation on the same UE can start; operations on other
-// UEs are unaffected (coarse mode instead serializes everything on one
-// mutex).
-func (s *ueState) lockUE(ue string) func() {
+// lockUE serializes mobility operations per UE and returns the hold the
+// caller must unlock when its operation completes. While held, no other
+// operation on the same UE can start; operations on other UEs are
+// unaffected (coarse mode instead serializes everything on one mutex).
+func (s *ueState) lockUE(ue string) ueHold {
 	if s.coarse {
-		s.opMu.Lock()
-		return s.opMu.Unlock
+		s.op.mu.Lock()
+		return ueHold{l: &s.op}
 	}
 	sh := s.shardOf(ue)
 	sh.mu.Lock()
 	l := sh.ops[ue]
 	if l == nil {
-		l = &ueOpLock{}
+		if n := len(sh.free); n > 0 {
+			l, sh.free = sh.free[n-1], sh.free[:n-1]
+		} else {
+			l = &ueOpLock{}
+		}
 		sh.ops[ue] = l
 	}
 	l.refs++
 	sh.mu.Unlock()
 	l.mu.Lock()
-	return func() {
-		l.mu.Unlock()
-		sh.mu.Lock()
-		l.refs--
-		if l.refs == 0 {
-			delete(sh.ops, ue)
-		}
-		sh.mu.Unlock()
+	return ueHold{sh: sh, l: l, ue: ue}
+}
+
+// unlock ends the operation lockUE started.
+func (h ueHold) unlock() {
+	h.l.mu.Unlock()
+	if h.sh == nil {
+		return
 	}
+	h.sh.mu.Lock()
+	h.l.refs--
+	if h.l.refs == 0 {
+		// No holder and no waiter is left, so nobody else can reach l.
+		delete(h.sh.ops, h.ue)
+		h.sh.free = append(h.sh.free, h.l)
+	}
+	h.sh.mu.Unlock()
 }
 
 // get returns a copy of a UE's table row.

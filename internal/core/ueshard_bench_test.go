@@ -83,7 +83,7 @@ func BenchmarkLockUE(b *testing.B) {
 		i := 0
 		for pb.Next() {
 			done := s.lockUE(fmt.Sprintf("u%d", i&4095))
-			done()
+			done.unlock()
 			i++
 		}
 	})

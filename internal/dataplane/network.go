@@ -305,9 +305,12 @@ func (n *Network) InstallRule(swID DeviceID, r Rule) error {
 	fault := n.installFault
 	n.mu.RUnlock()
 	if fault != nil {
-		if err := fault(swID, &r); err != nil {
+		// The hook may mutate the rule; only this copy of it escapes.
+		fr := r
+		if err := fault(swID, &fr); err != nil {
 			return err
 		}
+		r = fr
 	}
 	if r.Demand > 0 {
 		if l := n.outputLink(sw, r); l != nil {

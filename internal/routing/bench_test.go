@@ -51,7 +51,24 @@ func BenchmarkBuildGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkShortestPath measures one corner-to-corner constrained Dijkstra.
+// BenchmarkShortestPathCold measures one corner-to-corner constrained
+// Dijkstra plus path reconstruction: the uncached body, what a memo miss
+// costs.
+func BenchmarkShortestPathCold(b *testing.B) {
+	g := BuildGraph(gridNIB(18))
+	s := g.nodes[dataplane.PortRef{Dev: "SW0000", Port: 1}]
+	d := g.nodes[dataplane.PortRef{Dev: "SW1717", Port: 1}]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g.shortestPath(s, d, MinHops, Constraints{}) == nil {
+			b.Fatal("no path")
+		}
+	}
+}
+
+// BenchmarkShortestPath measures a repeated corner-to-corner question on
+// an unchanged graph: the memo hit every bearer request between topology
+// events takes.
 func BenchmarkShortestPath(b *testing.B) {
 	g := BuildGraph(gridNIB(18))
 	src := dataplane.PortRef{Dev: "SW0000", Port: 1}
@@ -90,9 +107,33 @@ func BenchmarkPairMetrics(b *testing.B) {
 	}
 }
 
-// BenchmarkShortestPathParallel runs corner-to-corner Dijkstras from all
-// procs at once, exercising scratch-pool contention (the abstraction
-// recompute's access pattern).
+// BenchmarkRouteMemoParallel is the memo's read path under contention:
+// every proc asks the same 64 (src, dst) questions of one warm graph. Run
+// it at -cpu 1,2,...: ns/op must not grow with the proc count, since a hit
+// takes no lock.
+func BenchmarkRouteMemoParallel(b *testing.B) {
+	g := BuildGraph(gridNIB(18))
+	src := dataplane.PortRef{Dev: "SW0000", Port: 1}
+	var dsts [64]dataplane.PortRef
+	for i := range dsts {
+		dsts[i] = dataplane.PortRef{Dev: dataplane.DeviceID(fmt.Sprintf("SW%02d%02d", 17-i%8, 17-i/8)), Port: 1}
+		if _, err := g.ShortestPath(src, dsts[i], MinHops, Constraints{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for i := 0; pb.Next(); i++ {
+			if _, err := g.ShortestPath(src, dsts[i%len(dsts)], MinHops, Constraints{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkShortestPathParallel asks the corner-to-corner question from
+// all procs at once: after the first fill, concurrent hits on one memo
+// entry.
 func BenchmarkShortestPathParallel(b *testing.B) {
 	g := BuildGraph(gridNIB(18))
 	src := dataplane.PortRef{Dev: "SW0000", Port: 1}

@@ -3,6 +3,7 @@ package routing
 import (
 	"errors"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/dataplane"
@@ -64,7 +65,9 @@ func (c Cost) violates(ct Constraints) bool {
 }
 
 // Path is a computed route: the port-ref sequence alternating device
-// traversals and link crossings, plus total cost.
+// traversals and link crossings, plus total cost. A Path is immutable once
+// constructed — ShortestPath hands one *Path to every caller asking the
+// same question — so its fields and accessor results are read-only.
 type Path struct {
 	// Points is the node sequence (device, port) from source to
 	// destination, inclusive.
@@ -73,38 +76,48 @@ type Path struct {
 	// LinkCrossings marks, for each step i → i+1, whether it is a link
 	// crossing (true) or an intra-device traversal (false).
 	LinkCrossings []bool
+
+	// segs and devs back Segments and Devices, derived once by
+	// ShortestPath; nil on a Path assembled by hand, which derives per call.
+	segs []Segment
+	devs []dataplane.DeviceID
 }
 
-// Devices returns the distinct device sequence along the path.
+// Devices returns the distinct device sequence along the path. The slice
+// is shared and read-only; it is full, so appending to it copies.
 func (p *Path) Devices() []dataplane.DeviceID {
-	var out []dataplane.DeviceID
-	for _, pt := range p.Points {
-		if len(out) == 0 || out[len(out)-1] != pt.Dev {
-			out = append(out, pt.Dev)
-		}
+	if p.devs != nil {
+		return p.devs
 	}
-	return out
+	_, devs := traversals(p.Points)
+	return devs
 }
 
 // Segments returns per-device (device, inPort, outPort) triples: the unit
 // of rule installation. The first segment's inPort is the source point's
-// port; the last segment's outPort is the destination port.
+// port; the last segment's outPort is the destination port. The slice is
+// shared, read-only and full, like Devices'.
 func (p *Path) Segments() []Segment {
-	var segs []Segment
-	i := 0
-	for i < len(p.Points) {
-		j := i
-		for j+1 < len(p.Points) && p.Points[j+1].Dev == p.Points[i].Dev {
-			j++
-		}
-		segs = append(segs, Segment{
-			Dev:     p.Points[i].Dev,
-			InPort:  p.Points[i].Port,
-			OutPort: p.Points[j].Port,
-		})
-		i = j + 1
+	if p.segs != nil {
+		return p.segs
 	}
+	segs, _ := traversals(p.Points)
 	return segs
+}
+
+// traversals groups points into per-device runs: one Segment and one
+// device ID per run, both slices clipped to their length.
+func traversals(points []dataplane.PortRef) ([]Segment, []dataplane.DeviceID) {
+	segs := make([]Segment, 0, len(points))
+	devs := make([]dataplane.DeviceID, 0, len(points))
+	for i, pt := range points {
+		if i == 0 || points[i-1].Dev != pt.Dev {
+			segs = append(segs, Segment{Dev: pt.Dev, InPort: pt.Port})
+			devs = append(devs, pt.Dev)
+		}
+		segs[len(segs)-1].OutPort = pt.Port
+	}
+	return slices.Clip(segs), slices.Clip(devs)
 }
 
 // Segment is one device's traversal along a path.
@@ -258,26 +271,46 @@ func (g *Graph) sssp(sc *scratch, s, dst int, obj Objective, ct Constraints, tra
 	}
 }
 
-// ShortestPath computes the optimal path from src to dst under the
-// objective and constraints. src and dst are port refs present in the
-// graph.
+// ShortestPath returns the optimal path from src to dst (port refs present
+// in the graph) under the objective and constraints. The answer — a path
+// or ErrNoPath — is computed once per (src, dst, obj, ct) and graph: a
+// repeated question gets the same shared, read-only *Path back.
 func (g *Graph) ShortestPath(src, dst dataplane.PortRef, obj Objective, ct Constraints) (*Path, error) {
-	s, ok := g.nodes[src]
-	if !ok {
+	s, okS := g.nodes[src]
+	d, okD := g.nodes[dst]
+	if !okS || !okD {
 		return nil, ErrNoPath
 	}
-	d, ok := g.nodes[dst]
-	if !ok {
+	key := pathKey{src: int32(s), dst: int32(d), obj: obj, ct: ct}
+	e, free := g.memo.find(&key)
+	if e != nil {
+		pathMemoHits.Inc()
+	} else {
+		pathMemoMisses.Inc()
+		e = &memoEntry{key: key, path: g.shortestPath(s, d, obj, ct)}
+		// A fill that loses its slot looks again: it adopts the same key's
+		// entry, or tries the run's next empty slot.
+		for free != nil && !free.CompareAndSwap(nil, e) {
+			var won *memoEntry
+			if won, free = g.memo.find(&key); won != nil {
+				e = won
+			}
+		}
+	}
+	if e.path == nil {
 		return nil, ErrNoPath
 	}
-	sc := g.getScratch()
-	defer g.putScratch(sc)
+	return e.path, nil
+}
+
+// shortestPath is the uncached body of ShortestPath: one Dijkstra run from
+// node s to node d; nil when no admissible path exists.
+func (g *Graph) shortestPath(s, d int, obj Objective, ct Constraints) *Path {
+	sc := g.scratchPool.Get().(*scratch)
+	defer g.scratchPool.Put(sc)
 	g.sssp(sc, s, d, obj, ct, true)
-	if !sc.seen[d] {
-		return nil, ErrNoPath
-	}
-	if sc.dist[d].violates(ct) {
-		return nil, ErrNoPath
+	if !sc.seen[d] || sc.dist[d].violates(ct) {
+		return nil
 	}
 	// Reconstruct; only the returned Path's slices escape.
 	length := 1
@@ -297,7 +330,8 @@ func (g *Graph) ShortestPath(src, dst dataplane.PortRef, obj Objective, ct Const
 		p.LinkCrossings[i-1] = sc.prevLink[at]
 		at = int(sc.prev[at])
 	}
-	return p, nil
+	p.segs, p.devs = traversals(p.Points)
+	return p
 }
 
 // MetricsFrom runs one single-source shortest-path computation (MinHops
@@ -312,8 +346,8 @@ func (g *Graph) MetricsFrom(src dataplane.PortRef) map[dataplane.PortRef]datapla
 	if !ok {
 		return nil
 	}
-	sc := g.getScratch()
-	defer g.putScratch(sc)
+	sc := g.scratchPool.Get().(*scratch)
+	defer g.scratchPool.Put(sc)
 	g.sssp(sc, s, -1, MinHops, Constraints{}, false)
 	n := len(g.refs)
 	out := make(map[dataplane.PortRef]dataplane.PathMetrics, n)
@@ -346,8 +380,8 @@ func (g *Graph) PairMetrics(a, b dataplane.PortRef) dataplane.PathMetrics {
 	if !ok {
 		return dataplane.PathMetrics{}
 	}
-	sc := g.getScratch()
-	defer g.putScratch(sc)
+	sc := g.scratchPool.Get().(*scratch)
+	defer g.scratchPool.Put(sc)
 	g.sssp(sc, s, d, MinHops, Constraints{}, false)
 	if !sc.seen[d] {
 		return dataplane.PathMetrics{}

@@ -15,21 +15,34 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataplane"
+	"repro/internal/metrics"
 	"repro/internal/nib"
+)
+
+// Path-memo observability: hits over hits+misses is the share of
+// ShortestPath calls answered without running Dijkstra.
+var (
+	pathMemoHits   = metrics.NewCounter("routing.path_memo_hits")
+	pathMemoMisses = metrics.NewCounter("routing.path_memo_misses")
 )
 
 // Graph is a port-expanded routing graph built from a NIB. Once built it
 // is immutable, so it may be shared freely across goroutines (the
 // controller caches one per NIB generation); per-query Dijkstra scratch
 // state lives in an internal pool, making all path computations safe to
-// run concurrently.
+// run concurrently. ShortestPath is therefore a pure function of its
+// arguments, and memo remembers its answers: born empty in BuildGraph, dead
+// with the graph — a topology change builds a new graph and invalidates
+// nothing.
 type Graph struct {
 	nodes map[dataplane.PortRef]int
 	refs  []dataplane.PortRef
 	adj   [][]edge
+	memo  pathMemo
 
 	// scratchPool recycles per-SSSP working state ([]Cost/[]bool/heap
 	// slices sized to the node count) so steady-state queries are
@@ -37,12 +50,59 @@ type Graph struct {
 	scratchPool sync.Pool
 }
 
-func (g *Graph) getScratch() *scratch {
-	return g.scratchPool.Get().(*scratch)
+// memoMaxSlots caps the path memo, memoProbe the linear-probe run a key
+// may occupy: a result whose run is full is computed per call, not stored.
+const memoMaxSlots, memoProbe = 4096, 8
+
+// pathKey is everything ShortestPath's answer depends on besides the graph.
+type pathKey struct {
+	src, dst int32
+	obj      Objective
+	ct       Constraints
 }
 
-func (g *Graph) putScratch(sc *scratch) {
-	g.scratchPool.Put(sc)
+// hash mixes the key's words. Keys that differ only in the high bits of
+// one word (bandwidths) or only in the low ones (node numbers) must both
+// spread over the low bits a slot index is taken from: each round
+// multiplies low bits upward and folds high bits down, and the trailing
+// zero word is one more round for the last real word.
+func (k *pathKey) hash() uint64 {
+	h := uint64(uint32(k.src))<<32 | uint64(uint32(k.dst))
+	for _, w := range [...]uint64{uint64(k.obj), uint64(k.ct.MaxHops), uint64(k.ct.MaxLatency), math.Float64bits(k.ct.MinBandwidth), 0} {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 32
+	}
+	return h
+}
+
+// memoEntry is one remembered answer; a nil path remembers ErrNoPath.
+type memoEntry struct {
+	key  pathKey
+	path *Path
+}
+
+// pathMemo is an open-addressed table of write-once slots, its length a
+// power of two fixed by BuildGraph: a lookup is a few atomic loads and
+// takes no lock, a fill is one compare-and-swap, and nothing is ever
+// copied, evicted or invalidated.
+type pathMemo []atomic.Pointer[memoEntry]
+
+// find probes key's run: the entry remembered for key, or else the run's
+// first empty slot (nil when the run is full). Slots are write-once and
+// every fill of a key walks the same run, so a key never occupies two.
+func (m pathMemo) find(key *pathKey) (*memoEntry, *atomic.Pointer[memoEntry]) {
+	h, mask := key.hash(), uint64(len(m)-1)
+	for i := uint64(0); i < memoProbe; i++ {
+		slot := &m[(h+i)&mask]
+		e := slot.Load()
+		if e == nil {
+			return nil, slot
+		}
+		if e.key == *key {
+			return e, nil
+		}
+	}
+	return nil, nil
 }
 
 type edge struct {
@@ -124,6 +184,13 @@ func BuildGraph(n *nib.NIB) *Graph {
 	}
 	nn := len(g.refs)
 	g.scratchPool.New = func() interface{} { return newScratch(nn) }
+	// Eight memo slots per node: a region asks for tens of attach-point ×
+	// egress pairs, not for all pairs, and a small graph is rebuilt often.
+	slots := 64
+	for slots < 8*nn && slots < memoMaxSlots {
+		slots <<= 1
+	}
+	g.memo = make(pathMemo, slots)
 	return g
 }
 
