@@ -15,22 +15,14 @@ import (
 type impairScenario struct {
 	name    string
 	profile netem.Profile
-	// fixed disables adaptive fence timeouts — the comparison baseline.
-	fixed bool
-	// fence overrides the fixed request timeout (0 = ConnDevice default).
-	fence time.Duration
-	// bestEffort exempts a deliberately mis-tuned baseline from the
-	// zero-failure and digest-equality gates (its failures ARE the data).
-	bestEffort bool
 	// partition runs the schedule in two quiesced halves around a hard
 	// region-0 control-channel partition with liveness-driven recovery.
 	partition bool
 }
 
 // impairMatrix is the default scenario set: a clean reference, loss and
-// jitter alone and combined, the combined profile under fixed timeouts
-// (the baseline adaptive deadlines are measured against), and a
-// scheduled partition with liveness recovery.
+// jitter alone and combined, and a scheduled partition with liveness
+// recovery.
 func impairMatrix() []impairScenario {
 	lossy := netem.Profile{Loss: 0.01}
 	jittery := netem.Profile{Jitter: 2 * time.Millisecond}
@@ -40,14 +32,6 @@ func impairMatrix() []impairScenario {
 		{name: "lossy", profile: lossy},
 		{name: "jittery", profile: jittery},
 		{name: "lossy+jittery", profile: both},
-		// Two fixed-timeout baselines bracket the adaptive estimator: the
-		// default (long) constant stalls a full RequestTimeout on every
-		// loss, the tight constant fires spuriously under jitter — and at
-		// scale exhausts its retry budget outright, so it is best-effort:
-		// its failures are the pathology adaptive timeouts exist to avoid.
-		{name: "lossy+jittery-fixed", profile: both, fixed: true},
-		{name: "lossy+jittery-fixed-tight", profile: both, fixed: true,
-			fence: 4 * time.Millisecond, bestEffort: true},
 		{name: "partitioned", partition: true},
 	}
 }
@@ -73,9 +57,6 @@ func runImpairMatrix(cfg workload.Config) (*workload.ImpairmentMatrix, error) {
 	}
 	ref := m.Scenarios[0]
 	for _, row := range m.Scenarios[1:] {
-		if row.BestEffort {
-			continue
-		}
 		if row.TraceDigest != ref.TraceDigest || row.StateDigest != ref.StateDigest {
 			return nil, fmt.Errorf("scenario %s diverged from clean: trace %s/%s state %s/%s",
 				row.Name, row.TraceDigest, ref.TraceDigest, row.StateDigest, ref.StateDigest)
@@ -95,8 +76,6 @@ func runImpairScenario(cfg workload.Config, sc impairScenario) (*workload.Impair
 	} else {
 		cfg.Impair = nil
 	}
-	cfg.FixedTimeout = sc.fixed
-	cfg.FenceTimeout = sc.fence
 	before := metrics.RuntimeCounters()
 	eng, cl, err := workload.NewEngine(cfg)
 	if err != nil {
@@ -107,12 +86,7 @@ func runImpairScenario(cfg workload.Config, sc impairScenario) (*workload.Impair
 	if err != nil {
 		return nil, err
 	}
-	row := &workload.ImpairmentScenario{
-		Name:       sc.name,
-		Profile:    cfg.EffectiveProfile(),
-		Adaptive:   !sc.fixed,
-		BestEffort: sc.bestEffort,
-	}
+	row := &workload.ImpairmentScenario{Name: sc.name, Profile: cfg.EffectiveProfile()}
 	var res *workload.Result
 	if sc.partition {
 		res, row.Partition, err = runPartitioned(cfg, eng, cl, ops)

@@ -1,14 +1,12 @@
 // Command loadgen drives the deterministic UE workload engine against an
 // N-region hierarchy and writes BENCH_workload.json: sustained events/sec,
-// p50/p99 latency per operation type, replay digests, and (with -compare)
-// the sharded-versus-single-mutex UE store throughput comparison.
+// p50/p99 latency per operation type, and replay digests.
 //
 // The schedule and final logical UE-table state depend only on the seed
 // and config; two runs with the same -seed print identical trace_digest
 // and state_digest values. Typical invocations:
 //
 //	go run ./cmd/loadgen -seed 1 -regions 4 -ues 100000 -events 400000
-//	go run ./cmd/loadgen -seed 1 -compare -shards 16   # baseline speedup
 //	go run ./cmd/loadgen -seed 1 -mode open -rate 20000 -inflight 256
 //	go run ./cmd/loadgen -seed 1 -lte-minute 720       # noon diurnal mix
 //
@@ -39,7 +37,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
 	"repro/internal/ltetrace"
 	"repro/internal/workload"
 )
@@ -57,7 +54,6 @@ func realMain() int {
 		bsPer     = flag.Int("bs-per-region", 4, "base stations per region")
 		ues       = flag.Int("ues", 100_000, "UE population size")
 		events    = flag.Int("events", 400_000, "operations to generate")
-		shards    = flag.Int("shards", core.DefaultUEShards, "UE-store shards per controller (1 = coarse single-mutex baseline)")
 		mode      = flag.String("mode", "closed", "pacing mode: closed | open")
 		workers   = flag.Int("workers", 0, "execution lanes (0 = GOMAXPROCS)")
 		inflight  = flag.Int("inflight", 0, "open-loop in-flight admission window (0 = 4x workers)")
@@ -67,7 +63,6 @@ func realMain() int {
 		ctrlDelay = flag.Duration("control-delay", 200*time.Microsecond, "emulated controller-switch propagation delay; switches attach over the real southbound protocol with replies held back this long (0 = direct in-process devices)")
 		out       = flag.String("out", "BENCH_workload.json", "report path")
 		trace     = flag.String("trace", "", "also write the replayable event trace to this path")
-		compare   = flag.Bool("compare", false, "run a bearer-heavy pass at -shards 1 and again at -shards, report the speedup")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
 		mtxProf   = flag.String("mutexprofile", "", "write a mutex-contention profile of the run to this path")
 		chaosFail = flag.Bool("chaos-failover", false, "kill the HA master mid-run and measure the promotion: runs the schedule twice (incremental snapshots, then full-history replay), asserts both land on the plain run's state digest, and emits the failover report section")
@@ -75,7 +70,7 @@ func realMain() int {
 		lostCmts  = flag.Int("lost-commits", 3, "acked ops whose commits the dying master loses under -chaos-failover")
 		abandonW  = flag.Int("abandon", 4, "in-flight ops the dying master abandons (logged, unprocessed) under -chaos-failover")
 		snapEvery = flag.Int("snapshot-every", 64, "checkpoint the replicated UE table every N committed entries under -chaos-failover")
-		impairMtx = flag.Bool("impair-matrix", false, "run the impaired-WAN scenario matrix (clean / lossy / jittery / combined / fixed-timeout baseline / scheduled partition) at the shared seed, require identical replay digests across scenarios, and emit the impairment report section")
+		impairMtx = flag.Bool("impair-matrix", false, "run the impaired-WAN scenario matrix (clean / lossy / jittery / combined / scheduled partition) at the shared seed, require identical replay digests across scenarios, and emit the impairment report section")
 		procs     = flag.Int("procs", 0, "region processes: >0 runs the distributed multi-process mode with the regions split contiguously among this many processes (0 = in-process)")
 		regionBin = flag.String("region-bin", "", "region process binary for -procs (empty = re-exec this binary with -as-region)")
 		verify    = flag.Bool("verify-inproc", false, "after a -procs run, re-run in-process and require identical replay digests")
@@ -113,7 +108,7 @@ func realMain() int {
 
 	cfg := workload.Config{
 		Seed: *seed, Regions: *regions, BSPerRegion: *bsPer,
-		UEs: *ues, Events: *events, Shards: *shards,
+		UEs: *ues, Events: *events,
 		Mode: workload.Mode(*mode), Workers: *workers,
 		MaxInFlight: *inflight, RatePerSec: *rate,
 		RemotePrefixShare: *remote, ControlDelay: *ctrlDelay,
@@ -185,21 +180,6 @@ func realMain() int {
 		}
 		rep.Impairment = m
 	}
-	if *compare {
-		base, err := comparePass(cfg, 1)
-		if err != nil {
-			fatal(fmt.Errorf("baseline pass: %w", err))
-		}
-		shrd, err := comparePass(cfg, *shards)
-		if err != nil {
-			fatal(fmt.Errorf("sharded pass: %w", err))
-		}
-		rep.Baseline = &workload.BaselineComparison{
-			BaselineShards: 1, ShardedShards: *shards,
-			BaselineEPS: base, ShardedEPS: shrd,
-			Speedup: shrd / base,
-		}
-	}
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -218,11 +198,6 @@ func realMain() int {
 		*seed, rep.Events, rep.EventsPerSec, rep.Failures, rep.Stalls)
 	fmt.Printf("loadgen: trace %s state %s (%d UE rows) -> %s\n",
 		rep.TraceDigest, rep.StateDigest, rep.FinalUEs, *out)
-	if rep.Baseline != nil {
-		fmt.Printf("loadgen: sharded (%d) %.0f ev/s vs coarse (1) %.0f ev/s: %.2fx\n",
-			rep.Baseline.ShardedShards, rep.Baseline.ShardedEPS,
-			rep.Baseline.BaselineEPS, rep.Baseline.Speedup)
-	}
 	if rep.Distributed != nil {
 		for _, pp := range rep.Distributed.Per {
 			fmt.Printf("loadgen: proc %d regions [%d,%d): %d events, %.0f ev/s\n",
@@ -345,27 +320,6 @@ func run(cfg workload.Config) (*workload.Report, error) {
 		fmt.Fprintf(os.Stderr, "loadgen: first failure: %v\n", res.FirstErr)
 	}
 	return rep, nil
-}
-
-// comparePass measures closed-loop bearer-heavy throughput at a shard
-// count: an attached population churning bearer setup/teardown, the §5.1
-// hot path the sharded store parallelizes.
-func comparePass(cfg workload.Config, shards int) (float64, error) {
-	cfg.Shards = shards
-	cfg.Mode = workload.ModeClosed
-	cfg.Mix = workload.BearerHeavyMix()
-	cfg.BSWeights = nil
-	cfg.RatePerSec = 0
-	eng, cl, err := workload.NewEngine(cfg)
-	if err != nil {
-		return 0, err
-	}
-	defer cl.Close()
-	res := eng.Run()
-	if res.FirstErr != nil {
-		return 0, res.FirstErr
-	}
-	return res.EventsPerSec(), nil
 }
 
 // writeTrace regenerates the schedule (generation is cheap and pure) and

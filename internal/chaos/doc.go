@@ -21,10 +21,11 @@
 // All randomness derives from one seed (simnet.RNG), every iteration order
 // is sorted, and the data plane is driven in-process on one goroutine, so
 // a printed seed replays the identical event sequence. For the same
-// reason the harness sets Controller.SerialSouthbound on every
-// controller: batched rule programming stays pipelined per device, but
-// devices are flushed in deterministic order so the positional FaultPlan
-// injector and the byte-compared event log are reproducible.
+// reason the harness sets Controller.SerialSouthbound on the root, whose
+// children would otherwise be programmed concurrently: devices are
+// flushed in deterministic order so the positional FaultPlan injector and
+// the byte-compared event log are reproducible. The leaves need no such
+// setting — their in-process switches are always programmed serially.
 //
 // Entry points: New builds the WAN and its controller hierarchy from
 // Options, Harness.Run drives the event stream, and cmd/chaos wraps both

@@ -222,10 +222,6 @@ func (h *Harness) buildTopology() error {
 	var leaves []*core.Controller
 	for k := 0; k < R; k++ {
 		leaf := core.NewController(h.regions[k].homeLeaf, 1, k)
-		// Serial rule programming: the positional FaultPlan and the
-		// replayable event log both depend on a seed-deterministic
-		// install order, which concurrent batch fan-out would break.
-		leaf.SerialSouthbound = true
 		for _, swID := range wirings[k].switches {
 			inner := core.NewSwitchDevice(net, net.Switch(swID))
 			// Attach the inner adapter first so the controller back-pointer

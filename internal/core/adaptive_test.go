@@ -27,7 +27,8 @@ func serveEchoSwallowBarriers(c southbound.Conn) {
 
 // TestRTTEstimatorConverges: echo round trips feed the Jacobson/Karels
 // estimator; after a handful of pings the estimate is positive, sane, and
-// the sample count matches.
+// the sample count matches. The table pins how rtoLocked turns an
+// estimate into a fence deadline.
 func TestRTTEstimatorConverges(t *testing.T) {
 	dev, devEnd := dialScripted(t)
 	go serveEchoSwallowBarriers(devEnd)
@@ -45,6 +46,27 @@ func TestRTTEstimatorConverges(t *testing.T) {
 	}
 	if rttvar < 0 {
 		t.Fatalf("rttvar = %v, negative", rttvar)
+	}
+
+	for _, tc := range []struct {
+		name         string
+		srtt, rttvar time.Duration
+		samples      int64
+		want         time.Duration
+	}{
+		{"before the first sample", 0, 0, 0, time.Second},
+		{"srtt+4*rttvar", 20 * time.Millisecond, 5 * time.Millisecond, 3, 40 * time.Millisecond},
+		{"floored at MinRTO", 100 * time.Microsecond, 0, 3, 5 * time.Millisecond},
+		{"capped at RequestTimeout", 800 * time.Millisecond, 100 * time.Millisecond, 3, time.Second},
+	} {
+		dev.mu.Lock()
+		dev.RequestTimeout, dev.MinRTO = time.Second, 5*time.Millisecond
+		dev.srtt, dev.rttvar, dev.rttSamples = tc.srtt, tc.rttvar, tc.samples
+		got := dev.rtoLocked()
+		dev.mu.Unlock()
+		if got != tc.want {
+			t.Errorf("%s: rto = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -70,34 +92,9 @@ func TestAdaptiveFenceFailsFast(t *testing.T) {
 		t.Fatalf("install on a blackholed channel: %v, want fence-failed", err)
 	}
 	// Budget: 1ms + 2ms + 4ms of backoff plus scheduling slop — nowhere
-	// near the 2s constant (×3 attempts = 6s) the fixed baseline needs.
+	// near the 2s constant (×3 attempts = 6s) a fixed timeout would need.
 	if elapsed > time.Second {
 		t.Fatalf("adaptive fence took %v, wanted RTT-scale failure", elapsed)
-	}
-}
-
-// TestFixedTimeoutBaseline: with AdaptiveTimeout off the constant
-// RequestTimeout still governs, samples or not — the comparison baseline
-// the impairment scenario matrix measures against.
-func TestFixedTimeoutBaseline(t *testing.T) {
-	dev, devEnd := dialScripted(t)
-	go serveEchoSwallowBarriers(devEnd)
-	dev.AdaptiveTimeout = false
-	dev.RequestTimeout = 30 * time.Millisecond
-	dev.BarrierRetries = 0
-	for i := 0; i < 5; i++ {
-		if err := dev.Ping(time.Second); err != nil {
-			t.Fatalf("ping: %v", err)
-		}
-	}
-	start := time.Now()
-	err := dev.InstallRule(dataplane.Rule{Priority: 1})
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("install on a blackholed channel succeeded")
-	}
-	if elapsed < 25*time.Millisecond {
-		t.Fatalf("fixed-timeout fence failed after %v, before RequestTimeout", elapsed)
 	}
 }
 

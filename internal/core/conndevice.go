@@ -89,29 +89,15 @@ type ConnDevice struct {
 
 	xid atomic.Uint32
 
-	// RequestTimeout bounds synchronous request round-trips and each fence
-	// attempt. With AdaptiveTimeout it becomes the ceiling the RTT
-	// estimator can never exceed (and the timeout used before the first
-	// sample arrives).
+	// RequestTimeout bounds synchronous request round-trips. For fences it
+	// is the ceiling the RTT estimator can never exceed, and the attempt
+	// timeout before the first sample arrives (see rtoLocked).
 	RequestTimeout time.Duration
 	// BarrierRetries is how many extra barrier attempts a fence makes after
 	// a timeout before the operation is reported failed (each attempt is
 	// itself bounded by the attempt timeout). Closed connections never
 	// retry.
 	BarrierRetries int
-	// AdaptiveTimeout sizes fence deadlines from the measured RTT
-	// (srtt + 4·rttvar, Jacobson/Karels) instead of the constant
-	// RequestTimeout, with exponential backoff across fence retries. On a
-	// continent-scale WAN the constant is either hopelessly conservative
-	// (5s stalls behind a single lost reply) or spuriously aggressive
-	// (2ms jitter trips a 5ms constant); the estimator tracks the
-	// channel. Samples obey Karn's rule: retransmitted fences never feed
-	// the estimator. Only fences adapt: a spurious fence fire costs one
-	// retransmission, while a single-shot synchronous request has no
-	// retry path, so those stay bounded by the RequestTimeout ceiling
-	// (a large fragmented transfer outruns an RTO sized from small-frame
-	// samples).
-	AdaptiveTimeout bool
 	// MinRTO floors the adaptive timeout so microsecond in-process RTTs
 	// don't arm hair-trigger deadlines that fire on any scheduling blip.
 	MinRTO time.Duration
@@ -147,15 +133,14 @@ func DialDevice(conn southbound.Conn, controllerID string) (*ConnDevice, error) 
 		return nil, err
 	}
 	d := &ConnDevice{
-		conn:            conn,
-		pending:         make(map[uint32]chan southbound.Msg),
-		mods:            make(map[uint32]error),
-		barriers:        make(map[uint32]*barrierComp),
-		done:            make(chan struct{}),
-		RequestTimeout:  5 * time.Second,
-		BarrierRetries:  2,
-		AdaptiveTimeout: true,
-		MinRTO:          5 * time.Millisecond,
+		conn:           conn,
+		pending:        make(map[uint32]chan southbound.Msg),
+		mods:           make(map[uint32]error),
+		barriers:       make(map[uint32]*barrierComp),
+		done:           make(chan struct{}),
+		RequestTimeout: 5 * time.Second,
+		BarrierRetries: 2,
+		MinRTO:         5 * time.Millisecond,
 	}
 	if wd, ok := conn.(southbound.WriteDeadliner); ok {
 		wd.SetWriteTimeout(d.RequestTimeout)
@@ -492,11 +477,20 @@ func (d *ConnDevice) RTTEstimate() (srtt, rttvar time.Duration, samples int64) {
 	return d.srtt, d.rttvar, d.rttSamples
 }
 
-// rtoLocked computes the current attempt timeout: RequestTimeout until
-// adaptive mode has a sample, then srtt + 4·rttvar clamped to
-// [MinRTO, RequestTimeout]; caller holds mu.
+// rtoLocked computes the current fence attempt timeout: RequestTimeout
+// until the first sample, then srtt + 4·rttvar (Jacobson/Karels) clamped
+// to [MinRTO, RequestTimeout]; fence retries back off exponentially from
+// it. On a continent-scale WAN any constant is either hopelessly
+// conservative (5s stalls behind a single lost reply) or spuriously
+// aggressive (2ms jitter trips a 5ms constant); the estimator tracks the
+// channel. Samples obey Karn's rule: retransmitted fences never feed the
+// estimator. Only fences adapt: a spurious fence fire costs one
+// retransmission, while a single-shot synchronous request has no retry
+// path, so those stay bounded by the RequestTimeout ceiling (a large
+// fragmented transfer outruns an RTO sized from small-frame samples).
+// Caller holds mu.
 func (d *ConnDevice) rtoLocked() time.Duration {
-	if !d.AdaptiveTimeout || d.rttSamples == 0 {
+	if d.rttSamples == 0 {
 		return d.RequestTimeout
 	}
 	rto := d.srtt + 4*d.rttvar

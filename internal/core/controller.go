@@ -45,9 +45,11 @@ type Controller struct {
 	// baseline for path translation (§4.3).
 	Mode pathimpl.Mode
 
-	// SerialSouthbound forces batch flushes and removal fan-outs to visit
-	// devices one at a time in deterministic (path, then sorted) order
-	// instead of concurrently. The fault-injection harness sets it so a
+	// SerialSouthbound makes batch flushes and removal fan-outs visit
+	// remote devices — a parent's in-process children, or wire-attached
+	// switches — one at a time in deterministic (path, then sorted) order
+	// instead of concurrently; sets of in-process switches are serial
+	// regardless. The fault-injection harness sets it on its root so a
 	// seed replays to a byte-identical event log; it must be set before
 	// the controller starts programming rules.
 	SerialSouthbound bool

@@ -81,35 +81,42 @@ func TestLockUEReclaimsOpLocks(t *testing.T) {
 	}
 }
 
-// TestCoarseModeSerializesEverything: shard count 1 is the single-mutex
-// baseline — even distinct UEs serialize.
-func TestCoarseModeSerializesEverything(t *testing.T) {
+// TestOneStripeKeepsPerUELocks: a 1-stripe store still serializes per UE
+// only — two distinct UEs hold their op locks at the same time, and a
+// second op on a held UE waits for it.
+func TestOneStripeKeepsPerUELocks(t *testing.T) {
 	s := newUEState(1)
-	if !s.coarse {
-		t.Fatal("1-shard store should be coarse")
+	holdA := s.lockUE("a")
+	holdB := make(chan ueHold)
+	go func() { holdB <- s.lockUE("b") }()
+	var b ueHold
+	select {
+	case b = <-holdB:
+	case <-time.After(time.Second):
+		t.Fatal("1-stripe store serialized two distinct UEs")
 	}
-	release := s.lockUE("a")
 	acquired := make(chan struct{})
 	go func() {
-		done := s.lockUE("b")
+		done := s.lockUE("a")
 		close(acquired)
 		done.unlock()
 	}()
 	select {
 	case <-acquired:
-		t.Fatal("coarse mode let distinct UEs run concurrently")
+		t.Fatal("second op on a held UE acquired while the first was held")
 	case <-time.After(20 * time.Millisecond):
 	}
-	release.unlock()
+	holdA.unlock()
 	select {
 	case <-acquired:
 	case <-time.After(time.Second):
-		t.Fatal("coarse lock never released")
+		t.Fatal("second op on the UE never acquired after release")
 	}
+	b.unlock()
 }
 
-// TestSetUEShardCount: rounding to powers of two, coarse selection, and
-// the non-empty-store panic.
+// TestSetUEShardCount: rounding to powers of two and the non-empty-store
+// panic.
 func TestSetUEShardCount(t *testing.T) {
 	c := NewController("c", 1, 0)
 	if got := c.UEShardCount(); got != DefaultUEShards {
@@ -123,10 +130,6 @@ func TestSetUEShardCount(t *testing.T) {
 	// The radio index survives the resize.
 	if g, ok := c.GroupOfBS("b1"); !ok || g != "gA" {
 		t.Fatal("radio index lost across SetUEShardCount")
-	}
-	c.SetUEShardCount(1)
-	if !c.ue.coarse {
-		t.Fatal("1 shard should select coarse mode")
 	}
 	c.ue.put(&UERecord{UE: "u1"})
 	defer func() {

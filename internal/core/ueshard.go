@@ -24,22 +24,17 @@ import (
 //     RWMutex (radioIndex): it is read on every bearer setup but written
 //     only by management-plane (re)configuration, so hot-path lookups
 //     never contend with bearer record writers.
-//
-// A shard count of 1 selects the coarse compatibility mode: lockUE
-// degenerates to one store-wide operation mutex, reproducing the
-// single-mutex design where a controller processes mobility events one at
-// a time. cmd/loadgen uses it as the scaling baseline.
 
 // DefaultUEShards is the UE-table stripe count controllers start with.
 // Power of two; see Controller.SetUEShardCount for tuning.
 const DefaultUEShards = 16
 
 // SetUEShardCount resizes the UE store's lock striping. n is rounded up
-// to a power of two; n = 1 selects the coarse single-mutex compatibility
-// mode (the scaling baseline cmd/loadgen measures against). Bootstrap
-// only: it must run before any UE rows exist — nothing rehashes — and is
-// not safe concurrently with mobility operations. The radio index (which
-// the management plane may already have configured) is preserved.
+// to a power of two; it sizes the table's stripes only — operations on
+// distinct UEs stay concurrent at any count. Bootstrap only: it must run
+// before any UE rows exist — nothing rehashes — and is not safe
+// concurrently with mobility operations. The radio index (which the
+// management plane may already have configured) is preserved.
 func (c *Controller) SetUEShardCount(n int) {
 	if c.ue.count() != 0 {
 		panic("core: SetUEShardCount called with existing UE state")
@@ -49,7 +44,7 @@ func (c *Controller) SetUEShardCount(n int) {
 	c.ue = fresh
 }
 
-// UEShardCount reports the store's stripe count (1 in coarse mode).
+// UEShardCount reports the store's stripe count.
 func (c *Controller) UEShardCount() int {
 	return len(c.ue.shards)
 }
@@ -59,13 +54,7 @@ type ueState struct {
 	// shards is immutable after construction (len is a power of two);
 	// SetUEShardCount swaps in a whole new ueState during bootstrap.
 	shards []ueShard
-	// coarse marks the single-shard compatibility mode in which every
-	// mobility operation serializes on op.
-	coarse bool
-	// op is the store-wide operation lock used only in coarse mode.
-	op ueOpLock
-
-	radio *radioIndex
+	radio  *radioIndex
 }
 
 // ueShard is one stripe of the UE table.
@@ -94,7 +83,7 @@ type ueOpLock struct {
 // ueHold is one held per-UE operation lock: a plain value, so taking and
 // deferring it allocates nothing.
 type ueHold struct {
-	sh *ueShard // nil in coarse mode
+	sh *ueShard
 	l  *ueOpLock
 	ue string
 }
@@ -110,7 +99,7 @@ type radioIndex struct {
 }
 
 // newUEState builds a store with shardCount stripes (rounded up to a power
-// of two; 1 selects the coarse single-mutex mode).
+// of two).
 func newUEState(shardCount int) *ueState {
 	n := 1
 	for n < shardCount {
@@ -118,7 +107,6 @@ func newUEState(shardCount int) *ueState {
 	}
 	s := &ueState{
 		shards: make([]ueShard, n),
-		coarse: n == 1,
 		radio: &radioIndex{
 			bsGroup:     make(map[dataplane.DeviceID]dataplane.DeviceID),
 			groupAttach: make(map[dataplane.DeviceID]dataplane.PortRef),
@@ -147,12 +135,8 @@ func (s *ueState) shardOf(ue string) *ueShard {
 // lockUE serializes mobility operations per UE and returns the hold the
 // caller must unlock when its operation completes. While held, no other
 // operation on the same UE can start; operations on other UEs are
-// unaffected (coarse mode instead serializes everything on one mutex).
+// unaffected.
 func (s *ueState) lockUE(ue string) ueHold {
-	if s.coarse {
-		s.op.mu.Lock()
-		return ueHold{l: &s.op}
-	}
 	sh := s.shardOf(ue)
 	sh.mu.Lock()
 	l := sh.ops[ue]
@@ -173,9 +157,6 @@ func (s *ueState) lockUE(ue string) ueHold {
 // unlock ends the operation lockUE started.
 func (h ueHold) unlock() {
 	h.l.mu.Unlock()
-	if h.sh == nil {
-		return
-	}
 	h.sh.mu.Lock()
 	h.l.refs--
 	if h.l.refs == 0 {

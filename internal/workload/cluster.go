@@ -32,12 +32,6 @@ type ControlPlane struct {
 	// so the same (seed, profile) reproduces the same drop/jitter sequence
 	// per link regardless of build order.
 	Seed int64 `json:"seed,omitempty"`
-	// FixedTimeout disables the RTT-adaptive fence deadlines on attached
-	// ConnDevices — the comparison baseline of the impairment matrix.
-	FixedTimeout bool `json:"fixed_timeout,omitempty"`
-	// FenceTimeout overrides the ConnDevice request timeout (0 keeps the
-	// DialDevice default).
-	FenceTimeout time.Duration `json:"fence_timeout_ns,omitempty"`
 }
 
 // protocol reports whether switches attach over the southbound protocol.
@@ -195,12 +189,6 @@ func (cl *Cluster) attachProtocol(leaf *core.Controller, k int) error {
 		if err != nil {
 			return fmt.Errorf("workload: dial %s: %w", d.ID(), err)
 		}
-		if cl.cp.FixedTimeout {
-			cd.AdaptiveTimeout = false
-		}
-		if cl.cp.FenceTimeout > 0 {
-			cd.RequestTimeout = cl.cp.FenceTimeout
-		}
 		cl.devices = append(cl.devices, cd)
 		leaf.AttachDevice(cd)
 	}
@@ -272,13 +260,12 @@ func addInterdomain(r *Region, ep *dataplane.EgressPoint) {
 
 // BuildCluster constructs the R-region ring with bsPerRegion base
 // stations per region and the given UE-store shard count on every
-// controller (0 keeps core.DefaultUEShards; 1 is the coarse single-mutex
-// baseline). A control plane requesting protocol attachment (nonzero
-// Delay or a netem profile) re-attaches every leaf's physical switches
-// through the real southbound protocol over impaired pipes; the full
-// impairment activates after construction. Construction is deterministic
-// — topology consumes no RNG, and link impairment streams derive from
-// cp.Seed alone.
+// controller (0 keeps core.DefaultUEShards). A control plane requesting
+// protocol attachment (nonzero Delay or a netem profile) re-attaches every
+// leaf's physical switches through the real southbound protocol over
+// impaired pipes; the full impairment activates after construction.
+// Construction is deterministic — topology consumes no RNG, and link
+// impairment streams derive from cp.Seed alone.
 func BuildCluster(regions, bsPerRegion, shards int, cp ControlPlane) (*Cluster, error) {
 	if regions < 2 {
 		return nil, fmt.Errorf("workload: need at least 2 regions, got %d", regions)

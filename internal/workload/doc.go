@@ -27,5 +27,5 @@
 //
 // cmd/loadgen wires the engine to an N-region ring topology (BuildCluster)
 // and emits BENCH_workload.json: sustained events/sec, p50/p99 latency per
-// operation type, and the sharded-versus-single-mutex UE store comparison.
+// operation type, and the replay digests.
 package workload

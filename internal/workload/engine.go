@@ -32,8 +32,8 @@ type Config struct {
 	BSPerRegion int
 	UEs         int
 	Events      int
-	// Shards is the UE-store shard count applied to every controller
-	// (0 = core.DefaultUEShards, 1 = coarse single-mutex baseline).
+	// Shards is the UE-store stripe count applied to every controller
+	// (normalize turns 0 into core.DefaultUEShards).
 	Shards int
 	Mode   Mode
 	// Workers is the number of execution lanes. Operations are keyed to
@@ -75,13 +75,6 @@ type Config struct {
 	// region slice (applied when the slice dials its launcher); in-process
 	// clusters ignore it.
 	ImpairNB *netem.Profile
-	// FixedTimeout disables the RTT-adaptive fence deadlines on attached
-	// ConnDevices — the comparison baseline the impairment matrix
-	// measures adaptive timeouts against.
-	FixedTimeout bool
-	// FenceTimeout overrides the southbound request timeout (0 keeps the
-	// DialDevice default).
-	FenceTimeout time.Duration
 }
 
 // EffectiveProfile is the full per-link southbound impairment profile
@@ -92,13 +85,7 @@ func (c *Config) EffectiveProfile() netem.Profile { return c.controlPlane().effe
 // controlPlane assembles the cluster control-plane description from the
 // config's channel knobs.
 func (c *Config) controlPlane() ControlPlane {
-	return ControlPlane{
-		Delay:        c.ControlDelay,
-		Impair:       c.Impair,
-		Seed:         c.Seed,
-		FixedTimeout: c.FixedTimeout,
-		FenceTimeout: c.FenceTimeout,
-	}
+	return ControlPlane{Delay: c.ControlDelay, Impair: c.Impair, Seed: c.Seed}
 }
 
 // normalize applies defaults in place and validates the config.
@@ -114,6 +101,9 @@ func (c *Config) normalize() error {
 	}
 	if c.Events < 1 {
 		return fmt.Errorf("workload: need at least 1 event, got %d", c.Events)
+	}
+	if c.Shards < 1 {
+		c.Shards = core.DefaultUEShards
 	}
 	if c.Mode == "" {
 		c.Mode = ModeClosed
@@ -181,7 +171,7 @@ type Engine struct {
 
 	// Latency histograms are per-engine instances (not the process-global
 	// metrics registry) so repeated runs in one process don't pollute each
-	// other — cmd/loadgen runs baseline and sharded passes back to back.
+	// other — cmd/loadgen runs its impair-matrix scenarios back to back.
 	hists    [numOpKinds]metrics.DurationHist
 	fails    [numOpKinds]atomic.Int64
 	stalls   atomic.Int64

@@ -98,12 +98,6 @@ func DefaultMix() Mix {
 		HandoverIntra: 25, HandoverInter: 8, Detach: 13}
 }
 
-// BearerHeavyMix isolates bearer setup/teardown churn on an attached
-// population — the shard-scaling comparison workload.
-func BearerHeavyMix() Mix {
-	return Mix{Attach: 10, BearerSetup: 45, BearerTeardown: 45}
-}
-
 // weights returns the mix as a kind-indexed vector.
 func (m Mix) weights() [numOpKinds]float64 {
 	return [numOpKinds]float64{

@@ -68,16 +68,6 @@ func FinalUECount(cl *Cluster) int {
 	return n
 }
 
-// BaselineComparison is the sharded-versus-coarse throughput comparison
-// cmd/loadgen -compare emits (the ISSUE's ≥2× acceptance check).
-type BaselineComparison struct {
-	BaselineShards int     `json:"baseline_shards"`
-	ShardedShards  int     `json:"sharded_shards"`
-	BaselineEPS    float64 `json:"baseline_events_per_sec"`
-	ShardedEPS     float64 `json:"sharded_events_per_sec"`
-	Speedup        float64 `json:"speedup"`
-}
-
 // ReportConfig is the config echo embedded in a report, including the
 // runtime provenance (Go toolchain, scheduler width, host CPU count) a
 // reader needs to judge whether two benchmark documents are comparable.
@@ -112,21 +102,20 @@ func buildReportConfig(cfg Config) ReportConfig {
 
 // Report is the BENCH_workload.json document.
 type Report struct {
-	Config       ReportConfig        `json:"config"`
-	Events       int                 `json:"events"`
-	Failures     int64               `json:"failures"`
-	FirstErr     string              `json:"first_err,omitempty"` // distributed runs: the first process error below
-	ElapsedSec   float64             `json:"elapsed_sec"`
-	EventsPerSec float64             `json:"events_per_sec"`
-	Stalls       int64               `json:"stalls"`
-	Ops          map[string]OpStats  `json:"ops"`
-	TraceDigest  string              `json:"trace_digest"`
-	StateDigest  string              `json:"state_digest"`
-	FinalUEs     int                 `json:"final_ues"`
-	Baseline     *BaselineComparison `json:"baseline,omitempty"`
-	Distributed  *DistributedStats   `json:"distributed,omitempty"`
-	Failover     *FailoverSection    `json:"failover,omitempty"`
-	Impairment   *ImpairmentMatrix   `json:"impairment,omitempty"`
+	Config       ReportConfig       `json:"config"`
+	Events       int                `json:"events"`
+	Failures     int64              `json:"failures"`
+	FirstErr     string             `json:"first_err,omitempty"` // distributed runs: the first process error below
+	ElapsedSec   float64            `json:"elapsed_sec"`
+	EventsPerSec float64            `json:"events_per_sec"`
+	Stalls       int64              `json:"stalls"`
+	Ops          map[string]OpStats `json:"ops"`
+	TraceDigest  string             `json:"trace_digest"`
+	StateDigest  string             `json:"state_digest"`
+	FinalUEs     int                `json:"final_ues"`
+	Distributed  *DistributedStats  `json:"distributed,omitempty"`
+	Failover     *FailoverSection   `json:"failover,omitempty"`
+	Impairment   *ImpairmentMatrix  `json:"impairment,omitempty"`
 }
 
 // ImpairmentScenario is one row of the impaired-WAN scenario matrix: the
@@ -134,21 +123,15 @@ type Report struct {
 // and the adaptive-timeout telemetry (samples accepted, barrier retries
 // spent, replies that arrived after their fence expired).
 type ImpairmentScenario struct {
-	Name     string        `json:"name"`
-	Profile  netem.Profile `json:"profile"`
-	Adaptive bool          `json:"adaptive_timeouts"`
-	// BestEffort marks a deliberately mis-tuned baseline (e.g. a tight
-	// fixed timeout under jitter) that is expected to fail operations; it
-	// is reported for comparison but excluded from the matrix's
-	// zero-failure and digest-equality gates.
-	BestEffort   bool        `json:"best_effort,omitempty"`
-	Events       int         `json:"events"`
-	Failures     int64       `json:"failures"`
-	ElapsedSec   float64     `json:"elapsed_sec"`
-	EventsPerSec float64     `json:"events_per_sec"`
-	TraceDigest  string      `json:"trace_digest"`
-	StateDigest  string      `json:"state_digest"`
-	Netem        netem.Stats `json:"netem"`
+	Name         string        `json:"name"`
+	Profile      netem.Profile `json:"profile"`
+	Events       int           `json:"events"`
+	Failures     int64         `json:"failures"`
+	ElapsedSec   float64       `json:"elapsed_sec"`
+	EventsPerSec float64       `json:"events_per_sec"`
+	TraceDigest  string        `json:"trace_digest"`
+	StateDigest  string        `json:"state_digest"`
+	Netem        netem.Stats   `json:"netem"`
 	// RTTSamples / BarrierRetries / StaleReplies are deltas of the
 	// process-global southbound counters over this scenario's run.
 	RTTSamples     int64             `json:"rtt_samples"`

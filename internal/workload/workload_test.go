@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ltetrace"
 )
 
@@ -145,6 +146,9 @@ func TestEngineReport(t *testing.T) {
 	}
 	if rep.TraceDigest == "" || rep.StateDigest == "" {
 		t.Fatal("missing digests")
+	}
+	if rep.Config.Shards != core.DefaultUEShards {
+		t.Fatalf("config echo shards = %d, want the %d stripes that ran", rep.Config.Shards, core.DefaultUEShards)
 	}
 	att, ok := rep.Ops[OpAttach.String()]
 	if !ok || att.Count == 0 {
