@@ -51,7 +51,7 @@ bench-test:
 
 # The layer benchmarks behind BENCH_layers.json, one iteration each: they
 # are run for real by `make bench`; this only keeps them from rotting.
-LAYER_BENCH = BenchmarkFencedModPipe|BenchmarkPipeRoundTrip|BenchmarkWallSchedulerAt
+LAYER_BENCH = BenchmarkFencedModPipe|BenchmarkPipeRoundTrip|BenchmarkWallSchedulerAt|BenchmarkHandoverKeep
 LAYER_PKGS = ./internal/core ./internal/southbound ./internal/netem
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchtime=1x $(LAYER_PKGS)
@@ -61,10 +61,11 @@ check: fmt-check vet race docs-check lint bench-test bench-smoke
 # Run the routing/abstraction/controller hot-path benchmarks and record the
 # results as JSON lines in BENCH_routing.json (BenchmarkShortestPath is the
 # path-memo hit, ...Cold the Dijkstra run behind a miss, RouteMemoParallel
-# the hit at -cpu 1,2), and the southbound layer benchmarks (fenced mod
-# over Pipe + SwitchAgent behind a 200 us link, Pipe round trip,
-# WallScheduler.At) in BENCH_layers.json — the committed baselines for
-# spotting regressions; compare with `git diff`.
+# the hit at -cpu 1,2), and the layer benchmarks (fenced mod over Pipe +
+# SwitchAgent behind a 200 us link, Pipe round trip, WallScheduler.At, and
+# the same-group handover inline and on a fresh goroutine) in
+# BENCH_layers.json — the committed baselines for spotting regressions;
+# compare with `git diff`.
 BENCH_CONFIG = printf '{"config":{"go_version":"%s","gomaxprocs":%s,"num_cpu":%s}}\n' \
 	"$$($(GO) env GOVERSION)" "$${GOMAXPROCS:-$$(nproc)}" "$$(nproc)"
 # One JSON object per benchmark line: the name without its -GOMAXPROCS

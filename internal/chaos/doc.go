@@ -22,9 +22,10 @@
 // is sorted, and the data plane is driven in-process on one goroutine, so
 // a printed seed replays the identical event sequence. For the same
 // reason the harness sets Controller.SerialSouthbound on the root, whose
-// children would otherwise be programmed concurrently: devices are
-// flushed in deterministic order so the positional FaultPlan injector and
-// the byte-compared event log are reproducible. The leaves need no such
+// children would otherwise all be issued back to back, and all visited
+// even after one fails: devices are flushed one at a time in
+// deterministic order, stopping at the first failure, so the positional
+// FaultPlan injector and the byte-compared event log are reproducible. The leaves need no such
 // setting — their in-process switches are always programmed serially.
 //
 // Entry points: New builds the WAN and its controller hierarchy from

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dataplane"
@@ -22,8 +23,8 @@ var (
 	connBarriers       = metrics.NewCounter("core.southbound.barriers")
 	connBarrierRetries = metrics.NewCounter("core.southbound.barrier_retries")
 	connSyncRoundTrips = metrics.NewCounter("core.southbound.sync_roundtrips")
-	// connDeadlineWakeups counts the times a ConnDevice deadline loop
-	// parked on its timer: against barriers, wake-ups per fence.
+	// connDeadlineWakeups counts ConnDevice deadline-timer callbacks:
+	// against barriers, wake-ups per fence.
 	connDeadlineWakeups = metrics.NewCounter("core.southbound.deadline_wakeups")
 	// Adaptive-timeout observability: every accepted RTT sample, the
 	// attempt timeouts the estimator armed, and barrier replies that
@@ -52,25 +53,6 @@ var (
 type BatchInstaller interface {
 	InstallRules(rules []dataplane.Rule) error
 }
-
-// remoteDevice marks Device implementations whose rule programming
-// leaves the process (a wire protocol round trip, or a delegation into a
-// child controller). Only batches touching at least one remote device
-// are fanned out concurrently: for in-process switches the goroutine
-// hand-off costs more than the installs it would overlap, and keeping
-// them serial preserves deterministic install order for the
-// fault-injection harness's seed replay.
-type remoteDevice interface {
-	remoteSouthbound()
-}
-
-// RemoteSouthbound marks a Device implementation outside this package as
-// remote for southbound fan-out purposes (see remoteDevice): embed it in
-// any wrapper whose rule programming pays a wire round trip, so batches
-// touching it flush concurrently across devices.
-type RemoteSouthbound struct{}
-
-func (RemoteSouthbound) remoteSouthbound() {}
 
 // installRules programs a batch of rules on one device, via the
 // BatchInstaller fast path when available.
@@ -139,20 +121,29 @@ func (b *ruleBatch) rulesOf(dev dataplane.DeviceID) []dataplane.Rule {
 }
 
 // asyncDevice is a Device with the optional extension for pipelined
-// modifications: the device enqueues the batch (or the one delete
-// command), fences it with a barrier-ID completion, and invokes the
-// callback when the fence resolves. The callback runs on the device's
-// receive or deadline goroutine and must not block.
+// modifications: the device issues the batch (or the one delete command)
+// and invokes the callback once every fence covering it has resolved.
+// ConnDevice fences on the wire; a parent's logicalDevice issues the
+// child's own fan-out. The callback runs on whichever goroutine resolved
+// the last fence — a ConnDevice receive or deadline goroutine, or the
+// caller's own when nothing was left in flight — and must not block.
 type asyncDevice interface {
 	Device
 	installRulesAsync(rules []dataplane.Rule, cb func(error))
 	removeRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error))
 }
 
-// removeOwned issues one delete command for owner on every listed device:
-// pipelined on devices with asynchronous completion, through the matching
-// Device method otherwise. Every device is visited; first error wins.
+// removeOwned issues one delete command for owner on every listed device
+// and waits for all of them (removeOwnedThen with a nil then).
 func (c *Controller) removeOwned(devs []Device, cmd southbound.FlowModCommand, owner string, version int) error {
+	return c.removeOwnedThen(devs, cmd, owner, version, nil)
+}
+
+// removeOwnedThen issues one delete command for owner on every listed
+// device: pipelined on devices with asynchronous completion, through the
+// matching Device method otherwise. Every device is visited; first error
+// wins. It completes the way fanPerDevice does.
+func (c *Controller) removeOwnedThen(devs []Device, cmd southbound.FlowModCommand, owner string, version int, then func(error)) error {
 	return c.fanPerDevice(devs,
 		func(d asyncDevice, cb func(error)) { d.removeRulesAsync(cmd, owner, version, cb) },
 		func(d Device) error {
@@ -164,52 +155,74 @@ func (c *Controller) removeOwned(devs []Device, cmd southbound.FlowModCommand, o
 			default:
 				return d.RemoveRules(owner)
 			}
-		})
+		}, then)
 }
 
-// fanPerDevice overlaps one action per device. Devices capable of
-// asynchronous completion (ConnDevice) have their modifications and
-// fences issued back to back and joined at the end, so N remote devices
-// cost roughly one wire round trip of wall time — with no goroutine
-// hand-off per device. Devices without the capability run through
-// runPerDevice (concurrent for remote devices, serial otherwise); a set
-// with no asyncDevice at all (every SwitchDevice set, the root's
-// logicalDevices) goes there whole and pays for no join. First error wins.
-func (c *Controller) fanPerDevice(devs []Device, asyncF func(asyncDevice, func(error)), syncF func(Device) error) error {
+// fanPerDevice applies one action per device and joins the outcomes, first
+// error wins. Devices capable of asynchronous completion (ConnDevice, a
+// child's logicalDevice) have their modifications and fences issued back
+// to back, so N of them cost roughly one round trip of wall time and no
+// goroutine; the others run serially, in slice order, on the calling
+// goroutine. A SerialSouthbound controller runs every device that way and
+// stops at the first error, and a set with no async device pays for no
+// join.
+//
+// With then nil the call blocks and returns the joined error. Otherwise it
+// returns nil at once and then receives the joined error exactly once,
+// from whichever goroutine completed the last device.
+func (c *Controller) fanPerDevice(devs []Device, asyncF func(asyncDevice, func(error)), syncF func(Device) error, then func(error)) error {
 	isAsync := func(d Device) bool { _, ok := d.(asyncDevice); return ok }
 	if c.SerialSouthbound || !slices.ContainsFunc(devs, isAsync) {
-		return c.runPerDevice(devs, syncF)
+		err := runPerDevice(devs, syncF)
+		if then == nil {
+			return err
+		}
+		then(err)
+		return nil
 	}
-	// One join and one bound method serve every device's completion.
-	j := new(fanJoin)
+	// One join and one bound method serve every device's completion. The
+	// issuer holds one count of its own, so no completion can finish the
+	// join before every device has been issued.
+	j := &fanJoin{then: then}
+	if then == nil {
+		j.wg.Add(1)
+	}
+	j.left.Store(1)
 	done := j.done
 	var syncDevs []Device
 	for _, d := range devs {
 		if ad, ok := d.(asyncDevice); ok {
-			j.wg.Add(1)
+			j.left.Add(1)
 			asyncF(ad, done)
 		} else {
 			syncDevs = append(syncDevs, d)
 		}
 	}
-	if len(syncDevs) > 0 {
-		j.wg.Add(1)
-		done(c.runPerDevice(syncDevs, syncF))
+	done(runPerDevice(syncDevs, syncF)) // releases the issuer's count
+	if then != nil {
+		return nil
 	}
-	return j.wait()
+	j.wg.Wait()
+	return j.firstErr()
 }
 
-// fanJoin joins the per-device completions of one fan-out: first error
-// wins.
+// fanJoin joins the completions of one fan-out: first error wins, and the
+// last completion hands it on — to then, or to a blocking issuer parked on
+// wg when then is nil.
 type fanJoin struct {
-	wg sync.WaitGroup
-	mu sync.Mutex
+	// left counts the completions still due, the issuer's own included.
+	left atomic.Int32
+	mu   sync.Mutex
 	// err is the first error reported, guarded by mu.
 	err error
+	// then receives err once left reaches zero; nil for a blocking issuer,
+	// which waits on wg instead.
+	then func(error)
+	wg   sync.WaitGroup
 }
 
-// done records one completion; it is safe as an asynchronous fence
-// callback (it never blocks).
+// done records one completion; it never blocks, so it is safe as an
+// asynchronous fence callback.
 func (j *fanJoin) done(err error) {
 	if err != nil {
 		j.mu.Lock()
@@ -218,68 +231,72 @@ func (j *fanJoin) done(err error) {
 		}
 		j.mu.Unlock()
 	}
-	j.wg.Done()
+	if j.left.Add(-1) != 0 {
+		return
+	}
+	if j.then == nil {
+		j.wg.Done()
+		return
+	}
+	j.then(j.firstErr())
 }
 
-// wait blocks until every completion added to wg was recorded.
-func (j *fanJoin) wait() error {
-	j.wg.Wait()
+// firstErr returns the first error reported, nil if none was.
+func (j *fanJoin) firstErr() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.err
 }
 
-// runPerDevice applies f to every device, concurrently when the set
-// contains a remote device (and the controller is not forced serial),
-// first error wins. Serial runs visit devices in slice order and stop at
-// the first error; concurrent runs always visit every device.
-func (c *Controller) runPerDevice(devs []Device, f func(Device) error) error {
-	concurrent := !c.SerialSouthbound && len(devs) > 1
-	if concurrent {
-		concurrent = false
-		for _, d := range devs {
-			if _, ok := d.(remoteDevice); ok {
-				concurrent = true
-				break
-			}
-		}
-	}
-	if !concurrent {
-		for _, d := range devs {
-			if err := f(d); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	j := new(fanJoin)
-	j.wg.Add(len(devs))
+// runPerDevice applies f to every device in slice order and stops at the
+// first error.
+func runPerDevice(devs []Device, f func(Device) error) error {
 	for _, d := range devs {
-		//softmow:allow gospawn done marks the join's WaitGroup, which wait() below blocks on
-		go func(d Device) { j.done(f(d)) }(d)
+		if err := f(d); err != nil {
+			return err
+		}
 	}
-	return j.wait()
+	return nil
 }
 
-// flushBatch programs an accumulated batch: owner and version are
-// stamped onto every rule, all devices are resolved up front (so an
-// unknown device fails the operation before anything is installed), and
-// the per-device batches fan out concurrently across remote devices —
-// each fenced by a single barrier (ConnDevice.InstallRules). On any
-// failure every device of the batch is scrubbed of exactly this version
-// (RemoveRulesVersion), which cannot disturb older versions of the same
-// owner still carrying traffic mid-update (§6).
+// flushBatch programs an accumulated batch and waits for it. On any
+// failure after the batch was issued, every device of the batch is
+// scrubbed of exactly this version (RemoveRulesVersion), which cannot
+// disturb older versions of the same owner still carrying traffic
+// mid-update (§6).
 func (c *Controller) flushBatch(b *ruleBatch, owner string, version int) error {
 	if b == nil || b.size == 0 {
 		return nil
 	}
 	start := time.Now() //softmow:allow determinism wall clock feeds the flush-latency histogram only, never control decisions
+	devs, err := c.issueBatch(b, owner, version, nil)
+	if err != nil {
+		if devs != nil {
+			c.scrubVersion(devs, owner, version)
+		}
+		return err
+	}
+	flushLatency.Observe(time.Since(start))
+	return nil
+}
+
+// issueBatch is the one body of both faces of a batch flush. It stamps
+// owner and version onto every rule, resolves every device up front (so an
+// unknown device fails the operation before anything is installed, and no
+// device is returned), and fans the per-device batches out, each fenced by
+// a single barrier. With then nil it waits and returns the first error;
+// otherwise then receives the outcome and only a resolution error is
+// returned. It never rolls back: a blocking caller scrubs the version on
+// failure (flushBatch), and an asynchronous one leaves that to whoever
+// joins it — the inter-region handover for its two overlapped installs,
+// the parent's flush for a child's translation (logicalDevice).
+func (c *Controller) issueBatch(b *ruleBatch, owner string, version int, then func(error)) ([]Device, error) {
 	devs := make([]Device, 0, len(b.devs))
 	for i := range b.devs {
 		e := &b.devs[i]
 		d := c.Device(e.dev)
 		if d == nil {
-			return fmt.Errorf("core: %s: path device %s not attached", c.ID, e.dev)
+			return nil, fmt.Errorf("core: %s: path device %s not attached", c.ID, e.dev)
 		}
 		rules := e.rules()
 		for j := range rules {
@@ -291,19 +308,18 @@ func (c *Controller) flushBatch(b *ruleBatch, owner string, version int) error {
 	c.mu.Lock()
 	c.stats.RulesInstalled += b.size
 	c.mu.Unlock()
-	err := c.fanPerDevice(devs,
+	return devs, c.fanPerDevice(devs,
 		func(d asyncDevice, cb func(error)) { d.installRulesAsync(b.rulesOf(d.ID()), cb) },
-		func(d Device) error { return installRules(d, b.rulesOf(d.ID())) })
-	if err != nil {
-		flushRollbacks.Inc()
-		// The install error is what the caller acts on; the scrub is
-		// best-effort and idempotent (version filters match nothing once
-		// removed), so its own error carries no extra signal. It stays
-		// version-exact: only the batches this flush fenced are removed.
-		//softmow:allow errdiscard rollback is best-effort, the install error propagates
-		_ = c.removeOwned(devs, southbound.FlowDeleteOwnerVersion, owner, version)
-		return err
-	}
-	flushLatency.Observe(time.Since(start))
-	return nil
+		func(d Device) error { return installRules(d, b.rulesOf(d.ID())) },
+		then)
+}
+
+// scrubVersion rolls a failed flush back: exactly owner's version is
+// removed from devs. The scrub is best-effort and idempotent (version
+// filters match nothing once removed), so its own error carries no signal
+// beyond the install error the caller already acts on.
+func (c *Controller) scrubVersion(devs []Device, owner string, version int) {
+	flushRollbacks.Inc()
+	//softmow:allow errdiscard rollback is best-effort, the install error propagates
+	_ = c.removeOwned(devs, southbound.FlowDeleteOwnerVersion, owner, version)
 }

@@ -141,3 +141,34 @@ func BenchmarkGraphCacheHit(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHandoverKeep times the same-group handover that keeps the
+// bearer's path, the reuse path most handovers take (§7.1). "inline" runs
+// it on the benchmark goroutine; "goroutine" starts every handover on a
+// fresh goroutine, as bench/ starts every op it times, so a path deep
+// enough to outgrow a new goroutine's starting stack pays for the copy
+// here.
+func BenchmarkHandoverKeep(b *testing.B) {
+	run := func(b *testing.B, fresh bool) {
+		f := buildLifeFixture(b, false)
+		f.attach(b, BearerRequest{UE: "u1", BS: "b1", Prefix: "pfx"})
+		bs := [2]dataplane.DeviceID{"b1", "b2"}
+		done := make(chan error)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if !fresh {
+				if err := f.leaf.Handover("u1", "gA", bs[i%2]); err != nil {
+					b.Fatal(err)
+				}
+				continue
+			}
+			go func() { done <- f.leaf.Handover("u1", "gA", bs[i%2]) }()
+			if err := <-done; err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("inline", func(b *testing.B) { run(b, false) })
+	b.Run("goroutine", func(b *testing.B) { run(b, true) })
+}

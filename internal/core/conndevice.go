@@ -21,13 +21,14 @@ import (
 // in-process pipes and binary-framed TCP connections.
 //
 // A pump goroutine dispatches asynchronous events (Packet-In, Port-Status)
-// to the owning controller and routes replies by transaction ID. Fences
-// are asynchronous completions: each outstanding barrier lives in a table
-// keyed by its current barrier xid, and its callback fires when the reply
-// arrives, when the retry budget is exhausted, or when the connection
-// dies. The synchronous Device methods are thin waits over that table, so
-// callers that can overlap fences (the batch pipeline) share the conn with
-// callers that cannot.
+// to the owning controller and routes replies by transaction ID; it is the
+// device's only long-lived goroutine. Fences are asynchronous completions:
+// each outstanding barrier lives in a table keyed by its current barrier
+// xid, and its callback fires when the reply arrives, when the retry
+// budget is exhausted (a timer callback, not a parked goroutine, expires
+// fences), or when the connection dies. The synchronous Device methods are
+// thin waits over that table, so callers that can overlap fences (the
+// batch pipeline) share the conn with callers that cannot.
 type ConnDevice struct {
 	id   dataplane.DeviceID
 	conn southbound.Conn
@@ -72,18 +73,16 @@ type ConnDevice struct {
 	// child controller's RecA agent rather than a switch. guarded by mu.
 	peerHandler func(southbound.Msg)
 
-	// dlTimer wakes the deadline loop, its only receiver. It is re-armed
-	// under mu, by the loop before it parks and by whoever inserts a new
-	// head into dl; a deadline queued behind the head wakes nobody.
+	// dlTimer runs onDeadline when the earliest live deadline is due. It is
+	// re-armed under mu, by fireDeadlines for the next live head and by
+	// whoever inserts a new head into dl; a deadline queued behind the head
+	// arms nothing. Teardown stops it.
 	dlTimer *time.Timer
-	// done is closed on teardown to stop the deadline loop.
-	done     chan struct{}
-	doneOnce sync.Once
 
-	// loops tracks the pump and deadline goroutines; peerWG tracks
-	// in-flight peer-request handler goroutines. WaitStopped waits on both
-	// so teardown paths (and leak-checked tests) can prove the device left
-	// nothing running.
+	// loops tracks the pump goroutine and any deadline callback in flight;
+	// peerWG tracks in-flight peer-request handler goroutines. WaitStopped
+	// waits on both so teardown paths (and leak-checked tests) can prove
+	// the device left nothing running.
 	loops  sync.WaitGroup
 	peerWG sync.WaitGroup
 
@@ -137,7 +136,6 @@ func DialDevice(conn southbound.Conn, controllerID string) (*ConnDevice, error) 
 		pending:        make(map[uint32]chan southbound.Msg),
 		mods:           make(map[uint32]error),
 		barriers:       make(map[uint32]*barrierComp),
-		done:           make(chan struct{}),
 		RequestTimeout: 5 * time.Second,
 		BarrierRetries: 2,
 		MinRTO:         5 * time.Millisecond,
@@ -172,10 +170,9 @@ func DialDevice(conn southbound.Conn, controllerID string) (*ConnDevice, error) 
 			d.backlog = append(d.backlog, m)
 		}
 	}
-	d.dlTimer = time.NewTimer(time.Hour) // re-armed by the first fence; deadlineLoop stops it
-	d.loops.Add(2)
+	d.dlTimer = time.AfterFunc(time.Hour, d.onDeadline) // re-armed by the first fence; failAll stops it
+	d.loops.Add(1)
 	go d.pump()
-	go d.deadlineLoop()
 	return d, nil
 }
 
@@ -246,10 +243,11 @@ func (d *ConnDevice) Close() error {
 	return d.conn.Close()
 }
 
-// WaitStopped blocks until the device's pump and deadline goroutines and
-// every in-flight peer-request handler have exited. Call it after Close
-// (or after the conn died), never from a controller event handler — those
-// run on the pump goroutine and would deadlock waiting on themselves.
+// WaitStopped blocks until the device's pump goroutine, any deadline
+// callback in flight and every in-flight peer-request handler have exited.
+// Call it after Close (or after the conn died), never from a controller
+// event handler — those run on the pump goroutine and would deadlock
+// waiting on themselves.
 func (d *ConnDevice) WaitStopped() {
 	d.loops.Wait()
 	d.peerWG.Wait()
@@ -277,8 +275,8 @@ func (d *ConnDevice) failAll() {
 	d.barriers = make(map[uint32]*barrierComp)
 	d.mods = make(map[uint32]error)
 	d.dl, d.dlHead = nil, 0
+	d.dlTimer.Stop()
 	d.mu.Unlock()
-	d.doneOnce.Do(func() { close(d.done) })
 	for _, ch := range pend {
 		close(ch)
 	}
@@ -578,10 +576,6 @@ func (d *ConnDevice) Request(m southbound.Msg) (southbound.Msg, error) { return 
 // ID implements Device.
 func (d *ConnDevice) ID() dataplane.DeviceID { return d.id }
 
-// remoteSouthbound marks the device for concurrent batch fan-out: its
-// installs are wire round trips worth overlapping across devices.
-func (d *ConnDevice) remoteSouthbound() {}
-
 // Features implements Device.
 func (d *ConnDevice) Features() southbound.FeatureReply {
 	reply, err := d.request(southbound.Msg{Type: southbound.TypeFeatureRequest, Body: southbound.FeatureRequest{}})
@@ -704,7 +698,7 @@ func (d *ConnDevice) modAsync(m southbound.Msg, cb func(error)) {
 
 // fenceAsync registers a barrier completion covering modification modXid
 // and sends the first barrier attempt. Timeouts and retries are driven by
-// the deadline loop; each attempt re-keys the completion under a fresh
+// the deadline timer; each attempt re-keys the completion under a fresh
 // barrier xid.
 func (d *ConnDevice) fenceAsync(modXid uint32, cb func(error)) {
 	connBarriers.Inc()
@@ -735,7 +729,7 @@ func (d *ConnDevice) fenceAsync(modXid uint32, cb func(error)) {
 
 // insertDeadlineLocked inserts e into the expiry-sorted deadline queue
 // (adaptive timeouts and retry backoff make arrival order non-monotonic)
-// and re-arms the loop's timer when e is the new head; caller holds mu.
+// and re-arms the deadline timer when e is the new head; caller holds mu.
 // The common case — a stable RTO — appends at the tail and wakes nobody.
 func (d *ConnDevice) insertDeadlineLocked(e dlEntry, now time.Time) {
 	// Compact instead of growing once half the slice is popped slots, so
@@ -769,22 +763,22 @@ func (d *ConnDevice) completeFence(xid uint32, comp *barrierComp) (error, bool) 
 	return d.takeModErrLocked(comp), true
 }
 
-// deadlineLoop drives fence timeouts off one timer, armed for the
-// earliest live deadline. It parks until that deadline (or an earlier one
-// inserted meanwhile, see insertDeadlineLocked) passes; fences that
-// complete in time never wake it.
-func (d *ConnDevice) deadlineLoop() {
-	defer d.loops.Done()
-	defer d.dlTimer.Stop()
-	for {
-		d.fireDeadlines()
-		connDeadlineWakeups.Inc()
-		select {
-		case <-d.dlTimer.C:
-		case <-d.done:
-			return
-		}
+// onDeadline is dlTimer's callback: it expires what is due and re-arms
+// the timer for the earliest live deadline (or leaves it unarmed when
+// there is none), so fences that complete in time never wake anything. A
+// callback that finds the device closed does nothing; one that does not
+// is counted in loops before teardown can begin, so WaitStopped covers it.
+func (d *ConnDevice) onDeadline() {
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return
 	}
+	d.loops.Add(1)
+	d.mu.Unlock()
+	defer d.loops.Done()
+	connDeadlineWakeups.Inc()
+	d.fireDeadlines()
 }
 
 // fireDeadlines expires every due fence: attempts with retry budget left
@@ -795,7 +789,6 @@ func (d *ConnDevice) deadlineLoop() {
 // armed for the first deadline that can still fire and stays unarmed when
 // there is none.
 func (d *ConnDevice) fireDeadlines() {
-	now := time.Now() //softmow:allow determinism fence timeout detection, never feeds replayable state
 	type resend struct {
 		comp *barrierComp
 		xid  uint32
@@ -803,6 +796,9 @@ func (d *ConnDevice) fireDeadlines() {
 	var resends []resend
 	var failed []*barrierComp
 	d.mu.Lock()
+	// Read under mu: callbacks can overlap, and one holding an older time
+	// would re-arm the timer late.
+	now := time.Now() //softmow:allow determinism fence timeout detection, never feeds replayable state
 	for d.dlHead < len(d.dl) {
 		e := d.dl[d.dlHead]
 		comp, ok := d.barriers[e.xid]

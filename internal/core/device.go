@@ -158,7 +158,9 @@ func (d *SwitchDevice) PortStatus(sw dataplane.DeviceID, port dataplane.PortID, 
 
 // logicalDevice is a parent controller's handle on a child-exposed
 // G-switch: the "custom API similar to OpenFlow" of §7.1. Every call
-// delegates to the child controller's RecA.
+// delegates to the child controller's RecA. It is an asyncDevice, so a
+// parent's flush overlaps its children's translations without a goroutine
+// per child.
 type logicalDevice struct {
 	child *Controller
 }
@@ -171,29 +173,27 @@ func (d *logicalDevice) Features() southbound.FeatureReply {
 	return d.child.RecAFeatures()
 }
 
-// remoteSouthbound marks the device for concurrent batch fan-out: each
-// install is a whole recursive translation in the child, so sibling
-// G-switches on a path are worth programming in parallel.
-func (d *logicalDevice) remoteSouthbound() {}
-
 // InstallRule implements Device: the child translates the virtual rule
 // onto its own (physical or logical) topology (§4.3).
 func (d *logicalDevice) InstallRule(r dataplane.Rule) error {
 	return d.child.TranslateRule(r)
 }
 
-// InstallRules implements BatchInstaller: virtual rules translate in
-// order; the first failure aborts the rest. The child's own flush rolls
-// back the failing translation's devices, and the parent's batch
-// rollback (RemoveRulesVersion → RemoveTranslatedVersion) scrubs
-// whatever earlier rules of the batch reached this child.
-func (d *logicalDevice) InstallRules(rules []dataplane.Rule) error {
-	for _, r := range rules {
-		if err := d.child.TranslateRule(r); err != nil {
-			return err
-		}
-	}
-	return nil
+// installRulesAsync implements asyncDevice: every rule of the call — one
+// owner and version — translates into one child batch issued through the
+// child's own fan-out, and cb runs when the child's last fence resolves.
+// The child does not roll back a failure: the parent's flush rollback
+// (RemoveRulesVersion → RemoveTranslatedVersion) scrubs exactly this owner
+// and version from every child device, so no callback ever blocks and no
+// goroutine is spawned.
+func (d *logicalDevice) installRulesAsync(rules []dataplane.Rule, cb func(error)) {
+	d.child.translateAsync(rules, cb)
+}
+
+// removeRulesAsync implements asyncDevice: the child's recursive removal,
+// with cb in place of the wait.
+func (d *logicalDevice) removeRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error)) {
+	d.child.removeTranslatedAsync(cmd, owner, version, cb)
 }
 
 // RemoveRules implements Device: recursive removal by owner tag.

@@ -10,12 +10,13 @@
 //
 // All multi-rule operations accumulate rules into a per-device batch
 // (ruleBatch) and flush it through flushBatch: each device receives its
-// rules pipelined behind at most one barrier round trip (BatchInstaller),
-// devices are programmed concurrently when remote (runPerDevice), and a
-// failure anywhere rolls every touched device back by the operation's
-// exact owner/version before any path record becomes visible. DESIGN.md
-// §"Southbound rule programming" describes the protocol and why it
-// preserves the fault-injection invariants.
+// rules pipelined behind at most one barrier round trip, devices with
+// asynchronous completion (ConnDevice, a child's logicalDevice) are issued
+// back to back and joined by a completion callback (fanPerDevice) with no
+// goroutine per device, and a failure anywhere rolls every touched device
+// back by the operation's exact owner/version before any path record
+// becomes visible. DESIGN.md §"Southbound rule programming" describes the
+// protocol and why it preserves the fault-injection invariants.
 //
 // # Package layout
 //

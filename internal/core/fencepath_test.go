@@ -79,7 +79,7 @@ func pipelineFences(tb testing.TB, dev *ConnDevice, n, window int) {
 // leave their (stale) deadlines queued ahead of one whose reply never
 // comes. That one must still be noticed: three attempts, each backed off
 // twice as long as the last, the failure inside 1.5x the nominal budget —
-// the deadline loop may sleep through the stale entries, not past a live
+// the deadline timer may sleep through the stale entries, not past a live
 // one.
 func TestFenceTimesOutBehindCompletedFences(t *testing.T) {
 	dev, devEnd := dialScripted(t)
@@ -91,9 +91,8 @@ func TestFenceTimesOutBehindCompletedFences(t *testing.T) {
 	dev.BarrierRetries = 2
 	// The clean phase runs under a timeout no box is slow enough to reach:
 	// the timer never fires during it, so its deadlines are still queued
-	// when it ends, however long it took. Only the loop's first pass, when
-	// its goroutine starts late, can drop some; a second round makes up for
-	// them.
+	// when it ends, however long it took; a second round makes up for any a
+	// callback dropped.
 	dev.MinRTO = dev.RequestTimeout
 
 	const completed = 1000
@@ -143,9 +142,10 @@ func TestFenceTimesOutBehindCompletedFences(t *testing.T) {
 }
 
 // TestDeadlineLoopSleepsThroughCleanFences: fences that complete in time
-// wake the deadline loop at most once per RTO period, however many there
+// fire the deadline timer at most once per RTO period, however many there
 // are — under 1 % of them at in-process speed. Before, every fence kicked
-// the loop and every completed fence woke it again at its stale deadline.
+// the deadline goroutine and every completed fence woke it again at its
+// stale deadline.
 func TestDeadlineLoopSleepsThroughCleanFences(t *testing.T) {
 	dev := dialAgentDevice(t)
 	pipelineFences(t, dev, 64, 32) // seed the RTT estimator: deadlines are MinRTO from here on
@@ -155,15 +155,15 @@ func TestDeadlineLoopSleepsThroughCleanFences(t *testing.T) {
 	pipelineFences(t, dev, fences, 32)
 	elapsed := time.Since(start)
 	wakeups := connDeadlineWakeups.Value() - before
-	// The loop parks once per deadline period with work in it, and once
+	// The timer fires once per deadline period with work in it, and once
 	// more per period that ends on an empty queue.
 	limit := int64(2 + 2*elapsed/dev.MinRTO)
 	if limit < fences/100 {
 		limit = fences / 100
 	}
-	t.Logf("%d fences in %v: %d deadline-loop wake-ups (%.2f%%)", fences, elapsed, wakeups, 100*float64(wakeups)/fences)
+	t.Logf("%d fences in %v: %d deadline-timer wake-ups (%.2f%%)", fences, elapsed, wakeups, 100*float64(wakeups)/fences)
 	if wakeups > limit {
-		t.Fatalf("%d deadline-loop wake-ups for %d clean fences in %v, want <= %d", wakeups, fences, elapsed, limit)
+		t.Fatalf("%d deadline-timer wake-ups for %d clean fences in %v, want <= %d", wakeups, fences, elapsed, limit)
 	}
 }
 
@@ -177,7 +177,7 @@ func TestDeadlineQueueBoundedAndScrubbed(t *testing.T) {
 	const rounds, perRound = 100, 100
 	for r := 0; r < rounds; r++ {
 		pipelineFences(t, dev, perRound, 32)
-		time.Sleep(3 * dev.MinRTO) // the round's deadlines pass; the loop drops them
+		time.Sleep(3 * dev.MinRTO) // the round's deadlines pass; the timer drops them
 	}
 	time.Sleep(20 * time.Millisecond)
 	dev.mu.Lock()
@@ -339,7 +339,7 @@ func TestSchedulerWakesAtMostOncePerFrame(t *testing.T) {
 // BenchmarkFencedModPipe is the layer the mixed_pipe budget pointed at:
 // fenced modifications from a ConnDevice over a Pipe to a SwitchAgent whose
 // replies cross a 200 µs ImpairedConn, 32 fences in flight. wakeups/op adds
-// the deadline loop's and the link scheduler's wake-ups per fenced mod.
+// the deadline timer's and the link scheduler's wake-ups per fenced mod.
 func BenchmarkFencedModPipe(b *testing.B) {
 	dev, _ := dialImpairedAgent(b, 200*time.Microsecond)
 	pipelineFences(b, dev, 64, 32)

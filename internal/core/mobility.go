@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/dataplane"
 	"repro/internal/interdomain"
@@ -115,19 +116,26 @@ var ErrUnknownBS = errors.New("core: unknown base station")
 func (c *Controller) HandleBearerRequest(req BearerRequest) (*UERecord, error) {
 	hold := c.ue.lockUE(req.UE)
 	defer hold.unlock()
-	return c.handleBearerRequestLocked(req)
+	rec, err := c.handleBearerRequestLocked(&req, false)
+	if err != nil {
+		return nil, err
+	}
+	return &rec, nil
 }
 
 // handleBearerRequestLocked is HandleBearerRequest under the caller-held
-// per-UE operation lock.
-func (c *Controller) handleBearerRequestLocked(req BearerRequest) (*UERecord, error) {
+// per-UE operation lock, returning the UE's new table row by value. A
+// request that is part of an intra-region handover counts the handover
+// with the bearer. Keeping the path is the hot case, so installing and
+// delegating a replacement run in frames of their own.
+func (c *Controller) handleBearerRequestLocked(req *BearerRequest, handover bool) (UERecord, error) {
 	group, ok := c.GroupOfBS(req.BS)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownBS, req.BS)
+		return UERecord{}, fmt.Errorf("%w: %s", ErrUnknownBS, req.BS)
 	}
 	attach, ok := c.AttachOfGroup(group)
 	if !ok {
-		return nil, fmt.Errorf("core: group %s has no attachment", group)
+		return UERecord{}, fmt.Errorf("core: group %s has no attachment", group)
 	}
 	routeReq := RouteRequest{
 		From:         attach,
@@ -142,69 +150,67 @@ func (c *Controller) handleBearerRequestLocked(req BearerRequest) (*UERecord, er
 	}
 	// The per-UE operation lock is held, so the row cannot change under us.
 	old, hasRow := c.ue.get(req.UE)
+	live := hasRow && old.Active
 	// Route locally first; when this region cannot satisfy the QoS the
 	// request ascends the northbound (§4.2) and the resolving ancestor
 	// implements the path and returns its handle.
-	var pathID PathID
-	var owner PathOwner
-	if res, err := c.Route(routeReq); err == nil {
-		if hasRow && old.Active && old.HandledBy == PathOwner(c) &&
-			old.Group == group && old.Prefix == req.Prefix && old.QoS == req.QoS &&
-			c.pathCarries(old.PathID, match, req.Constraints.MinBandwidth, res.Path) {
-			// Nothing moves in the core: the bearer keeps its path and only
-			// the row's BS changes. Anything else — a route the topology
-			// changed, a broken or ancestor-owned path — is replaced below,
-			// which is also what heals it.
-			bs := req.BS // the closure captures one word, not the request: this path must not allocate for it
-			c.ue.update(req.UE, func(r *UERecord) { r.BS = bs })
-			pathsReused.Inc()
-			c.mu.Lock()
-			c.stats.BearersHandled++
-			c.mu.Unlock()
-			kept := old
-			kept.BS = bs
-			return &kept, nil
+	res, err := c.Route(routeReq)
+	if err != nil {
+		id, owner, err := c.delegateBearerUp(routeReq, match, req.Constraints.MinBandwidth)
+		if err != nil {
+			return UERecord{}, err
 		}
-		if pathID, err = c.SetupPathWithDemand(match, res.Path, req.Constraints.MinBandwidth); err != nil {
-			return nil, err
-		}
-		owner = c
-	} else {
-		pl := c.ParentLinkRef()
-		if pl == nil {
-			return nil, ErrNoRoute
-		}
-		gport, ok := c.sourceGPort(routeReq.From)
-		if !ok {
-			return nil, fmt.Errorf("%w: source %v not exposed to parent", ErrNoRoute, routeReq.From)
-		}
-		c.mu.Lock()
-		c.stats.DelegatedRequests++
-		c.mu.Unlock()
-		up := routeReq
-		up.From = dataplane.PortRef{Dev: c.GSwitchID(), Port: gport}
-		if pathID, owner, err = pl.DelegateBearer(up, match, req.Constraints.MinBandwidth); err != nil {
-			return nil, err
-		}
+		return c.replaceBearer(req, group, &old, live, id, owner, handover), nil
 	}
-	// Re-admission replaces the UE's default bearer: release the previous
-	// path so a repeated attach (or an intra-region handover) cannot leak
-	// an installed path no table row records. The new path is already
-	// carrying traffic (its classify rules outrank the old version's), so
-	// the release is best-effort cleanup.
-	if hasRow && old.Active {
+	if live && old.HandledBy == PathOwner(c) &&
+		old.Group == group && old.Prefix == req.Prefix && old.QoS == req.QoS &&
+		c.pathCarries(old.PathID, match, req.Constraints.MinBandwidth, res.Path) {
+		// Nothing moves in the core: the bearer keeps its path and only
+		// the row's BS changes. Anything else — a route the topology
+		// changed, a broken or ancestor-owned path — is replaced, which is
+		// also what heals it.
+		bs := req.BS // the closure captures one word, not the request: this path must not allocate for it
+		c.ue.update(req.UE, func(r *UERecord) { r.BS = bs })
+		pathsReused.Inc()
+		c.countHandled(handover)
+		old.BS = bs
+		return old, nil
+	}
+	id, err := c.SetupPathWithDemand(match, res.Path, req.Constraints.MinBandwidth)
+	if err != nil {
+		return UERecord{}, err
+	}
+	return c.replaceBearer(req, group, &old, live, id, c, handover), nil
+}
+
+// replaceBearer records the UE's new path and releases the one it replaces
+// (live when wasLive): re-admission replaces the UE's default bearer, so a
+// repeated attach or an intra-region handover cannot leak an installed
+// path no table row records. The new path is already carrying traffic
+// (its classify rules outrank the old version's), so the release is
+// best-effort cleanup.
+func (c *Controller) replaceBearer(req *BearerRequest, group dataplane.DeviceID, old *UERecord, wasLive bool, id PathID, owner PathOwner, handover bool) UERecord {
+	if wasLive {
 		_ = old.HandledBy.TeardownPath(old.PathID) //softmow:allow errdiscard best-effort release of the replaced bearer path; teardown is idempotent
 	}
 	rec := &UERecord{
 		UE: req.UE, BS: req.BS, Group: group, Prefix: req.Prefix, QoS: req.QoS,
-		PathID: pathID, HandledBy: owner, Active: true,
+		PathID: id, HandledBy: owner, Active: true,
 	}
 	c.ue.put(rec)
+	c.countHandled(handover)
+	return *rec
+}
+
+// countHandled counts one handled bearer request, and the intra-region
+// handover it served if any, in one c.mu section.
+func (c *Controller) countHandled(handover bool) {
 	c.mu.Lock()
 	c.stats.BearersHandled++
+	if handover {
+		c.stats.HandoversHandled++
+	}
 	c.mu.Unlock()
-	out := *rec
-	return &out, nil
 }
 
 // DeactivateBearer tears down a UE's path when it goes idle (§5.1: "If the
@@ -283,16 +289,11 @@ func (c *Controller) handoverLocked(ue string, dstGBS, dstBS dataplane.DeviceID)
 		// handleBearerRequestLocked keeps the path when the new BS is in the
 		// bearer's own group, else installs the new path first and then
 		// releases the replaced one (make-before-break); either way it
-		// rewrites the UE table row itself.
-		if _, err := c.handleBearerRequestLocked(BearerRequest{
+		// rewrites the UE table row and counts the handover itself.
+		_, err := c.handleBearerRequestLocked(&BearerRequest{
 			UE: ue, BS: dstBS, Prefix: rec.Prefix, QoS: rec.QoS,
-		}); err != nil {
-			return err
-		}
-		c.mu.Lock()
-		c.stats.HandoversHandled++
-		c.mu.Unlock()
-		return nil
+		}, true)
+		return err
 	}
 	// Inter-region: find this UE's source G-BS and ascend.
 	srcGBS, ok := c.gbsOfGroup(rec.Group)
@@ -369,35 +370,68 @@ func (c *Controller) handleInterRegionHandover(req HandoverRequest) (PathID, Pat
 		return pl.InterRegionHandover(req)
 	}
 
-	// New egress path for the UE from the target G-BS.
+	// The new egress path for the UE from the target G-BS, and a transfer
+	// path from source to target G-BS for in-flight downlink packets (§5.2:
+	// "implements a new path between G-BS1 and G-BS2 to transfer in-flight
+	// packets"). Both batches are built first, drawing path IDs, versions
+	// and labels in the order two back-to-back setups would, then flushed
+	// together and joined once: the two installs cost one fence, not two.
 	res, err := c.Route(RouteRequest{From: dstPort, Prefix: req.Prefix, Objective: req.Objective})
 	if err != nil {
 		return 0, nil, fmt.Errorf("core: handover path for %s: %w", req.UE, err)
 	}
+	start := time.Now() //softmow:allow determinism wall clock feeds the setup-latency histogram only, never control decisions
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: req.UE, DstPrefix: string(req.Prefix), QoS: req.QoS}
-	pathID, err := c.SetupPath(match, res.Path)
+	rec, b, err := c.preparePath(match, res.Path, 0)
 	if err != nil {
 		return 0, nil, err
 	}
-
-	// Transfer path from source to target G-BS for in-flight downlink
-	// packets (§5.2: "implements a new path between G-BS1 and G-BS2 to
-	// transfer in-flight packets"). Best-effort: a missing path (e.g.
-	// detached regions) does not fail the handover.
-	g := c.Graph()
-	if tp, err := g.ShortestPath(srcPort, dstPort, routing.MinHops, routing.Constraints{}); err == nil {
+	// The transfer path is best-effort: a missing path (e.g. detached
+	// regions) or a failed install does not fail the handover.
+	var xrec *PathRecord
+	var xb *ruleBatch
+	if tp, err := c.Graph().ShortestPath(srcPort, dstPort, routing.MinHops, routing.Constraints{}); err == nil {
 		transferMatch := dataplane.Match{InPort: dataplane.PortAny, UE: req.UE, QoS: -1}
-		if tid, err := c.SetupPath(transferMatch, tp); err == nil {
-			// In-flight transfer paths are short-lived; tear down
-			// immediately after the switchover in this synchronous model.
-			_ = c.TeardownPath(tid) //softmow:allow errdiscard transfer path just created above, teardown cannot hit unknown-path
+		xrec, xb, _ = c.preparePath(transferMatch, tp, 0) //softmow:allow errdiscard a transfer path that cannot be built is skipped, like one that cannot be routed
+	}
+
+	newc := make(chan error, 1)
+	devs, err := c.issueBatch(b, rec.Owner, rec.Version, func(err error) { newc <- err })
+	if err != nil {
+		return 0, nil, err // nothing was issued
+	}
+	var xdevs []Device
+	var xferc chan error
+	if xb != nil {
+		xferc = make(chan error, 1)
+		xdevs, _ = c.issueBatch(xb, xrec.Owner, xrec.Version, func(err error) { xferc <- err }) //softmow:allow errdiscard an unresolvable transfer path issued nothing and is skipped
+	}
+	newErr := <-newc
+	if xdevs != nil {
+		if err := <-xferc; err != nil || newErr != nil {
+			// A failed transfer install is scrubbed like any failed flush;
+			// an installed one goes too when the handover it served failed.
+			c.scrubVersion(xdevs, xrec.Owner, xrec.Version)
+			xdevs = nil
 		}
+	}
+	if newErr != nil {
+		c.scrubVersion(devs, rec.Owner, rec.Version)
+		return 0, nil, newErr
+	}
+	c.recordPath(rec)
+	setupLatency.Observe(time.Since(start))
+	if xdevs != nil {
+		// In-flight transfer paths are short-lived; tear down immediately
+		// after the switchover in this synchronous model.
+		c.recordPath(xrec)
+		_ = c.TeardownPath(xrec.ID) //softmow:allow errdiscard transfer path just recorded above, teardown cannot hit unknown-path
 	}
 
 	c.mu.Lock()
 	c.stats.InterRegionHandovers++
 	c.mu.Unlock()
-	return pathID, c, nil
+	return rec.ID, c, nil
 }
 
 // findGBSPort locates the port (on a child G-switch in this controller's

@@ -142,6 +142,13 @@ func (c *Controller) DelegateBearerSetup(req RouteRequest, match dataplane.Match
 		}
 		return id, c, nil
 	}
+	return c.delegateBearerUp(req, match, demand)
+}
+
+// delegateBearerUp hands a bearer request this region cannot satisfy to
+// the parent, with its source translated onto this controller's exposed
+// G-switch (§4.2).
+func (c *Controller) delegateBearerUp(req RouteRequest, match dataplane.Match, demand float64) (PathID, PathOwner, error) {
 	pl := c.ParentLinkRef()
 	if pl == nil {
 		return 0, nil, ErrNoRoute
@@ -153,9 +160,8 @@ func (c *Controller) DelegateBearerSetup(req RouteRequest, match dataplane.Match
 	c.mu.Lock()
 	c.stats.DelegatedRequests++
 	c.mu.Unlock()
-	up := req
-	up.From = dataplane.PortRef{Dev: c.GSwitchID(), Port: gport}
-	return pl.DelegateBearer(up, match, demand)
+	req.From = dataplane.PortRef{Dev: c.GSwitchID(), Port: gport}
+	return pl.DelegateBearer(req, match, demand)
 }
 
 // HandleInterRegionHandoverRequest runs the §5.2 ancestor procedure for a

@@ -35,7 +35,7 @@ type lifeFixture struct {
 // protocol agents over in-process pipes when overConn is set (so every
 // FlowMod and Barrier is counted by the core.southbound.* metrics), through
 // direct SwitchDevices otherwise.
-func buildLifeFixture(t *testing.T, overConn bool) *lifeFixture {
+func buildLifeFixture(t testing.TB, overConn bool) *lifeFixture {
 	t.Helper()
 	net := dataplane.NewNetwork()
 	switches := []dataplane.DeviceID{"S1", "S2", "S3", "S4"}
@@ -103,7 +103,7 @@ func buildLifeFixture(t *testing.T, overConn bool) *lifeFixture {
 
 // waitUpLinks polls until the leaf's NIB shows n links up (port-status
 // events cross the pipes asynchronously).
-func (f *lifeFixture) waitUpLinks(t *testing.T, n int) {
+func (f *lifeFixture) waitUpLinks(t testing.TB, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for f.leaf.NIB.NumUpLinks() != n {
@@ -143,7 +143,7 @@ func (f *lifeFixture) totalRules() int {
 	return n
 }
 
-func (f *lifeFixture) attach(t *testing.T, req BearerRequest) *UERecord {
+func (f *lifeFixture) attach(t testing.TB, req BearerRequest) *UERecord {
 	t.Helper()
 	rec, err := f.leaf.HandleBearerRequest(req)
 	if err != nil {

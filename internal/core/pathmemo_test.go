@@ -115,3 +115,36 @@ func TestDirectBearerAllocsPinned(t *testing.T) {
 		t.Logf("bearer setup + release allocate %.0f objects, below the pin of %d: lower the pin", avg, pinned)
 	}
 }
+
+// TestHandoverKeepAllocsPinned gates the same-group handover, the reuse
+// path most handovers take (§7.1 "most handovers are intra-group"): the
+// route comes from the memo, the options slice is shared, the best option
+// is kept by value and the row is rewritten in place, so the one object
+// left is the route answer. Raise the pin only with a reason.
+func TestHandoverKeepAllocsPinned(t *testing.T) {
+	f := buildLifeFixture(t, false)
+	f.attach(t, BearerRequest{UE: "u1", BS: "b1", Prefix: "pfx"})
+	bs := [2]dataplane.DeviceID{"b1", "b2"}
+	n := 0
+	move := func() {
+		n++
+		if err := f.leaf.Handover("u1", "gA", bs[n%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		move()
+	}
+	reused := pathsReused.Value()
+	const pinned = 1 // 3 before the options slice was shared, the best route kept by value and the discarded row copy dropped
+	avg := testing.AllocsPerRun(500, move)
+	if got := pathsReused.Value() - reused; got != 501 {
+		t.Fatalf("%d of 501 handovers kept their path, want all", got)
+	}
+	if avg >= pinned+1 {
+		t.Fatalf("same-group handover allocates %.1f objects, pinned at %d", avg, pinned)
+	}
+	if avg < pinned {
+		t.Logf("same-group handover allocates %.1f objects, below the pin of %d: lower the pin", avg, pinned)
+	}
+}

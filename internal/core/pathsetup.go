@@ -92,24 +92,43 @@ func (c *Controller) SetupPath(match dataplane.Match, path *routing.Path) (PathI
 // admit the demand.
 func (c *Controller) SetupPathWithDemand(match dataplane.Match, path *routing.Path, demandMbps float64) (PathID, error) {
 	start := time.Now() //softmow:allow determinism wall clock feeds the setup-latency histogram only, never control decisions
-	id, owner, version := c.allocPath()
-
-	ctx := ruleCtx{kind: kindClassify, match: match, demand: demandMbps}
-	if err := c.installPathRules(ctx, path, owner, version); err != nil {
+	rec, b, err := c.preparePath(match, path, demandMbps)
+	if err != nil {
+		return 0, err
+	}
+	if err := c.flushBatch(b, rec.Owner, rec.Version); err != nil {
 		// flushBatch already scrubbed this (only) version from every
 		// device the batch touched; nothing else carries the fresh owner.
 		return 0, err
 	}
-	rec := &PathRecord{
+	c.recordPath(rec)
+	setupLatency.Observe(time.Since(start))
+	return rec.ID, nil
+}
+
+// preparePath draws a new path's ID, owner and version and builds its
+// classification-led rules into a batch, programming nothing. The record
+// it returns enters the path table (recordPath) only once the batch has
+// been flushed.
+func (c *Controller) preparePath(match dataplane.Match, path *routing.Path, demandMbps float64) (*PathRecord, *ruleBatch, error) {
+	id, owner, version := c.allocPath()
+	b := newRuleBatch()
+	ctx := ruleCtx{kind: kindClassify, match: match, demand: demandMbps}
+	if err := c.appendPathRules(b, ctx, path, owner, version); err != nil {
+		return nil, nil, err
+	}
+	return &PathRecord{
 		ID: id, Owner: owner, Match: match, Cost: path.Cost,
 		Devices: path.Devices(), Active: true, Version: version,
 		lastPath: path, demand: demandMbps,
-	}
+	}, b, nil
+}
+
+// recordPath makes an installed path live in the path table.
+func (c *Controller) recordPath(rec *PathRecord) {
 	c.mu.Lock()
-	c.paths[id] = rec
+	c.paths[rec.ID] = rec
 	c.mu.Unlock()
-	setupLatency.Observe(time.Since(start))
-	return id, nil
 }
 
 // allocPath draws the next path ID, its owner tag "<controller>/p<id>" and
@@ -283,8 +302,39 @@ func (c *Controller) ReroutePath(id PathID, newPath *routing.Path) error {
 // TranslateRule is the RecA agent's entry point for virtual rules pushed
 // by the parent onto this controller's exposed G-switch (§4.3): the rule
 // is mapped onto internal paths between the referenced ports and installed
-// recursively.
+// recursively. A flush failure scrubs exactly the rule's version from the
+// devices it touched (flushBatch rollback), which is all this call can
+// have installed.
 func (c *Controller) TranslateRule(r dataplane.Rule) error {
+	b := newRuleBatch()
+	if err := c.appendTranslation(b, r); err != nil {
+		return err
+	}
+	return c.flushBatch(b, r.Owner, r.Version)
+}
+
+// translateAsync translates a parent's virtual rules — one device's share
+// of a flush, so never empty and all of one owner and version — into one
+// batch and issues it, reporting to then when the last fence resolves.
+// Nothing is rolled back here: the parent's flush rollback scrubs the
+// version from every device of this controller
+// (logicalDevice.installRulesAsync).
+func (c *Controller) translateAsync(rules []dataplane.Rule, then func(error)) {
+	b := newRuleBatch()
+	for _, r := range rules {
+		if err := c.appendTranslation(b, r); err != nil {
+			then(err)
+			return
+		}
+	}
+	if _, err := c.issueBatch(b, rules[0].Owner, rules[0].Version, then); err != nil {
+		then(err)
+	}
+}
+
+// appendTranslation maps one virtual rule onto internal paths and
+// accumulates their rules into b, programming nothing.
+func (c *Controller) appendTranslation(b *ruleBatch, r dataplane.Rule) error {
 	c.mu.Lock()
 	c.stats.RulesTranslated++
 	c.mu.Unlock()
@@ -323,7 +373,6 @@ func (c *Controller) TranslateRule(r dataplane.Rule) error {
 		// barrier, and a flush failure rolls the entire fan-out back
 		// version-exactly (older versions of the same owner may still
 		// carry traffic mid-update, §6).
-		b := newRuleBatch()
 		for _, src := range srcs {
 			p, err := g.ShortestPath(src, dst, routing.MinHops, routing.Constraints{})
 			if err != nil {
@@ -335,7 +384,7 @@ func (c *Controller) TranslateRule(r dataplane.Rule) error {
 				return err
 			}
 		}
-		return c.flushBatch(b, r.Owner, r.Version)
+		return nil
 	}
 
 	if !r.Match.HasLabel {
@@ -364,9 +413,7 @@ func (c *Controller) TranslateRule(r dataplane.Rule) error {
 		ctx.kind = kindTransit
 		ctx.labelOut = r.Match.Label
 	}
-	// A flush failure scrubs exactly this version from the path devices
-	// (flushBatch rollback), which is all this call can have installed.
-	return c.installPathRules(ctx, p, r.Owner, r.Version)
+	return c.appendPathRules(b, ctx, p, r.Owner, r.Version)
 }
 
 // RemoveTranslated removes, recursively, all rules installed under an
@@ -394,6 +441,13 @@ func (c *Controller) RemoveTranslatedVersion(owner string, version int) error {
 	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
 	_ = c.removeOwned(c.Devices(), southbound.FlowDeleteOwnerVersion, owner, version)
 	return nil
+}
+
+// removeTranslatedAsync is the RemoveTranslated* family with a callback in
+// place of the wait; like them it reports no error to the parent.
+func (c *Controller) removeTranslatedAsync(cmd southbound.FlowModCommand, owner string, version int, then func(error)) {
+	//softmow:allow errdiscard then always completes; the fan-out's own return is nil once then is set
+	_ = c.removeOwnedThen(c.Devices(), cmd, owner, version, func(error) { then(nil) })
 }
 
 // classificationSources resolves a G-BS attach port to the underlying
@@ -470,8 +524,9 @@ func decodeActions(actions []dataplane.Action) decoded {
 
 // installPathRules installs one path in this controller's topology under a
 // label context: the path's rules are accumulated into per-device batches
-// and flushed concurrently across the path devices, one barrier per device
-// (flushBatch). Rules landing on G-switch devices recurse into children.
+// and flushed across the path devices with one barrier per device, the
+// fences overlapped (flushBatch). Rules landing on G-switch devices recurse
+// into children.
 func (c *Controller) installPathRules(ctx ruleCtx, path *routing.Path, owner string, version int) error {
 	b := newRuleBatch()
 	if err := c.appendPathRules(b, ctx, path, owner, version); err != nil {

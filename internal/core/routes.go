@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,11 +42,13 @@ func (c *Controller) ClearInterdomainRoutes() {
 	c.routes = make(map[interdomain.PrefixID][]RouteOption)
 }
 
-// RouteOptions returns the stored options for a prefix.
+// RouteOptions returns the stored options for a prefix. The slice is
+// shared and read-only: a prefix's options are only ever appended to, and
+// the slice is clipped, so a later append never writes where it can see.
 func (c *Controller) RouteOptions(prefix interdomain.PrefixID) []RouteOption {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]RouteOption(nil), c.routes[prefix]...)
+	return slices.Clip(c.routes[prefix])
 }
 
 // PropagateInterdomain forwards this controller's interdomain routes to its
@@ -142,24 +145,25 @@ func (c *Controller) Route(req RouteRequest) (*RouteResult, error) {
 		return nil, ErrNoRoute
 	}
 	g := c.Graph()
-	var best *RouteResult
+	// The best option is kept by value: only the answer is allocated.
+	var best RouteResult
 	for _, opt := range opts {
 		p, err := g.ShortestPath(req.From, opt.Ref, req.Objective, req.Constraints)
 		if err != nil {
 			continue
 		}
-		r := &RouteResult{
+		r := RouteResult{
 			Path:       p,
 			Option:     opt,
 			TotalHops:  p.Cost.Hops + opt.External.Hops,
 			TotalRTT:   2*p.Cost.Latency + opt.External.RTT,
 			ResolvedBy: c,
 		}
-		if best == nil || betterTotal(r, best, req.Objective) {
+		if best.Path == nil || betterTotal(&r, &best, req.Objective) {
 			best = r
 		}
 	}
-	if best == nil {
+	if best.Path == nil {
 		return nil, ErrNoRoute
 	}
 	if req.MaxTotalHops > 0 && best.TotalHops > req.MaxTotalHops {
@@ -168,7 +172,8 @@ func (c *Controller) Route(req RouteRequest) (*RouteResult, error) {
 	if req.MaxTotalRTT > 0 && best.TotalRTT > req.MaxTotalRTT {
 		return nil, ErrNoRoute
 	}
-	return best, nil
+	out := best
+	return &out, nil
 }
 
 func betterTotal(a, b *RouteResult, obj routing.Objective) bool {

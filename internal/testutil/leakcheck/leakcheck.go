@@ -19,7 +19,7 @@ import (
 )
 
 // grace bounds how long the cleanup waits for goroutines that exit
-// asynchronously after a Close (conn pumps, deadline loops) before
+// asynchronously after a Close (conn pumps, deadline callbacks) before
 // declaring a leak.
 const grace = 2 * time.Second
 
