@@ -449,26 +449,32 @@ func orderSensitive(p *Package, body *ast.BlockStmt) string {
 // ---------------------------------------------------------------------------
 // layering
 
-// layeringConfig scopes the layering analyzer to one package and names the
-// raw southbound message symbols it must not touch outside the allowed
-// files.
+// layeringConfig scopes one layering rule to one package: symbols of
+// another package it must not touch outside the allowed files.
 type layeringConfig struct {
 	// PkgPath is the package the rule applies to.
 	PkgPath string
-	// AllowedFiles (base names) may construct raw southbound messages —
-	// the batched/rollback-safe pipeline lives there.
+	// AllowedFiles (base names) may use the forbidden symbols; none means
+	// nowhere in the package.
 	AllowedFiles map[string]bool
 	// FromPath is the package exporting the forbidden symbols.
 	FromPath string
-	// Forbidden names the symbols (message type constants) off limits.
+	// Forbidden names the symbols off limits: plain names for package-level
+	// objects, Type.Method for methods.
 	Forbidden map[string]bool
+	// Reason completes the finding message: why the symbols stay out.
+	Reason string
 }
 
-// coreLayering is the production configuration: internal/core may only
-// speak raw FlowMod/FlowModBatch/Barrier southbound messages inside
-// conndevice.go and batch.go, keeping every rule modification behind the
-// batched, version-rollback-safe pipeline (DESIGN.md §7).
-var coreLayering = layeringConfig{
+// coreLayering is the production configuration, two rules over
+// internal/core (DESIGN.md §7). Raw FlowMod/FlowModBatch/Barrier
+// southbound messages appear only in conndevice.go and batch.go, keeping
+// every rule modification behind the batched, version-rollback-safe
+// pipeline. And no delete command is mapped onto a flow table in core:
+// that meaning lives in southbound.ApplyFlowMod alone, so an in-process
+// switch cannot drift from a wire-attached one. (The §5.3.2 physical
+// flush uses RemoveRulesIf, which is not a delete command.)
+var coreLayering = []layeringConfig{{
 	PkgPath:      "repro/internal/core",
 	AllowedFiles: map[string]bool{"conndevice.go": true, "batch.go": true},
 	FromPath:     "repro/internal/southbound",
@@ -478,13 +484,30 @@ var coreLayering = layeringConfig{
 		"TypeBarrierRequest": true,
 		"TypeBarrierReply":   true,
 	},
+	Reason: "raw rule messages must go through the batched ConnDevice pipeline",
+}, {
+	PkgPath:   "repro/internal/core",
+	FromPath:  "repro/internal/dataplane",
+	Forbidden: map[string]bool{"Network.RemoveRulesOwner": true},
+	Reason:    "a delete command reaches a flow table only through southbound.ApplyFlowMod",
+}}
+
+// layering reports uses of forbidden symbols outside the allowed files of
+// each configured package.
+func layering(p *Package, cfgs []layeringConfig) []Finding {
+	var out []Finding
+	for _, cfg := range cfgs {
+		if p.Path == cfg.PkgPath {
+			out = append(out, layeringOne(p, cfg)...)
+		}
+	}
+	return out
 }
 
-// layering reports uses of forbidden southbound symbols outside the
-// allowed files of the configured package.
-func layering(p *Package, cfg layeringConfig) []Finding {
-	if p.Path != cfg.PkgPath {
-		return nil
+func layeringOne(p *Package, cfg layeringConfig) []Finding {
+	where := "in " + cfg.PkgPath
+	if len(cfg.AllowedFiles) > 0 {
+		where = "outside " + allowedList(cfg)
 	}
 	var out []Finding
 	for _, f := range p.Files {
@@ -498,21 +521,41 @@ func layering(p *Package, cfg layeringConfig) []Finding {
 				return true
 			}
 			obj := p.Info.Uses[sel.Sel]
-			if obj == nil || obj.Pkg() == nil {
+			if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != cfg.FromPath {
 				return true
 			}
-			if obj.Pkg().Path() == cfg.FromPath && cfg.Forbidden[obj.Name()] {
+			if name := qualifiedName(obj); cfg.Forbidden[name] {
 				out = append(out, Finding{
-					Pos:   p.Fset.Position(sel.Sel.Pos()),
-					Check: "layering",
-					Message: obj.Name() + " outside " + allowedList(cfg) +
-						": raw rule messages must go through the batched ConnDevice pipeline",
+					Pos:     p.Fset.Position(sel.Sel.Pos()),
+					Check:   "layering",
+					Message: name + " " + where + ": " + cfg.Reason,
 				})
 			}
 			return true
 		})
 	}
 	return out
+}
+
+// qualifiedName names obj as a Forbidden key: Type.Method for a method
+// (pointer receivers included), the bare name otherwise.
+func qualifiedName(obj types.Object) string {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return obj.Name()
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return obj.Name()
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name() + "." + obj.Name()
+	}
+	return obj.Name()
 }
 
 // bannedImports is the module-wide half of layering: import paths no

@@ -116,7 +116,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestLayering(t *testing.T) {
-	cfg := layeringConfig{
+	raw := layeringConfig{
 		AllowedFiles: map[string]bool{"allowed.go": true},
 		FromPath:     "repro/internal/southbound",
 		Forbidden: map[string]bool{
@@ -125,19 +125,29 @@ func TestLayering(t *testing.T) {
 			"TypeBarrierRequest": true,
 			"TypeBarrierReply":   true,
 		},
+		Reason: "test",
 	}
-
-	bad := fixture(t, "laybad")
-	cfg.PkgPath = bad.Path
-	checkFixture(t, bad, filterSuppressed(bad, layering(bad, cfg)))
-
-	good := fixture(t, "laygood")
-	cfg.PkgPath = good.Path
-	checkFixture(t, good, filterSuppressed(good, layering(good, cfg)))
-
-	// The production config must not fire on fixture packages at all.
-	if fs := layering(bad, coreLayering); len(fs) != 0 {
-		t.Errorf("production layering config fired on a fixture package: %v", fs)
+	del := layeringConfig{
+		FromPath:  "repro/internal/dataplane",
+		Forbidden: map[string]bool{"Network.RemoveRulesOwner": true},
+		Reason:    "test",
+	}
+	for _, tc := range []struct {
+		cfg       layeringConfig
+		bad, good string
+	}{{raw, "laybad", "laygood"}, {del, "delbad", "delgood"}} {
+		for _, name := range []string{tc.bad, tc.good} {
+			p := fixture(t, name)
+			cfg := tc.cfg
+			cfg.PkgPath = p.Path
+			// raw and del stay unscoped here: a config applies only to its
+			// own package.
+			checkFixture(t, p, filterSuppressed(p, layering(p, []layeringConfig{cfg, raw, del})))
+			// The production configs must not fire on fixture packages at all.
+			if fs := layering(p, coreLayering); len(fs) != 0 {
+				t.Errorf("production layering config fired on fixture %s: %v", name, fs)
+			}
+		}
 	}
 }
 

@@ -13,7 +13,9 @@
 //     southbound sends inside a map range).
 //   - layering: outside conndevice.go/batch.go, internal/core must not
 //     construct raw TypeFlowMod/TypeFlowModBatch/TypeBarrier* messages —
-//     rule programming stays behind the batched, rollback-safe pipeline.
+//     rule programming stays behind the batched, rollback-safe pipeline —
+//     and nowhere may it call dataplane's (*Network).RemoveRulesOwner: a
+//     delete command means what southbound.ApplyFlowMod makes it mean.
 //     Module-wide, no package may import encoding/gob: the southbound
 //     binary codec is the only wire format.
 //   - errdiscard: no `_ =` or bare-statement discard of an error under

@@ -20,13 +20,13 @@
 //
 // All randomness derives from one seed (simnet.RNG), every iteration order
 // is sorted, and the data plane is driven in-process on one goroutine, so
-// a printed seed replays the identical event sequence. For the same
-// reason the harness sets Controller.SerialSouthbound on the root, whose
-// children would otherwise all be issued back to back, and all visited
-// even after one fails: devices are flushed one at a time in
-// deterministic order, stopping at the first failure, so the positional
-// FaultPlan injector and the byte-compared event log are reproducible. The leaves need no such
-// setting — their in-process switches are always programmed serially.
+// a printed seed replays the identical event sequence. The positional
+// FaultPlan injector needs no ordering setting either: the root issues its
+// children back to back in first-touch order without a goroutine, and each
+// child programs its in-process switches serially on that same goroutine,
+// so install order never depends on which fence resolves first. Every
+// child is visited even after one fails, so an armed fault may fire on a
+// sibling of the failed child; the rollback scrubs it like any other.
 //
 // Entry points: New builds the WAN and its controller hierarchy from
 // Options, Harness.Run drives the event stream, and cmd/chaos wraps both

@@ -25,8 +25,8 @@ type FaultPlan struct {
 	injected bool
 }
 
-// Arm schedules the next install fault: the plan lets `skip` InstallRule
-// calls through, fails the one after, then disarms itself.
+// Arm schedules the next install fault: the plan lets `skip` rule installs
+// through, fails the one after, then disarms itself.
 func (p *FaultPlan) Arm(skip int) {
 	p.mu.Lock()
 	p.armed = true
@@ -60,7 +60,7 @@ func (p *FaultPlan) fail(dev dataplane.DeviceID) error {
 	return fmt.Errorf("chaos: injected install fault on %s", dev)
 }
 
-// FaultyDevice wraps a controller's device handle and fails InstallRule
+// FaultyDevice wraps a controller's device handle and fails rule installs
 // according to the shared FaultPlan. Everything else forwards to the inner
 // device, so discovery, rule removal, and feature reads are unaffected.
 //
@@ -79,25 +79,17 @@ func (d *FaultyDevice) ID() dataplane.DeviceID { return d.Inner.ID() }
 // Features implements core.Device.
 func (d *FaultyDevice) Features() southbound.FeatureReply { return d.Inner.Features() }
 
-// InstallRule implements core.Device, consulting the fault plan first.
-func (d *FaultyDevice) InstallRule(r dataplane.Rule) error {
-	if err := d.Plan.fail(d.Inner.ID()); err != nil {
-		return err
-	}
-	return d.Inner.InstallRule(r)
-}
-
-// InstallRules implements core.BatchInstaller so batched flushes stay
-// fault-injectable: the plan is consulted per rule, so an armed fault can
-// land mid-batch, leaving the already-applied prefix behind exactly like
-// a device that aborted a FlowModBatch partway — the controller's
-// version-exact rollback must then scrub it.
+// InstallRules implements core.Device, consulting the fault plan before
+// every rule, so an armed fault can land mid-batch, leaving the
+// already-applied prefix behind exactly like a device that aborted a
+// FlowModBatch partway — the controller's version-exact rollback must then
+// scrub it.
 func (d *FaultyDevice) InstallRules(rules []dataplane.Rule) error {
-	for _, r := range rules {
+	for i := range rules {
 		if err := d.Plan.fail(d.Inner.ID()); err != nil {
 			return err
 		}
-		if err := d.Inner.InstallRule(r); err != nil {
+		if err := d.Inner.InstallRules(rules[i : i+1]); err != nil {
 			return err
 		}
 	}
@@ -105,16 +97,8 @@ func (d *FaultyDevice) InstallRules(rules []dataplane.Rule) error {
 }
 
 // RemoveRules implements core.Device.
-func (d *FaultyDevice) RemoveRules(owner string) error { return d.Inner.RemoveRules(owner) }
-
-// RemoveRulesBefore implements core.Device.
-func (d *FaultyDevice) RemoveRulesBefore(owner string, version int) error {
-	return d.Inner.RemoveRulesBefore(owner, version)
-}
-
-// RemoveRulesVersion implements core.Device.
-func (d *FaultyDevice) RemoveRulesVersion(owner string, version int) error {
-	return d.Inner.RemoveRulesVersion(owner, version)
+func (d *FaultyDevice) RemoveRules(cmd southbound.FlowModCommand, owner string, version int) error {
+	return d.Inner.RemoveRules(cmd, owner, version)
 }
 
 // EmitDiscovery implements core.Device.

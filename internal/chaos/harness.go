@@ -241,7 +241,6 @@ func (h *Harness) buildTopology() error {
 		leaves = append(leaves, leaf)
 	}
 	root := core.NewController("root", 2, R)
-	root.SerialSouthbound = true
 	for _, leaf := range leaves {
 		root.AttachChild(leaf)
 	}

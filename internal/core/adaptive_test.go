@@ -86,7 +86,7 @@ func TestAdaptiveFenceFailsFast(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	err := dev.InstallRule(dataplane.Rule{Priority: 1})
+	err := dev.InstallRules([]dataplane.Rule{{Priority: 1}})
 	elapsed := time.Since(start)
 	if err == nil || !strings.Contains(err.Error(), "fence failed") {
 		t.Fatalf("install on a blackholed channel: %v, want fence-failed", err)
@@ -111,7 +111,7 @@ func TestShortDeadlineOvertakesLong(t *testing.T) {
 
 	// Fence A arms before any sample exists → constant 1s deadline.
 	errA := make(chan error, 1)
-	go func() { errA <- dev.InstallRule(dataplane.Rule{Priority: 1}) }()
+	go func() { errA <- dev.InstallRules([]dataplane.Rule{{Priority: 1}}) }()
 	// Wait until A's barrier is actually outstanding.
 	for i := 0; i < 200; i++ {
 		dev.mu.Lock()
@@ -129,7 +129,7 @@ func TestShortDeadlineOvertakesLong(t *testing.T) {
 		}
 	}
 	errB := make(chan error, 1)
-	go func() { errB <- dev.InstallRule(dataplane.Rule{Priority: 2}) }()
+	go func() { errB <- dev.InstallRules([]dataplane.Rule{{Priority: 2}}) }()
 
 	select {
 	case err := <-errB:

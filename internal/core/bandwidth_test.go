@@ -6,6 +6,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/pathimpl"
 	"repro/internal/routing"
+	"repro/internal/southbound"
 )
 
 // TestBandwidthAdmission: two 600 Mbps bearers cannot share a 1000 Mbps
@@ -215,17 +216,17 @@ func TestConnDeviceAdmissionError(t *testing.T) {
 		Owner:    "t",
 		Demand:   5000, // 1 Gbps link
 	}
-	if err := dev.InstallRule(rule); err == nil {
+	if err := dev.InstallRules([]dataplane.Rule{rule}); err == nil {
 		t.Fatal("over-subscription must be refused over the wire")
 	}
 	if h.net.Switch("S1").Table.Len() != 0 {
 		t.Fatal("refused rule must not be installed")
 	}
 	rule.Demand = 500
-	if err := dev.InstallRule(rule); err != nil {
+	if err := dev.InstallRules([]dataplane.Rule{rule}); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.RemoveRules("t"); err != nil {
+	if err := dev.RemoveRules(southbound.FlowDeleteOwner, "t", 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.net.Links()[0].Available(); got != 1000 {

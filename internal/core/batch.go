@@ -44,30 +44,6 @@ var (
 	pathsReused = metrics.NewCounter("core.pathsetup.reused")
 )
 
-// BatchInstaller is the optional Device extension for batched rule
-// programming: all rules land on the device fenced by at most one
-// barrier round trip. On error the device may hold any prefix of the
-// batch — callers are expected to roll the affected owner/version back
-// with RemoveRulesVersion. Devices without the extension fall back to
-// per-rule InstallRule (see installRules).
-type BatchInstaller interface {
-	InstallRules(rules []dataplane.Rule) error
-}
-
-// installRules programs a batch of rules on one device, via the
-// BatchInstaller fast path when available.
-func installRules(d Device, rules []dataplane.Rule) error {
-	if bi, ok := d.(BatchInstaller); ok {
-		return bi.InstallRules(rules)
-	}
-	for _, r := range rules {
-		if err := d.InstallRule(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ruleBatch accumulates the rules of one logical operation grouped per
 // device, in first-touch device order so serial flushes install along the
 // path direction. A path touches a handful of devices, nearly always once
@@ -140,22 +116,13 @@ func (c *Controller) removeOwned(devs []Device, cmd southbound.FlowModCommand, o
 }
 
 // removeOwnedThen issues one delete command for owner on every listed
-// device: pipelined on devices with asynchronous completion, through the
-// matching Device method otherwise. Every device is visited; first error
-// wins. It completes the way fanPerDevice does.
+// device, pipelined on devices with asynchronous completion. Every device
+// is visited; first error wins. It completes the way fanPerDevice does.
 func (c *Controller) removeOwnedThen(devs []Device, cmd southbound.FlowModCommand, owner string, version int, then func(error)) error {
 	return c.fanPerDevice(devs,
 		func(d asyncDevice, cb func(error)) { d.removeRulesAsync(cmd, owner, version, cb) },
-		func(d Device) error {
-			switch cmd {
-			case southbound.FlowDeleteOwnerBefore:
-				return d.RemoveRulesBefore(owner, version)
-			case southbound.FlowDeleteOwnerVersion:
-				return d.RemoveRulesVersion(owner, version)
-			default:
-				return d.RemoveRules(owner)
-			}
-		}, then)
+		func(d Device) error { return d.RemoveRules(cmd, owner, version) },
+		then)
 }
 
 // fanPerDevice applies one action per device and joins the outcomes, first
@@ -163,16 +130,15 @@ func (c *Controller) removeOwnedThen(devs []Device, cmd southbound.FlowModComman
 // child's logicalDevice) have their modifications and fences issued back
 // to back, so N of them cost roughly one round trip of wall time and no
 // goroutine; the others run serially, in slice order, on the calling
-// goroutine. A SerialSouthbound controller runs every device that way and
-// stops at the first error, and a set with no async device pays for no
-// join.
+// goroutine, stopping at the first error among them. A set with no async
+// device pays for no join.
 //
 // With then nil the call blocks and returns the joined error. Otherwise it
 // returns nil at once and then receives the joined error exactly once,
 // from whichever goroutine completed the last device.
 func (c *Controller) fanPerDevice(devs []Device, asyncF func(asyncDevice, func(error)), syncF func(Device) error, then func(error)) error {
 	isAsync := func(d Device) bool { _, ok := d.(asyncDevice); return ok }
-	if c.SerialSouthbound || !slices.ContainsFunc(devs, isAsync) {
+	if !slices.ContainsFunc(devs, isAsync) {
 		err := runPerDevice(devs, syncF)
 		if then == nil {
 			return err
@@ -261,7 +227,7 @@ func runPerDevice(devs []Device, f func(Device) error) error {
 
 // flushBatch programs an accumulated batch and waits for it. On any
 // failure after the batch was issued, every device of the batch is
-// scrubbed of exactly this version (RemoveRulesVersion), which cannot
+// scrubbed of exactly this version (FlowDeleteOwnerVersion), which cannot
 // disturb older versions of the same owner still carrying traffic
 // mid-update (§6).
 func (c *Controller) flushBatch(b *ruleBatch, owner string, version int) error {
@@ -310,7 +276,7 @@ func (c *Controller) issueBatch(b *ruleBatch, owner string, version int, then fu
 	c.mu.Unlock()
 	return devs, c.fanPerDevice(devs,
 		func(d asyncDevice, cb func(error)) { d.installRulesAsync(b.rulesOf(d.ID()), cb) },
-		func(d Device) error { return installRules(d, b.rulesOf(d.ID())) },
+		func(d Device) error { return d.InstallRules(b.rulesOf(d.ID())) },
 		then)
 }
 

@@ -99,7 +99,7 @@ func TestBatchRoundTripReduction(t *testing.T) {
 	// Reference: one FlowMod+barrier round trip per rule.
 	perRule, pcc := dialCounted(t, net, "S2")
 	for _, r := range mkRules(4) {
-		if err := perRule.InstallRule(r); err != nil {
+		if err := perRule.InstallRules([]dataplane.Rule{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -386,17 +386,10 @@ func (c delayedConn) Send(m southbound.Msg) error {
 	return c.Conn.Send(m)
 }
 
-// perRuleDevice exposes only the Device methods of the ConnDevice it
-// wraps, so installRules falls back to a loop over InstallRule: one
-// synchronous FlowMod+barrier round trip per rule.
-type perRuleDevice struct{ Device }
-
 // benchConnFixture builds a four-switch chain controlled over real
 // binary-framed TCP southbound connections with emulated control-channel
 // latency, so bearer setup pays genuine per-message round-trip costs.
-// perRule hides the batch capability and forces serial device order — the
-// pre-batching baseline.
-func benchConnFixture(b *testing.B, perRule bool) *Controller {
+func benchConnFixture(b *testing.B) *Controller {
 	b.Helper()
 	dpn := dataplane.NewNetwork()
 	for _, id := range []dataplane.DeviceID{"S1", "S2", "S3", "S4"} {
@@ -411,7 +404,6 @@ func benchConnFixture(b *testing.B, perRule bool) *Controller {
 	ep, _ := dpn.AddEgress("E1", "S4", "isp")
 
 	ctrl := NewController("L1", 1, 0)
-	ctrl.SerialSouthbound = perRule
 	for _, id := range []dataplane.DeviceID{"S1", "S2", "S3", "S4"} {
 		agent := southbound.NewSwitchAgent(dpn, dpn.Switch(id))
 		ln, err := stdnet.Listen("tcp", "127.0.0.1:0")
@@ -435,12 +427,7 @@ func benchConnFixture(b *testing.B, perRule bool) *Controller {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { dev.Close() })
-		if perRule {
-			dev.setController(ctrl)
-			ctrl.AttachDevice(perRuleDevice{dev})
-		} else {
-			ctrl.AttachDevice(dev)
-		}
+		ctrl.AttachDevice(dev)
 	}
 	ctrl.SetConfig(reca.Config{Radios: []reca.RadioAttachment{
 		{ID: "gA", Attach: dataplane.PortRef{Dev: "S1", Port: rp.ID}, Border: true}}})
@@ -462,29 +449,25 @@ func benchConnFixture(b *testing.B, perRule bool) *Controller {
 	return ctrl
 }
 
-func benchBearerSetupConn(b *testing.B, perRule bool) {
-	ctrl := benchConnFixture(b, perRule)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ue := fmt.Sprintf("u%d", i)
-		rec, err := ctrl.HandleBearerRequest(BearerRequest{UE: ue, BS: "b1", Prefix: "pfx"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		if err := rec.HandledBy.TeardownPath(rec.PathID); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-}
-
 // BenchmarkBearerSetupConn measures bearer admission over real
-// binary-framed TCP southbound sessions. "batched" pipelines each
-// switch's FlowMods behind a single asynchronously-completed barrier and
-// fans switches out concurrently; "perrule" is the pre-batching baseline
-// (one synchronous round trip per rule, switches programmed serially).
+// binary-framed TCP southbound sessions: each switch's FlowMods ride
+// pipelined behind a single asynchronously-completed barrier, and the
+// switches are issued back to back.
 func BenchmarkBearerSetupConn(b *testing.B) {
-	b.Run("batched", func(b *testing.B) { benchBearerSetupConn(b, false) })
-	b.Run("perrule", func(b *testing.B) { benchBearerSetupConn(b, true) })
+	b.Run("batched", func(b *testing.B) {
+		ctrl := benchConnFixture(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ue := fmt.Sprintf("u%d", i)
+			rec, err := ctrl.HandleBearerRequest(BearerRequest{UE: ue, BS: "b1", Prefix: "pfx"})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := rec.HandledBy.TeardownPath(rec.PathID); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 }

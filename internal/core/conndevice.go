@@ -586,21 +586,13 @@ func (d *ConnDevice) Features() southbound.FeatureReply {
 	return fr
 }
 
-// InstallRule implements Device: a FlowMod followed by a barrier so the
-// rule is in place when the call returns. Device-side refusals (e.g. a
+// InstallRules implements Device: the rules ride one pipelined
+// FlowModBatch (a lone rule, one FlowMod) fenced by a single barrier, so a
+// whole per-device batch costs one synchronous round trip instead of one
+// per rule. The agent applies the batch in order and stops at the first
+// failure, so on error the device may hold a prefix of the batch — callers
+// (flushBatch) roll the affected version back. Device-side refusals (e.g. a
 // slave-role write) surface as errors.
-func (d *ConnDevice) InstallRule(r dataplane.Rule) error {
-	connFlowMods.Inc()
-	return d.awaitFence(southbound.Msg{Type: southbound.TypeFlowMod,
-		Body: southbound.FlowMod{Command: southbound.FlowAdd, Rule: r}})
-}
-
-// InstallRules implements BatchInstaller: the rules ride one pipelined
-// FlowModBatch fenced by a single barrier, so a whole per-device batch
-// costs one synchronous round trip instead of one per rule. The agent
-// applies the batch in order and stops at the first failure, so on error
-// the device may hold a prefix of the batch — callers (flushBatch) roll
-// the affected version back with RemoveRulesVersion.
 func (d *ConnDevice) InstallRules(rules []dataplane.Rule) error {
 	ch := make(chan error, 1)
 	d.installRulesAsync(rules, func(err error) { ch <- err })
@@ -640,32 +632,10 @@ func (d *ConnDevice) removeRulesAsync(cmd southbound.FlowModCommand, owner strin
 		Body: southbound.FlowMod{Command: cmd, Owner: owner, Version: version}}, cb)
 }
 
-// RemoveRules implements Device.
-func (d *ConnDevice) RemoveRules(owner string) error {
-	connFlowMods.Inc()
-	return d.awaitFence(southbound.Msg{Type: southbound.TypeFlowMod,
-		Body: southbound.FlowMod{Command: southbound.FlowDeleteOwner, Owner: owner}})
-}
-
-// RemoveRulesBefore implements Device.
-func (d *ConnDevice) RemoveRulesBefore(owner string, version int) error {
-	connFlowMods.Inc()
-	return d.awaitFence(southbound.Msg{Type: southbound.TypeFlowMod,
-		Body: southbound.FlowMod{Command: southbound.FlowDeleteOwnerBefore, Owner: owner, Version: version}})
-}
-
-// RemoveRulesVersion implements Device.
-func (d *ConnDevice) RemoveRulesVersion(owner string, version int) error {
-	connFlowMods.Inc()
-	return d.awaitFence(southbound.Msg{Type: southbound.TypeFlowMod,
-		Body: southbound.FlowMod{Command: southbound.FlowDeleteOwnerVersion, Owner: owner, Version: version}})
-}
-
-// awaitFence is the synchronous face of the completion table: enqueue the
-// modification, fence it, wait for the callback.
-func (d *ConnDevice) awaitFence(m southbound.Msg) error {
+// RemoveRules implements Device: one delete FlowMod and its fence.
+func (d *ConnDevice) RemoveRules(cmd southbound.FlowModCommand, owner string, version int) error {
 	ch := make(chan error, 1)
-	d.modAsync(m, func(err error) { ch <- err })
+	d.removeRulesAsync(cmd, owner, version, func(err error) { ch <- err })
 	return <-ch
 }
 

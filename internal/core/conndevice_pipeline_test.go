@@ -76,7 +76,7 @@ func TestStaleBarrierReplyDoesNotSatisfyNextFence(t *testing.T) {
 	dev.BarrierRetries = 0
 
 	errc := make(chan error, 1)
-	go func() { errc <- dev.InstallRule(dataplane.Rule{Priority: 1}) }()
+	go func() { errc <- dev.InstallRules([]dataplane.Rule{{Priority: 1}}) }()
 	recvType(t, devEnd, southbound.TypeFlowMod)
 	b1 := recvType(t, devEnd, southbound.TypeBarrierRequest)
 
@@ -91,7 +91,7 @@ func TestStaleBarrierReplyDoesNotSatisfyNextFence(t *testing.T) {
 	}
 
 	// Second install; its fence gets a fresh barrier xid.
-	go func() { errc <- dev.InstallRule(dataplane.Rule{Priority: 2}) }()
+	go func() { errc <- dev.InstallRules([]dataplane.Rule{{Priority: 2}}) }()
 	recvType(t, devEnd, southbound.TypeFlowMod)
 	b2 := recvType(t, devEnd, southbound.TypeBarrierRequest)
 	if b2.Xid == b1.Xid {
@@ -117,7 +117,7 @@ func TestStaleBarrierReplyDoesNotSatisfyNextFence(t *testing.T) {
 	}
 
 	// A reply carrying the fence's current xid still completes it.
-	go func() { errc <- dev.InstallRule(dataplane.Rule{Priority: 3}) }()
+	go func() { errc <- dev.InstallRules([]dataplane.Rule{{Priority: 3}}) }()
 	recvType(t, devEnd, southbound.TypeFlowMod)
 	b3 := recvType(t, devEnd, southbound.TypeBarrierRequest)
 	if err := devEnd.Send(southbound.Msg{Type: southbound.TypeBarrierReply, Xid: b3.Xid,

@@ -95,12 +95,12 @@ func TestConnDeviceDiscoveryOverProtocol(t *testing.T) {
 func TestConnDeviceFlowModAndPacketIn(t *testing.T) {
 	h := newConnHarness(t)
 	dev := h.devs["S1"]
-	if err := dev.InstallRule(dataplane.Rule{
+	if err := dev.InstallRules([]dataplane.Rule{{
 		Priority: 10,
 		Match:    dataplane.Match{InPort: dataplane.PortAny, UE: "u1", QoS: -1},
 		Actions:  []dataplane.Action{dataplane.Output(1)},
 		Owner:    "t",
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if h.net.Switch("S1").Table.Len() != 1 {
@@ -121,7 +121,7 @@ func TestConnDeviceFlowModAndPacketIn(t *testing.T) {
 		t.Fatal("packet-in never reached the controller")
 	}
 
-	if err := dev.RemoveRules("t"); err != nil {
+	if err := dev.RemoveRules(southbound.FlowDeleteOwner, "t", 0); err != nil {
 		t.Fatal(err)
 	}
 	if h.net.Switch("S1").Table.Len() != 0 {
@@ -133,8 +133,15 @@ func TestConnDevicePortStatusEvent(t *testing.T) {
 	h := newConnHarness(t)
 	h.ctrl.RunDiscovery()
 	h.waitLinks(t, 1)
-	h.net.SetLinkState(h.net.Links()[0], false)
+	// Both directions' frames must have arrived before the link fails: a
+	// frame still in flight on the other switch's conn would re-mark the
+	// link up after the port-status event.
 	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) && h.ctrl.StatsSnapshot().LinksDiscovered < 2 {
+		time.Sleep(2 * time.Millisecond)
+	}
+	h.net.SetLinkState(h.net.Links()[0], false)
+	deadline = time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		// The record survives, marked down, ready for restoration.
 		if h.ctrl.NIB.NumLinks() == 1 && h.ctrl.NIB.NumUpLinks() == 0 {
@@ -172,7 +179,7 @@ func TestEqualRoleRegionHandover(t *testing.T) {
 	if role, err := dst.SetRole("leaf-dst", southbound.RoleEqual); err != nil || role != southbound.RoleEqual {
 		t.Fatalf("equal role: %v %v", role, err)
 	}
-	if err := dst.InstallRule(dataplane.Rule{Priority: 1, Match: dataplane.AnyMatch(), Owner: "dst"}); err != nil {
+	if err := dst.InstallRules([]dataplane.Rule{{Priority: 1, Match: dataplane.AnyMatch(), Owner: "dst"}}); err != nil {
 		t.Fatalf("equal-role install: %v", err)
 	}
 
@@ -187,7 +194,7 @@ func TestEqualRoleRegionHandover(t *testing.T) {
 	if _, err := src.SetRole("leaf-src", southbound.RoleSlave); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.InstallRule(dataplane.Rule{Priority: 1, Match: dataplane.AnyMatch(), Owner: "src"}); err == nil {
+	if err := src.InstallRules([]dataplane.Rule{{Priority: 1, Match: dataplane.AnyMatch(), Owner: "src"}}); err == nil {
 		t.Fatal("slave write should be refused")
 	}
 	if _, err := dst.SetRole("leaf-dst", southbound.RoleMaster); err != nil {

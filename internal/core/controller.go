@@ -45,17 +45,6 @@ type Controller struct {
 	// baseline for path translation (§4.3).
 	Mode pathimpl.Mode
 
-	// SerialSouthbound makes batch flushes and removal fan-outs program
-	// asynchronous devices — a parent's in-process children, or
-	// wire-attached switches — one at a time through their blocking Device
-	// methods, in deterministic (path, then sorted) order and stopping at
-	// the first failure, instead of issuing them back to back; sets of
-	// in-process switches are serial regardless. The fault-injection
-	// harness sets it on its root so a seed replays to a byte-identical
-	// event log; it must be set before the controller starts programming
-	// rules.
-	SerialSouthbound bool
-
 	// NIB is this controller's network information base (§4).
 	NIB *nib.NIB
 

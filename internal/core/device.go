@@ -22,19 +22,17 @@ type Device interface {
 	// Features returns the device description (ports, kind, and the
 	// virtual fabric for G-switches).
 	Features() southbound.FeatureReply
-	// InstallRule installs one flow rule. On a G-switch this triggers the
-	// child controller's recursive translation (§4.3).
-	InstallRule(r dataplane.Rule) error
-	// RemoveRules removes all rules installed under an owner tag,
-	// recursively for G-switches.
-	RemoveRules(owner string) error
-	// RemoveRulesBefore removes an owner's rules older than version —
-	// the cleanup step of a consistent path update (§6).
-	RemoveRulesBefore(owner string, version int) error
-	// RemoveRulesVersion removes exactly an owner's rules of one version —
-	// the rollback of a partially installed translation, which must not
-	// touch older versions still carrying traffic mid-update (§6).
-	RemoveRulesVersion(owner string, version int) error
+	// InstallRules installs rules in order, fenced as one operation. On a
+	// G-switch this triggers the child controller's recursive translation
+	// (§4.3). On error the device may hold any prefix of the rules: the
+	// caller rolls the affected owner and version back (flushBatch).
+	InstallRules(rules []dataplane.Rule) error
+	// RemoveRules executes one delete command — the FlowMod of the wire —
+	// recursively for G-switches: by owner tag, an owner's versions before
+	// version (the cleanup step of a consistent path update, §6), or exactly
+	// one version of an owner (the rollback of a partial translation, which
+	// must not touch older versions still carrying traffic).
+	RemoveRules(cmd southbound.FlowModCommand, owner string, version int) error
 	// EmitDiscovery sends a link-discovery frame out of a port (§4.1.2).
 	EmitDiscovery(port dataplane.PortID, f *discovery.Frame) error
 }
@@ -81,32 +79,20 @@ func (d *SwitchDevice) Features() southbound.FeatureReply {
 	return southbound.BuildFeatures(d.sw)
 }
 
-// InstallRule implements Device, taking any bandwidth reservation the
+// InstallRules implements Device, taking any bandwidth reservation a
 // rule's Demand requires (admission control, §3.2).
-func (d *SwitchDevice) InstallRule(r dataplane.Rule) error {
-	return d.net.InstallRule(d.sw.ID, r)
+func (d *SwitchDevice) InstallRules(rules []dataplane.Rule) error {
+	for i := range rules {
+		if err := d.net.InstallRule(d.sw.ID, rules[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RemoveRules implements Device, releasing reservations.
-func (d *SwitchDevice) RemoveRules(owner string) error {
-	d.net.RemoveRulesOwner(d.sw.ID, owner, nil)
-	return nil
-}
-
-// RemoveRulesBefore implements Device.
-func (d *SwitchDevice) RemoveRulesBefore(owner string, version int) error {
-	d.net.RemoveRulesOwner(d.sw.ID, owner, func(r *dataplane.Rule) bool {
-		return r.Version < version
-	})
-	return nil
-}
-
-// RemoveRulesVersion implements Device.
-func (d *SwitchDevice) RemoveRulesVersion(owner string, version int) error {
-	d.net.RemoveRulesOwner(d.sw.ID, owner, func(r *dataplane.Rule) bool {
-		return r.Version == version
-	})
-	return nil
+func (d *SwitchDevice) RemoveRules(cmd southbound.FlowModCommand, owner string, version int) error {
+	return southbound.ApplyFlowMod(d.net, d.sw.ID, &southbound.FlowMod{Command: cmd, Owner: owner, Version: version})
 }
 
 // EmitDiscovery implements Device: the frame crosses the physical link (if
@@ -173,42 +159,33 @@ func (d *logicalDevice) Features() southbound.FeatureReply {
 	return d.child.RecAFeatures()
 }
 
-// InstallRule implements Device: the child translates the virtual rule
+// InstallRules implements Device: the child translates the virtual rules
 // onto its own (physical or logical) topology (§4.3).
-func (d *logicalDevice) InstallRule(r dataplane.Rule) error {
-	return d.child.TranslateRule(r)
+func (d *logicalDevice) InstallRules(rules []dataplane.Rule) error {
+	return d.child.TranslateRules(rules)
+}
+
+// RemoveRules implements Device: the child's recursive removal.
+func (d *logicalDevice) RemoveRules(cmd southbound.FlowModCommand, owner string, version int) error {
+	return d.child.RemoveTranslated(cmd, owner, version)
 }
 
 // installRulesAsync implements asyncDevice: every rule of the call — one
 // owner and version — translates into one child batch issued through the
 // child's own fan-out, and cb runs when the child's last fence resolves.
 // The child does not roll back a failure: the parent's flush rollback
-// (RemoveRulesVersion → RemoveTranslatedVersion) scrubs exactly this owner
-// and version from every child device, so no callback ever blocks and no
-// goroutine is spawned.
+// (a FlowDeleteOwnerVersion through RemoveTranslated) scrubs exactly this
+// owner and version from every child device, so no callback ever blocks
+// and no goroutine is spawned.
 func (d *logicalDevice) installRulesAsync(rules []dataplane.Rule, cb func(error)) {
 	d.child.translateAsync(rules, cb)
 }
 
-// removeRulesAsync implements asyncDevice: the child's recursive removal,
-// with cb in place of the wait.
+// removeRulesAsync implements asyncDevice: RemoveRules with cb in place of
+// the wait.
 func (d *logicalDevice) removeRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error)) {
-	d.child.removeTranslatedAsync(cmd, owner, version, cb)
-}
-
-// RemoveRules implements Device: recursive removal by owner tag.
-func (d *logicalDevice) RemoveRules(owner string) error {
-	return d.child.RemoveTranslated(owner)
-}
-
-// RemoveRulesBefore implements Device: recursive version-scoped removal.
-func (d *logicalDevice) RemoveRulesBefore(owner string, version int) error {
-	return d.child.RemoveTranslatedBefore(owner, version)
-}
-
-// RemoveRulesVersion implements Device: recursive exact-version removal.
-func (d *logicalDevice) RemoveRulesVersion(owner string, version int) error {
-	return d.child.RemoveTranslatedVersion(owner, version)
+	//softmow:allow errdiscard with a callback the outcome reaches cb and the return is always nil
+	_ = d.child.removeTranslated(cmd, owner, version, cb)
 }
 
 // EmitDiscovery implements Device: the child maps the G-switch port to its

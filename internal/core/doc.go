@@ -22,10 +22,11 @@
 //
 //   - controller.go — Controller, NIB/graph cache, device registry, stats
 //   - mgmt.go — Hierarchy, the management plane bootstrapping a tree
-//   - device.go — Device interface, in-process SwitchDevice, and the
-//     logicalDevice that translates parent rules into child paths
+//   - device.go — Device interface (InstallRules and RemoveRules, the
+//     FlowMod verbs), in-process SwitchDevice, and the logicalDevice that
+//     translates parent rules into child paths
 //   - conndevice.go — ConnDevice, the wire-backed device over southbound
-//   - batch.go — ruleBatch, flushBatch, removeOwned, BatchInstaller
+//   - batch.go — ruleBatch, flushBatch, removeOwned, the fan-out join
 //   - pathsetup.go — path install/teardown/reroute and rule translation;
 //     the path table holds live paths only (DESIGN.md §5.2)
 //   - policy.go — middlebox service-policy routing and installation

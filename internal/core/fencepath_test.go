@@ -120,7 +120,7 @@ func TestFenceTimesOutBehindCompletedFences(t *testing.T) {
 
 	close(withhold)
 	start := time.Now()
-	err := dev.InstallRule(dataplane.Rule{Priority: 1})
+	err := dev.InstallRules([]dataplane.Rule{{Priority: 1}})
 	elapsed := time.Since(start)
 	if err == nil || !strings.Contains(err.Error(), "fence failed after 3 attempts") {
 		t.Fatalf("withheld fence: %v, want failure after 3 attempts", err)
@@ -205,9 +205,6 @@ func (d recordingDevice) ID() dataplane.DeviceID { return d.id }
 func (d recordingDevice) Features() southbound.FeatureReply {
 	return southbound.FeatureReply{Device: d.id, Kind: dataplane.KindSwitch}
 }
-func (d recordingDevice) InstallRule(r dataplane.Rule) error {
-	return d.InstallRules([]dataplane.Rule{r})
-}
 func (d recordingDevice) InstallRules(rules []dataplane.Rule) error {
 	line := string(d.id) + ":"
 	for _, r := range rules {
@@ -216,10 +213,8 @@ func (d recordingDevice) InstallRules(rules []dataplane.Rule) error {
 	*d.log = append(*d.log, line)
 	return nil
 }
-func (d recordingDevice) RemoveRules(string) error                               { return nil }
-func (d recordingDevice) RemoveRulesBefore(string, int) error                    { return nil }
-func (d recordingDevice) RemoveRulesVersion(string, int) error                   { return nil }
-func (d recordingDevice) EmitDiscovery(dataplane.PortID, *discovery.Frame) error { return nil }
+func (d recordingDevice) RemoveRules(southbound.FlowModCommand, string, int) error { return nil }
+func (d recordingDevice) EmitDiscovery(dataplane.PortID, *discovery.Frame) error   { return nil }
 
 // TestRuleBatchFlushesInFirstTouchOrder: a serial flush programs devices
 // in the order the batch first touched them (the chaos harness's seed

@@ -35,10 +35,8 @@ func (d *probeDev) Features() southbound.FeatureReply {
 		Ports:  []southbound.PortInfo{{ID: 1, Up: true}},
 	}
 }
-func (d *probeDev) InstallRule(dataplane.Rule) error     { return nil }
-func (d *probeDev) RemoveRules(string) error             { return nil }
-func (d *probeDev) RemoveRulesBefore(string, int) error  { return nil }
-func (d *probeDev) RemoveRulesVersion(string, int) error { return nil }
+func (d *probeDev) InstallRules([]dataplane.Rule) error                      { return nil }
+func (d *probeDev) RemoveRules(southbound.FlowModCommand, string, int) error { return nil }
 func (d *probeDev) EmitDiscovery(port dataplane.PortID, f *discovery.Frame) error {
 	d.mu.Lock()
 	d.emits++

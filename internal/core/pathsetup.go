@@ -299,37 +299,45 @@ func (c *Controller) ReroutePath(id PathID, newPath *routing.Path) error {
 	return nil
 }
 
-// TranslateRule is the RecA agent's entry point for virtual rules pushed
-// by the parent onto this controller's exposed G-switch (§4.3): the rule
-// is mapped onto internal paths between the referenced ports and installed
-// recursively. A flush failure scrubs exactly the rule's version from the
-// devices it touched (flushBatch rollback), which is all this call can
-// have installed.
-func (c *Controller) TranslateRule(r dataplane.Rule) error {
-	b := newRuleBatch()
-	if err := c.appendTranslation(b, r); err != nil {
+// TranslateRules is the RecA agent's entry point for virtual rules pushed
+// by the parent onto this controller's exposed G-switch (§4.3): the rules —
+// all of one owner and version — are mapped onto internal paths and
+// installed recursively as one batch. A flush failure scrubs exactly that
+// version from the devices the batch touched (flushBatch rollback), which
+// is all this call can have installed.
+func (c *Controller) TranslateRules(rules []dataplane.Rule) error {
+	b, err := c.translationBatch(rules)
+	if err != nil || b.size == 0 {
 		return err
 	}
-	return c.flushBatch(b, r.Owner, r.Version)
+	return c.flushBatch(b, rules[0].Owner, rules[0].Version)
 }
 
-// translateAsync translates a parent's virtual rules — one device's share
-// of a flush, so never empty and all of one owner and version — into one
-// batch and issues it, reporting to then when the last fence resolves.
-// Nothing is rolled back here: the parent's flush rollback scrubs the
-// version from every device of this controller
-// (logicalDevice.installRulesAsync).
+// translateAsync is TranslateRules for the parent's asynchronous fan-out:
+// the batch is issued and then hears from the last fence. Nothing is rolled
+// back here: the parent's flush rollback scrubs the version from every
+// device of this controller (logicalDevice.installRulesAsync).
 func (c *Controller) translateAsync(rules []dataplane.Rule, then func(error)) {
-	b := newRuleBatch()
-	for _, r := range rules {
-		if err := c.appendTranslation(b, r); err != nil {
-			then(err)
-			return
-		}
+	b, err := c.translationBatch(rules)
+	if err != nil || b.size == 0 {
+		then(err)
+		return
 	}
 	if _, err := c.issueBatch(b, rules[0].Owner, rules[0].Version, then); err != nil {
 		then(err)
 	}
+}
+
+// translationBatch maps a parent's virtual rules onto internal paths and
+// accumulates their rules into one batch, programming nothing.
+func (c *Controller) translationBatch(rules []dataplane.Rule) (*ruleBatch, error) {
+	b := newRuleBatch()
+	for i := range rules {
+		if err := c.appendTranslation(b, rules[i]); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 // appendTranslation maps one virtual rule onto internal paths and
@@ -416,38 +424,40 @@ func (c *Controller) appendTranslation(b *ruleBatch, r dataplane.Rule) error {
 	return c.appendPathRules(b, ctx, p, r.Owner, r.Version)
 }
 
-// RemoveTranslated removes, recursively, all rules installed under an
-// owner tag.
-func (c *Controller) RemoveTranslated(owner string) error {
-	// Removals are idempotent filters; a detached device's rules died with
-	// it, so there is no failure mode the parent could act on.
-	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
-	_ = c.removeOwned(c.Devices(), southbound.FlowDeleteOwner, owner, 0)
-	return nil
+// RemoveTranslated executes a parent's delete command on this
+// controller's exposed G-switch: the command travels unchanged to every
+// device, recursively (§6 consistent updates and rollback). It is the one
+// place a FlowModCommand acquires its meaning on a G-switch: the ownerless
+// FlowDeleteVersion (and FlowAdd) are refused before anything is removed,
+// since a G-switch cannot scope them to the rules it translated for one
+// owner. An accepted delete reports no error — deletes are idempotent
+// filters and a detached device's rules died with it, so there is no
+// failure mode the parent could act on.
+func (c *Controller) RemoveTranslated(cmd southbound.FlowModCommand, owner string, version int) error {
+	return c.removeTranslated(cmd, owner, version, nil)
 }
 
-// RemoveTranslatedBefore removes, recursively, an owner's rules older than
-// version (§6 consistent updates).
-func (c *Controller) RemoveTranslatedBefore(owner string, version int) error {
+// removeTranslated is RemoveTranslated's body. With then nil it waits;
+// otherwise it returns nil at once and then receives the outcome
+// (logicalDevice.removeRulesAsync).
+func (c *Controller) removeTranslated(cmd southbound.FlowModCommand, owner string, version int, then func(error)) error {
+	switch cmd {
+	case southbound.FlowDeleteOwner, southbound.FlowDeleteOwnerBefore, southbound.FlowDeleteOwnerVersion:
+	default:
+		err := fmt.Errorf("core: %s: flow-mod command %d is not an owner-scoped delete", c.ID, cmd)
+		if then == nil {
+			return err
+		}
+		then(err)
+		return nil
+	}
+	done := then
+	if then != nil {
+		done = func(error) { then(nil) }
+	}
 	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
-	_ = c.removeOwned(c.Devices(), southbound.FlowDeleteOwnerBefore, owner, version)
+	_ = c.removeOwnedThen(c.Devices(), cmd, owner, version, done)
 	return nil
-}
-
-// RemoveTranslatedVersion removes, recursively, exactly an owner's rules of
-// one version — rollback of a partial translation that must leave older
-// live versions untouched.
-func (c *Controller) RemoveTranslatedVersion(owner string, version int) error {
-	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
-	_ = c.removeOwned(c.Devices(), southbound.FlowDeleteOwnerVersion, owner, version)
-	return nil
-}
-
-// removeTranslatedAsync is the RemoveTranslated* family with a callback in
-// place of the wait; like them it reports no error to the parent.
-func (c *Controller) removeTranslatedAsync(cmd southbound.FlowModCommand, owner string, version int, then func(error)) {
-	//softmow:allow errdiscard then always completes; the fan-out's own return is nil once then is set
-	_ = c.removeOwnedThen(c.Devices(), cmd, owner, version, func(error) { then(nil) })
 }
 
 // classificationSources resolves a G-BS attach port to the underlying

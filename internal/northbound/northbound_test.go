@@ -345,6 +345,34 @@ func TestTransferUEStateFragmented(t *testing.T) {
 	}
 }
 
+// TestParentConnRefusesOwnerlessDelete: a G-switch cannot scope the
+// ownerless FlowDeleteVersion to the rules it translated for one owner, so
+// over the wire, as in process, the child refuses it and removes nothing.
+func TestParentConnRefusesOwnerlessDelete(t *testing.T) {
+	dt := buildDist(t)
+	rec, err := dt.l1.HandleBearerRequest(core.BearerRequest{UE: "u7", BS: "b1", Prefix: "pfxFar"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, ok := dt.root.Path(rec.PathID)
+	if !ok {
+		t.Fatal("root holds no record of the delegated path")
+	}
+	before := dt.totalRules()
+	if err := dt.devs[0].RemoveRules(southbound.FlowDeleteVersion, "", pr.Version); err == nil {
+		t.Fatal("ownerless version delete accepted by a remote G-switch")
+	}
+	if got := dt.totalRules(); got != before {
+		t.Fatalf("refused delete changed the rule count %d -> %d", before, got)
+	}
+	if err := dt.devs[0].RemoveRules(southbound.FlowDeleteOwnerVersion, pr.Owner, pr.Version); err != nil {
+		t.Fatal(err)
+	}
+	if got := dt.totalRules(); got >= before {
+		t.Fatalf("owner-scoped version delete left %d of %d rules", got, before)
+	}
+}
+
 func TestParentConnDrainIdle(t *testing.T) {
 	dt := buildDist(t)
 	if _, err := dt.l1.HandleBearerRequest(core.BearerRequest{UE: "u9", BS: "b1", Prefix: "pfxFar"}); err != nil {
@@ -387,7 +415,7 @@ func TestConnDeviceDrain(t *testing.T) {
 		t.Fatalf("Drain on idle device: %v", err)
 	}
 	installed := make(chan error, 1)
-	go func() { installed <- d.InstallRule(dataplane.Rule{Owner: "t", Priority: 1}) }()
+	go func() { installed <- d.InstallRules([]dataplane.Rule{{Owner: "t", Priority: 1}}) }()
 	var drainErr error
 	for i := 0; i < 500; i++ {
 		drainErr = d.Drain(2 * time.Millisecond)

@@ -217,8 +217,8 @@ func (p *ParentConn) startMods(xid uint32, mods []southbound.FlowMod) {
 	p.modsInFlight = append(p.modsInFlight, t)
 	go func() {
 		defer close(t.done)
-		for _, fm := range mods {
-			if err := p.applyMod(fm); err != nil {
+		for i := range mods {
+			if err := p.applyMod(&mods[i]); err != nil {
 				t.err = err
 				return
 			}
@@ -242,21 +242,11 @@ func (p *ParentConn) completeFence(xid uint32, tasks []*modTask) {
 
 // applyMod executes one virtual-rule modification against the child's
 // RecA — the wire face of the parent's logicalDevice calls (§4.3).
-func (p *ParentConn) applyMod(fm southbound.FlowMod) error {
-	switch fm.Command {
-	case southbound.FlowAdd:
-		return p.child.TranslateRule(fm.Rule)
-	case southbound.FlowDeleteOwner:
-		return p.child.RemoveTranslated(fm.Owner)
-	case southbound.FlowDeleteOwnerBefore:
-		return p.child.RemoveTranslatedBefore(fm.Owner, fm.Version)
-	case southbound.FlowDeleteOwnerVersion:
-		return p.child.RemoveTranslatedVersion(fm.Owner, fm.Version)
-	default:
-		// FlowDeleteVersion is ownerless: a G-switch cannot scope it to a
-		// tenant's translated rules, and no parent-side caller emits it.
-		return fmt.Errorf("northbound: unsupported flow-mod command %d on a G-switch", fm.Command)
+func (p *ParentConn) applyMod(fm *southbound.FlowMod) error {
+	if fm.Command == southbound.FlowAdd {
+		return p.child.TranslateRules([]dataplane.Rule{fm.Rule})
 	}
+	return p.child.RemoveTranslated(fm.Command, fm.Owner, fm.Version)
 }
 
 // adoptRows rebinds transferred UE rows to live path owners: rows this

@@ -1,6 +1,7 @@
 package southbound
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -163,7 +164,7 @@ func (a *SwitchAgent) handle(peer *agentPeer, m Msg) {
 				Body: Error{Code: ErrCodeBadRequest, Message: "malformed flow-mod"}})
 			return
 		}
-		if err := a.applyFlowMod(fm); err != nil {
+		if err := ApplyFlowMod(a.Net, a.Sw.ID, &fm); err != nil {
 			a.send(peer, Msg{Type: TypeError, Xid: m.Xid, Datapath: a.Sw.ID,
 				Body: Error{Code: ErrCodeBadRequest, Message: err.Error()}})
 		}
@@ -183,8 +184,8 @@ func (a *SwitchAgent) handle(peer *agentPeer, m Msg) {
 		// Mods apply strictly in order; the first failure aborts the rest,
 		// leaving the already-applied prefix in place. The controller's
 		// fence observes the error and rolls the partial version back.
-		for _, fm := range fb.Mods {
-			if err := a.applyFlowMod(fm); err != nil {
+		for i := range fb.Mods {
+			if err := ApplyFlowMod(a.Net, a.Sw.ID, &fb.Mods[i]); err != nil {
 				a.send(peer, Msg{Type: TypeError, Xid: m.Xid, Datapath: a.Sw.ID,
 					Body: Error{Code: ErrCodeBadRequest, Message: err.Error()}})
 				return
@@ -212,25 +213,25 @@ func (a *SwitchAgent) handle(peer *agentPeer, m Msg) {
 	}
 }
 
-// applyFlowMod executes one FlowMod against the switch. Only FlowAdd can
-// fail (admission control in the data plane); the delete commands are
-// idempotent filters.
-func (a *SwitchAgent) applyFlowMod(fm FlowMod) error {
+// ApplyFlowMod executes one FlowMod against a switch's flow table: the one
+// place a FlowModCommand acquires its flow-table meaning, shared by the
+// protocol agent and the in-process device adapter. Only FlowAdd can fail
+// on a known command (admission control in the data plane); the delete
+// commands are idempotent filters.
+func ApplyFlowMod(net *dataplane.Network, sw dataplane.DeviceID, fm *FlowMod) error {
 	switch fm.Command {
 	case FlowAdd:
-		return a.Net.InstallRule(a.Sw.ID, fm.Rule)
+		return net.InstallRule(sw, fm.Rule)
 	case FlowDeleteOwner:
-		a.Net.RemoveRulesOwner(a.Sw.ID, fm.Owner, nil)
+		net.RemoveRulesOwner(sw, fm.Owner, nil)
 	case FlowDeleteVersion:
-		a.Net.RemoveRulesIf(a.Sw.ID, func(r *dataplane.Rule) bool { return r.Version == fm.Version })
+		net.RemoveRulesIf(sw, func(r *dataplane.Rule) bool { return r.Version == fm.Version })
 	case FlowDeleteOwnerBefore:
-		a.Net.RemoveRulesOwner(a.Sw.ID, fm.Owner, func(r *dataplane.Rule) bool {
-			return r.Version < fm.Version
-		})
+		net.RemoveRulesOwner(sw, fm.Owner, func(r *dataplane.Rule) bool { return r.Version < fm.Version })
 	case FlowDeleteOwnerVersion:
-		a.Net.RemoveRulesOwner(a.Sw.ID, fm.Owner, func(r *dataplane.Rule) bool {
-			return r.Version == fm.Version
-		})
+		net.RemoveRulesOwner(sw, fm.Owner, func(r *dataplane.Rule) bool { return r.Version == fm.Version })
+	default:
+		return fmt.Errorf("southbound: unknown flow-mod command %d", fm.Command)
 	}
 	return nil
 }
