@@ -72,34 +72,10 @@ func (h *Harness) checkUEConsistency() error {
 }
 
 // checkNoOrphanRules asserts every rule installed on a physical switch is
-// owned by a path record some controller still considers active, at the
-// record's current version. PathOwners lists live records only, so a rule
-// surviving its path's release shows up as "unknown to every controller".
-// A violation means a rollback, repair, or teardown leaked state into the
-// data plane.
+// owned by a live path record at its current version
+// (core.CheckNoOrphanRules).
 func (h *Harness) checkNoOrphanRules() error {
-	owners := make(map[string]core.PathOwnerInfo)
-	for _, c := range h.hier.All {
-		for owner, info := range c.PathOwners() {
-			owners[owner] = info
-		}
-	}
-	for _, sw := range h.net.Switches() {
-		for _, r := range sw.Table.Rules() {
-			info, ok := owners[r.Owner]
-			if !ok {
-				return fmt.Errorf("orphan rule on %s: owner %q unknown to every controller (%+v)", sw.ID, r.Owner, r)
-			}
-			if !info.Active {
-				return fmt.Errorf("orphan rule on %s: owner %q is deactivated (%+v)", sw.ID, r.Owner, r)
-			}
-			if r.Version != info.Version {
-				return fmt.Errorf("stale rule on %s: owner %q version %d, path record at %d (%+v)",
-					sw.ID, r.Owner, r.Version, info.Version, r)
-			}
-		}
-	}
-	return nil
+	return core.CheckNoOrphanRules(h.net, h.hier.All)
 }
 
 // checkLinkConsistency asserts the NIB view matches the physical link

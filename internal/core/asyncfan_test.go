@@ -95,6 +95,16 @@ func TestChildFailureRollsBackAcrossRegions(t *testing.T) {
 			t.Fatalf("iteration %d: %d rules survive the rollback, first %+v", i, len(left), left[0])
 		}
 	}
+	// Each rollback deleted the only version its children translated, so
+	// no child keeps a delete set for an owner that no longer exists.
+	for _, leaf := range f.h.Leaves {
+		leaf.mu.Lock()
+		n := len(leaf.translated)
+		leaf.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("%s keeps the delete sets of %d rolled-back owners", leaf.ID, n)
+		}
+	}
 }
 
 // holdbackConn holds barrier replies back from the controller, once armed,

@@ -139,12 +139,7 @@ func (c *Controller) removeOwnedThen(devs []Device, cmd southbound.FlowModComman
 func (c *Controller) fanPerDevice(devs []Device, asyncF func(asyncDevice, func(error)), syncF func(Device) error, then func(error)) error {
 	isAsync := func(d Device) bool { _, ok := d.(asyncDevice); return ok }
 	if !slices.ContainsFunc(devs, isAsync) {
-		err := runPerDevice(devs, syncF)
-		if then == nil {
-			return err
-		}
-		then(err)
-		return nil
+		return settle(runPerDevice(devs, syncF), then)
 	}
 	// One join and one bound method serve every device's completion. The
 	// issuer holds one count of its own, so no completion can finish the

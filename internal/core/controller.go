@@ -87,6 +87,9 @@ type Controller struct {
 	paths map[PathID]*PathRecord
 	// nextPath is the last allocated path ID, guarded by mu.
 	nextPath PathID
+	// translated maps each parent owner tag this controller translated to
+	// where the rules went (RemoveTranslated), guarded by mu.
+	translated map[string]translatedSet
 
 	// ue is the sharded UE store; it carries its own striped locks
 	// (ueshard.go), independent of mu.
@@ -112,17 +115,18 @@ type Stats struct {
 // NewController creates a controller with the given identity.
 func NewController(id string, level, index int) *Controller {
 	c := &Controller{
-		ID:       id,
-		Level:    level,
-		Index:    index,
-		NIB:      nib.New(),
-		devices:  make(map[dataplane.DeviceID]Device),
-		children: make(map[dataplane.DeviceID]*Controller),
-		alloc:    pathimpl.NewAllocator(index),
-		versions: &pathimpl.VersionCounter{},
-		routes:   make(map[interdomain.PrefixID][]RouteOption),
-		paths:    make(map[PathID]*PathRecord),
-		ue:       newUEState(DefaultUEShards),
+		ID:         id,
+		Level:      level,
+		Index:      index,
+		NIB:        nib.New(),
+		devices:    make(map[dataplane.DeviceID]Device),
+		children:   make(map[dataplane.DeviceID]*Controller),
+		alloc:      pathimpl.NewAllocator(index),
+		versions:   &pathimpl.VersionCounter{},
+		routes:     make(map[interdomain.PrefixID][]RouteOption),
+		paths:      make(map[PathID]*PathRecord),
+		translated: make(map[string]translatedSet),
+		ue:         newUEState(DefaultUEShards),
 	}
 	// Eager cache invalidation: any NIB change event drops the cached
 	// routing graph immediately (freeing it for GC); the generation check

@@ -162,12 +162,12 @@ func (d *logicalDevice) Features() southbound.FeatureReply {
 // InstallRules implements Device: the child translates the virtual rules
 // onto its own (physical or logical) topology (§4.3).
 func (d *logicalDevice) InstallRules(rules []dataplane.Rule) error {
-	return d.child.TranslateRules(rules)
+	return d.child.TranslateRules(rules, nil)
 }
 
 // RemoveRules implements Device: the child's recursive removal.
 func (d *logicalDevice) RemoveRules(cmd southbound.FlowModCommand, owner string, version int) error {
-	return d.child.RemoveTranslated(cmd, owner, version)
+	return d.child.RemoveTranslated(cmd, owner, version, nil)
 }
 
 // installRulesAsync implements asyncDevice: every rule of the call — one
@@ -175,17 +175,18 @@ func (d *logicalDevice) RemoveRules(cmd southbound.FlowModCommand, owner string,
 // child's own fan-out, and cb runs when the child's last fence resolves.
 // The child does not roll back a failure: the parent's flush rollback
 // (a FlowDeleteOwnerVersion through RemoveTranslated) scrubs exactly this
-// owner and version from every child device, so no callback ever blocks
+// owner and version from the child devices, so no callback ever blocks
 // and no goroutine is spawned.
 func (d *logicalDevice) installRulesAsync(rules []dataplane.Rule, cb func(error)) {
-	d.child.translateAsync(rules, cb)
+	//softmow:allow errdiscard with a callback the outcome reaches cb and the return is always nil
+	_ = d.child.TranslateRules(rules, cb)
 }
 
 // removeRulesAsync implements asyncDevice: RemoveRules with cb in place of
 // the wait.
 func (d *logicalDevice) removeRulesAsync(cmd southbound.FlowModCommand, owner string, version int, cb func(error)) {
 	//softmow:allow errdiscard with a callback the outcome reaches cb and the return is always nil
-	_ = d.child.removeTranslated(cmd, owner, version, cb)
+	_ = d.child.RemoveTranslated(cmd, owner, version, cb)
 }
 
 // EmitDiscovery implements Device: the child maps the G-switch port to its

@@ -9,6 +9,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dataplane"
+	"repro/internal/northbound"
 	"repro/internal/reca"
 	"repro/internal/southbound"
 )
@@ -75,11 +76,11 @@ func physicalParityDevices(t *testing.T) []parityDevice {
 	}
 }
 
-// logicalParityDevice builds a root's handle on a leaf's G-switch. The
-// leaf has one internal G-BS with two constituent attachments, so every
-// virtual classification rule fans out onto both access switches and the
-// egress switch.
-func logicalParityDevice(t *testing.T) parityDevice {
+// parityLeaf bootstraps a leaf whose region has one internal G-BS with two
+// constituent attachments, so every virtual classification rule fans out
+// onto both access switches and the egress switch. attach hands the leaf
+// to a root and returns the root's handle on its G-switch.
+func parityLeaf(t *testing.T, name string, attach func(*testing.T, *dataplane.Network, core.LeafSpec) (core.Device, *core.Controller)) parityDevice {
 	net := dataplane.NewNetwork()
 	sws := []dataplane.DeviceID{"A1", "A2", "E"}
 	for _, id := range sws {
@@ -95,7 +96,7 @@ func logicalParityDevice(t *testing.T) parityDevice {
 	if _, err := net.AddEgress("E1", "E", "isp"); err != nil {
 		t.Fatal(err)
 	}
-	h, err := core.NewTwoLevel(net, "root", []core.LeafSpec{{
+	dev, leaf := attach(t, net, core.LeafSpec{
 		ID:       "L1",
 		Switches: sws,
 		Radios: []reca.RadioAttachment{
@@ -103,11 +104,7 @@ func logicalParityDevice(t *testing.T) parityDevice {
 			{ID: "g2", Attach: dataplane.PortRef{Dev: "A2", Port: rp2.ID}},
 		},
 		BSGroup: map[dataplane.DeviceID]dataplane.DeviceID{"b1": "g1", "b2": "g2"},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf := h.Leaves[0]
+	})
 	var gbsPort, egPort dataplane.PortID
 	for _, gp := range leaf.Abstraction().GSwitch.Ports {
 		if gp.GBS != "" {
@@ -121,8 +118,8 @@ func logicalParityDevice(t *testing.T) parityDevice {
 		t.Fatalf("fixture: gbsPort=%d egPort=%d", gbsPort, egPort)
 	}
 	return parityDevice{
-		name:    "logicalDevice",
-		dev:     h.Root.Device(leaf.GSwitchID()),
+		name:    name,
+		dev:     dev,
 		gswitch: true,
 		rule: func(owner string, version, k int) dataplane.Rule {
 			return dataplane.Rule{Priority: 10*version + k, Owner: owner, Version: version,
@@ -133,15 +130,61 @@ func logicalParityDevice(t *testing.T) parityDevice {
 	}
 }
 
+// logicalParityDevice is an in-process root's logicalDevice on the leaf.
+func logicalParityDevice(t *testing.T) parityDevice {
+	return parityLeaf(t, "logicalDevice", func(t *testing.T, net *dataplane.Network, spec core.LeafSpec) (core.Device, *core.Controller) {
+		h, err := core.NewTwoLevel(net, "root", []core.LeafSpec{spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := h.Leaves[0]
+		return h.Root.Device(leaf.GSwitchID()), leaf
+	})
+}
+
+// wireParityDevice is a root's ConnDevice on the leaf's G-switch, served by
+// the leaf's northbound.ParentConn over a Pipe.
+func wireParityDevice(t *testing.T) parityDevice {
+	return parityLeaf(t, "ParentConn", func(t *testing.T, net *dataplane.Network, spec core.LeafSpec) (core.Device, *core.Controller) {
+		leaf := core.NewController(spec.ID, 1, 0)
+		if err := core.BootstrapLeaf(net, leaf, spec); err != nil {
+			t.Fatal(err)
+		}
+		rootEnd, leafEnd := southbound.Pipe(64)
+		linked := make(chan *northbound.ParentConn, 1)
+		go func() {
+			p, err := northbound.Connect(leaf, leafEnd)
+			if err != nil {
+				t.Error(err)
+			}
+			linked <- p
+		}()
+		dev, err := northbound.AttachRemoteChild(core.NewController("root", 2, 1), rootEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		link := <-linked
+		t.Cleanup(func() {
+			if link != nil {
+				link.Close()
+			}
+			dev.Close()
+			dev.WaitStopped()
+		})
+		return dev, leaf
+	})
+}
+
 // TestDeviceParity runs the two Device verbs through every implementation
 // a controller programs — physical switches in process, over the wire and
-// behind the fault wrapper, and a child's G-switch — and requires the same
+// behind the fault wrapper, and a child's G-switch in process and over the
+// wire — and requires the same
 // flow-table contents from each after every step. A bystander owner must
 // survive every owner-scoped delete. Finally the ownerless
 // FlowDeleteVersion clears a physical switch's version but is refused by
 // the G-switch, which removes nothing.
 func TestDeviceParity(t *testing.T) {
-	devs := append(physicalParityDevices(t), logicalParityDevice(t))
+	devs := append(physicalParityDevices(t), logicalParityDevice(t), wireParityDevice(t))
 	install := func(owner string, version int) func(parityDevice) error {
 		return func(pd parityDevice) error {
 			return pd.dev.InstallRules([]dataplane.Rule{pd.rule(owner, version, 0), pd.rule(owner, version, 1)})

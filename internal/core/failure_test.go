@@ -142,7 +142,7 @@ func TestTranslateRuleRollbackOnInstallFault(t *testing.T) {
 		Actions: []dataplane.Action{dataplane.Push(42), dataplane.Output(egPort)},
 	}
 	installedBefore := leaf.StatsSnapshot().RulesInstalled
-	if err := leaf.TranslateRules([]dataplane.Rule{vrule}); err == nil {
+	if err := leaf.TranslateRules([]dataplane.Rule{vrule}, nil); err == nil {
 		t.Fatal("expected the injected fault to fail the translation")
 	}
 	if leaf.StatsSnapshot().RulesInstalled <= installedBefore {
@@ -158,7 +158,7 @@ func TestTranslateRuleRollbackOnInstallFault(t *testing.T) {
 
 	// With the fault cleared the same virtual rule installs end to end.
 	net.SetInstallFault(nil)
-	if err := leaf.TranslateRules([]dataplane.Rule{vrule}); err != nil {
+	if err := leaf.TranslateRules([]dataplane.Rule{vrule}, nil); err != nil {
 		t.Fatalf("clean retry failed: %v", err)
 	}
 	rules := 0

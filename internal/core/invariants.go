@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/dataplane"
+import (
+	"fmt"
+
+	"repro/internal/dataplane"
+)
 
 // Invariant probes: read-only views exported for the fault-injection
 // harness (internal/chaos) so it can check global properties — every
@@ -28,6 +32,37 @@ func (c *Controller) PathOwners() map[string]PathOwnerInfo {
 		out[rec.Owner] = PathOwnerInfo{ID: id, Version: rec.Version, Active: rec.Active}
 	}
 	return out
+}
+
+// CheckNoOrphanRules walks every switch of net and asserts each installed
+// rule is owned by a path record one of ctrls still considers active, at
+// the record's current version. PathOwners lists live records only, so a
+// rule surviving its path's release shows up as "unknown to every
+// controller". A violation means a rollback, repair, or teardown leaked
+// state into the data plane — or a delete missed a device it had to reach.
+func CheckNoOrphanRules(net *dataplane.Network, ctrls []*Controller) error {
+	owners := make(map[string]PathOwnerInfo)
+	for _, c := range ctrls {
+		for owner, info := range c.PathOwners() {
+			owners[owner] = info
+		}
+	}
+	for _, sw := range net.Switches() {
+		for _, r := range sw.Table.Rules() {
+			info, ok := owners[r.Owner]
+			if !ok {
+				return fmt.Errorf("orphan rule on %s: owner %q unknown to every controller (%+v)", sw.ID, r.Owner, r)
+			}
+			if !info.Active {
+				return fmt.Errorf("orphan rule on %s: owner %q is deactivated (%+v)", sw.ID, r.Owner, r)
+			}
+			if r.Version != info.Version {
+				return fmt.Errorf("stale rule on %s: owner %q version %d, path record at %d (%+v)",
+					sw.ID, r.Owner, r.Version, info.Version, r)
+			}
+		}
+	}
+	return nil
 }
 
 // PathTableSize reports how many records the path table holds: the live

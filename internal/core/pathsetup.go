@@ -162,14 +162,19 @@ func (c *Controller) pathCarries(id PathID, match dataplane.Match, demandMbps fl
 
 // attached resolves device IDs to the handles still attached, in order.
 func (c *Controller) attached(ids []dataplane.DeviceID) []Device {
-	devs := make([]Device, 0, len(ids))
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.attachedLocked(ids)
+}
+
+// attachedLocked is attached for a caller holding mu.
+func (c *Controller) attachedLocked(ids []dataplane.DeviceID) []Device {
+	devs := make([]Device, 0, len(ids))
 	for _, id := range ids {
 		if d := c.devices[id]; d != nil {
 			devs = append(devs, d)
 		}
 	}
-	c.mu.Unlock()
 	return devs
 }
 
@@ -302,30 +307,40 @@ func (c *Controller) ReroutePath(id PathID, newPath *routing.Path) error {
 // TranslateRules is the RecA agent's entry point for virtual rules pushed
 // by the parent onto this controller's exposed G-switch (§4.3): the rules —
 // all of one owner and version — are mapped onto internal paths and
-// installed recursively as one batch. A flush failure scrubs exactly that
+// installed recursively as one batch, and the devices the batch is issued
+// to join the owner's delete set (RemoveTranslated).
+//
+// With then nil the call waits, and a flush failure scrubs exactly that
 // version from the devices the batch touched (flushBatch rollback), which
-// is all this call can have installed.
-func (c *Controller) TranslateRules(rules []dataplane.Rule) error {
+// is all this call can have installed. Otherwise it returns nil at once and
+// then hears from the last fence, and nothing is rolled back here: the
+// parent's flush rollback, a FlowDeleteOwnerVersion that reaches
+// RemoveTranslated only after this translation has completed, scrubs the
+// version (logicalDevice, northbound.ParentConn).
+func (c *Controller) TranslateRules(rules []dataplane.Rule, then func(error)) error {
 	b, err := c.translationBatch(rules)
 	if err != nil || b.size == 0 {
-		return err
+		return settle(err, then)
 	}
-	return c.flushBatch(b, rules[0].Owner, rules[0].Version)
+	owner, version := rules[0].Owner, rules[0].Version
+	c.noteTranslated(b, owner, version)
+	if then == nil {
+		return c.flushBatch(b, owner, version)
+	}
+	if _, err := c.issueBatch(b, owner, version, then); err != nil {
+		then(err)
+	}
+	return nil
 }
 
-// translateAsync is TranslateRules for the parent's asynchronous fan-out:
-// the batch is issued and then hears from the last fence. Nothing is rolled
-// back here: the parent's flush rollback scrubs the version from every
-// device of this controller (logicalDevice.installRulesAsync).
-func (c *Controller) translateAsync(rules []dataplane.Rule, then func(error)) {
-	b, err := c.translationBatch(rules)
-	if err != nil || b.size == 0 {
-		then(err)
-		return
+// settle is the early exit of a verb with a nil-blocks then: err is
+// returned to a blocking caller, or handed to then.
+func settle(err error, then func(error)) error {
+	if then == nil {
+		return err
 	}
-	if _, err := c.issueBatch(b, rules[0].Owner, rules[0].Version, then); err != nil {
-		then(err)
-	}
+	then(err)
+	return nil
 }
 
 // translationBatch maps a parent's virtual rules onto internal paths and
@@ -425,39 +440,82 @@ func (c *Controller) appendTranslation(b *ruleBatch, r dataplane.Rule) error {
 }
 
 // RemoveTranslated executes a parent's delete command on this
-// controller's exposed G-switch: the command travels unchanged to every
-// device, recursively (§6 consistent updates and rollback). It is the one
-// place a FlowModCommand acquires its meaning on a G-switch: the ownerless
-// FlowDeleteVersion (and FlowAdd) are refused before anything is removed,
-// since a G-switch cannot scope them to the rules it translated for one
-// owner. An accepted delete reports no error — deletes are idempotent
-// filters and a detached device's rules died with it, so there is no
-// failure mode the parent could act on.
-func (c *Controller) RemoveTranslated(cmd southbound.FlowModCommand, owner string, version int) error {
-	return c.removeTranslated(cmd, owner, version, nil)
-}
-
-// removeTranslated is RemoveTranslated's body. With then nil it waits;
-// otherwise it returns nil at once and then receives the outcome
-// (logicalDevice.removeRulesAsync).
-func (c *Controller) removeTranslated(cmd southbound.FlowModCommand, owner string, version int, then func(error)) error {
+// controller's exposed G-switch: the command travels unchanged, recursively,
+// to the devices the owner's translations were issued to, in ID order (§6
+// consistent updates and rollback). An owner this controller never
+// translated — its rules may predate an HA promotion, a reattach or a
+// reconfiguration — is deleted on every device, so no delete can miss a
+// rule. It is the one place a FlowModCommand acquires its meaning on a
+// G-switch: the ownerless FlowDeleteVersion (and FlowAdd) are refused
+// before anything is removed, since a G-switch cannot scope them to the
+// rules it translated for one owner. An accepted delete reports no error —
+// deletes are idempotent filters and a detached device's rules died with
+// it, so there is no failure mode the parent could act on. With then nil
+// it waits; otherwise it returns nil at once and then receives the outcome.
+func (c *Controller) RemoveTranslated(cmd southbound.FlowModCommand, owner string, version int, then func(error)) error {
 	switch cmd {
 	case southbound.FlowDeleteOwner, southbound.FlowDeleteOwnerBefore, southbound.FlowDeleteOwnerVersion:
 	default:
-		err := fmt.Errorf("core: %s: flow-mod command %d is not an owner-scoped delete", c.ID, cmd)
-		if then == nil {
-			return err
-		}
-		then(err)
-		return nil
+		return settle(fmt.Errorf("core: %s: flow-mod command %d is not an owner-scoped delete", c.ID, cmd), then)
 	}
 	done := then
 	if then != nil {
 		done = func(error) { then(nil) }
 	}
 	//softmow:allow errdiscard idempotent delete, nothing for the parent to act on
-	_ = c.removeOwnedThen(c.Devices(), cmd, owner, version, done)
+	_ = c.removeOwnedThen(c.deleteTargets(cmd, owner, version), cmd, owner, version, done)
 	return nil
+}
+
+// translatedSet is where a parent owner's translated rules went: the
+// devices its batches were issued to, sorted by ID, and bounds on the
+// versions that may still be installed there.
+type translatedSet struct {
+	devs   []dataplane.DeviceID
+	lo, hi int
+}
+
+// noteTranslated adds the devices of a translation batch to owner's delete
+// set, before the batch is issued.
+func (c *Controller) noteTranslated(b *ruleBatch, owner string, version int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.translated[owner]
+	if !ok {
+		s = translatedSet{lo: version, hi: version}
+	}
+	s.lo, s.hi = min(s.lo, version), max(s.hi, version)
+	for i := range b.devs {
+		if j, found := slices.BinarySearch(s.devs, b.devs[i].dev); !found {
+			s.devs = slices.Insert(s.devs, j, b.devs[i].dev)
+		}
+	}
+	c.translated[owner] = s
+}
+
+// deleteTargets resolves the devices a parent's delete for owner must
+// reach, and forgets the owner's set once the delete leaves none of its
+// versions installed: on FlowDeleteOwner, or when the versions noted all
+// fall in the deleted range (a failed setup's rollback).
+func (c *Controller) deleteTargets(cmd southbound.FlowModCommand, owner string, version int) []Device {
+	c.mu.Lock()
+	s, ok := c.translated[owner]
+	if !ok {
+		c.mu.Unlock()
+		return c.Devices()
+	}
+	switch {
+	case cmd == southbound.FlowDeleteOwner,
+		cmd == southbound.FlowDeleteOwnerBefore && s.hi < version,
+		cmd == southbound.FlowDeleteOwnerVersion && s.lo == version && s.hi == version:
+		delete(c.translated, owner)
+	case cmd == southbound.FlowDeleteOwnerBefore:
+		s.lo = max(s.lo, version)
+		c.translated[owner] = s
+	}
+	devs := c.attachedLocked(s.devs)
+	c.mu.Unlock()
+	return devs
 }
 
 // classificationSources resolves a G-BS attach port to the underlying

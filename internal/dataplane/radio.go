@@ -3,7 +3,7 @@ package dataplane
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // GeoPoint is a planar location for base stations. The evaluation assigns
@@ -210,6 +210,6 @@ func (sp ServicePolicy) Satisfied(visited []MiddleboxType) bool {
 // SortDeviceIDs sorts a slice of device IDs in place and returns it,
 // giving deterministic iteration order to callers ranging over maps.
 func SortDeviceIDs(ids []DeviceID) []DeviceID {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

@@ -47,8 +47,8 @@ func tcpPair(t *testing.T) (parent, child net.Conn) {
 }
 
 // distTree is the core package's Fig. 5 scenario with the control tree
-// split across real TCP northbound attachments: the data plane is shared
-// (it simulates the physical network), but every parent↔child exchange —
+// split across northbound attachments: the data plane is shared (it
+// simulates the physical network), but every parent↔child exchange —
 // feature reads, rule installs, fences, discovery, delegation — rides the
 // wire.
 type distTree struct {
@@ -57,12 +57,101 @@ type distTree struct {
 	devs           []*core.ConnDevice
 	links          []*northbound.ParentConn
 	radioA, radioB dataplane.PortRef
+	// gates and switches are set when the leaves' switches sit behind
+	// pausable agents (distLeaves with agents): per switch, the gate in
+	// front of its agent and the leaf's device handle on it.
+	gates    map[dataplane.DeviceID]*gate
+	switches map[dataplane.DeviceID]*core.ConnDevice
 }
 
-func buildDist(t *testing.T) *distTree {
+// buildDist builds the tree over real TCP, with in-process leaf switches.
+func buildDist(t *testing.T) *distTree { return buildDistOver(t, false) }
+
+// buildDistOver builds the tree. With pipes, every parent↔child link is a
+// southbound.Pipe and every leaf switch a ConnDevice over a Pipe to a
+// pausable SwitchAgent; otherwise the links are loopback TCP and the
+// switches in-process.
+func buildDistOver(t *testing.T, pipes bool) *distTree {
+	t.Helper()
+	dt := distLeaves(t, pipes)
+	dt.root = core.NewController("root", 2, 2)
+	dt.root.Mode = pathimpl.ModeSwap
+
+	for _, leaf := range []*core.Controller{dt.l1, dt.l2} {
+		var pc, cc southbound.Conn
+		if pipes {
+			pc, cc = southbound.Pipe(1024) // the root's fan-out never waits on a full pipe
+		} else {
+			p, c := tcpPair(t)
+			pc, cc = southbound.NewBinConn(p), southbound.NewBinConn(c)
+		}
+		type cres struct {
+			p   *northbound.ParentConn
+			err error
+		}
+		ch := make(chan cres, 1)
+		leaf := leaf
+		go func() {
+			p, err := northbound.Connect(leaf, cc)
+			ch <- cres{p, err}
+		}()
+		d, err := northbound.AttachRemoteChild(dt.root, pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pipes {
+			// A retried barrier fences only the mods after the previous
+			// one (DESIGN.md §11), so a root fence that timed out under
+			// -race load would complete before the translation it
+			// covers. These tests are about completion and rollback, not
+			// retries: the root's fences never time out.
+			d.RequestTimeout, d.MinRTO = time.Minute, time.Minute
+		}
+		r := <-ch
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		dt.devs = append(dt.devs, d)
+		dt.links = append(dt.links, r.p)
+	}
+	t.Cleanup(func() {
+		for _, p := range dt.links {
+			p.Close()
+		}
+		for _, d := range dt.devs {
+			d.Close()
+		}
+		for _, d := range dt.devs {
+			d.WaitStopped()
+		}
+	})
+
+	// Distributed finishLevel: in-band discovery over the wire, then the
+	// derived config from the remotely learned G-switch exposures.
+	dt.root.RunDiscovery()
+	if err := northbound.FenceDiscovery(dt.devs); err != nil {
+		t.Fatal(err)
+	}
+	core.RefreshDerived(dt.root)
+
+	if err := dt.l1.PropagateInterdomainErr(); err != nil {
+		t.Fatal(err)
+	}
+	if err := dt.l2.PropagateInterdomainErr(); err != nil {
+		t.Fatal(err)
+	}
+	return dt
+}
+
+// distLeaves builds the shared data plane and bootstraps both leaves, with
+// their interdomain routes, but attaches them to no parent. With agents,
+// every leaf switch is re-attached as a ConnDevice over a Pipe to a
+// SwitchAgent behind a gate the test can pause.
+func distLeaves(t *testing.T, agents bool) *distTree {
 	t.Helper()
 	// Every goroutine the tree spawns — ParentConn serve loops, device
-	// pumps, peer-request handlers — must be gone after the cleanup below.
+	// pumps, switch agents, peer-request handlers — must be gone after the
+	// cleanups.
 	leakcheck.Check(t)
 	dpn := dataplane.NewNetwork()
 	for _, id := range []dataplane.DeviceID{"S1", "S2", "S3", "S4"} {
@@ -120,54 +209,8 @@ func buildDist(t *testing.T) *distTree {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	dt.root = core.NewController("root", 2, 2)
 	dt.l1.Mode = pathimpl.ModeSwap
 	dt.l2.Mode = pathimpl.ModeSwap
-	dt.root.Mode = pathimpl.ModeSwap
-
-	for _, leaf := range []*core.Controller{dt.l1, dt.l2} {
-		pc, cc := tcpPair(t)
-		type cres struct {
-			p   *northbound.ParentConn
-			err error
-		}
-		ch := make(chan cres, 1)
-		leaf := leaf
-		go func() {
-			p, err := northbound.Connect(leaf, southbound.NewBinConn(cc))
-			ch <- cres{p, err}
-		}()
-		d, err := northbound.AttachRemoteChild(dt.root, southbound.NewBinConn(pc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := <-ch
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		dt.devs = append(dt.devs, d)
-		dt.links = append(dt.links, r.p)
-	}
-	t.Cleanup(func() {
-		for _, p := range dt.links {
-			p.Close()
-		}
-		for _, d := range dt.devs {
-			d.Close()
-		}
-		for _, d := range dt.devs {
-			d.WaitStopped()
-		}
-	})
-
-	// Distributed finishLevel: in-band discovery over the wire, then the
-	// derived config from the remotely learned G-switch exposures.
-	dt.root.RunDiscovery()
-	if err := northbound.FenceDiscovery(dt.devs); err != nil {
-		t.Fatal(err)
-	}
-	core.RefreshDerived(dt.root)
-
 	dt.l1.AddInterdomainRoutes([]interdomain.Route{
 		{Prefix: "pfxNear", Egress: "E-near", EgressSwitch: "S2",
 			Metrics: interdomain.Metrics{Hops: 10, RTT: 20 * time.Millisecond}},
@@ -176,11 +219,8 @@ func buildDist(t *testing.T) *distTree {
 		{Prefix: "pfxFar", Egress: "E-far", EgressSwitch: "S4",
 			Metrics: interdomain.Metrics{Hops: 8, RTT: 16 * time.Millisecond}},
 	}, dataplane.PortRef{Dev: "S4", Port: far.Port})
-	if err := dt.l1.PropagateInterdomainErr(); err != nil {
-		t.Fatal(err)
-	}
-	if err := dt.l2.PropagateInterdomainErr(); err != nil {
-		t.Fatal(err)
+	if agents {
+		dt.gateSwitches(t)
 	}
 	return dt
 }

@@ -3,6 +3,7 @@ package northbound
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,17 +17,15 @@ import (
 )
 
 // ParentConn is the child-side endpoint of a wire northbound attachment.
-// One goroutine (serve) owns the receive side and processes parent
-// requests in arrival order, but virtual-rule modifications are only
-// *dispatched* there — each message's mods translate on their own
-// goroutine, and a barrier snapshots the modifications that arrived
-// before it and replies once exactly those have completed. The fence
-// stays true (every earlier mod has fully translated into the region,
-// southbound fences included) while concurrent parent operations overlap
-// their translation round trips instead of serializing behind one
-// another — with several region processes delegating into one parent,
-// the serve loop would otherwise become the cluster-wide bottleneck.
-// Replies to the child's own northbound requests are routed to their
+// One goroutine (serve) owns the receive side, processes parent requests
+// in arrival order, and is the link's only goroutine. Mod messages go
+// straight to the child's asynchronous verbs; a barrier seals a count of
+// the mod messages since the previous one, and their last completion sends
+// their errors in arrival order, then the barrier reply. So back-to-back
+// parent operations overlap their translation round trips while every
+// reply stays a true fence, and a failed translation is left to the
+// parent's rollback, which follows the reply over this conn (DESIGN.md
+// §11). Replies to the child's own northbound requests are routed to their
 // waiters by transaction ID.
 //
 // ParentConn implements core.ParentLink, so installing it on a controller
@@ -54,11 +53,10 @@ type ParentConn struct {
 
 	xid atomic.Uint32
 
-	// modsInFlight tracks modification messages dispatched off the serve
-	// loop and not yet fenced; owned by the serve goroutine (appended on
-	// mod arrival, swapped out whole by the next barrier), so it needs no
+	// open counts the modification messages since the last barrier, nil
+	// when there are none; owned by the serve goroutine, so it needs no
 	// lock.
-	modsInFlight []*modTask
+	open *fence
 
 	// RequestTimeout bounds each northbound round trip. Delegated bearer
 	// setups fan out into southbound installs at the parent, so the bound
@@ -123,12 +121,12 @@ func (p *ParentConn) sendErr(xid uint32, code int, msg string) {
 }
 
 // handle answers one parent request, or completes one child request.
-// Mod messages are dispatched to their own goroutines and fenced by the
-// next barrier's snapshot; everything else runs inline on the serve
-// goroutine in arrival order (discovery emissions in particular must
-// stay ordered ahead of the barriers that fence them). Child-originated
-// waits never run here (they block on application goroutines), so inline
-// handling cannot deadlock.
+// Mod messages are issued here and complete through the fence that the
+// next barrier seals; everything else runs inline on the serve goroutine
+// in arrival order (discovery emissions in particular must stay ordered
+// ahead of the barriers that fence them). Child-originated waits never run
+// here (they block on application goroutines), so inline handling cannot
+// deadlock.
 func (p *ParentConn) handle(m southbound.Msg) {
 	switch m.Type {
 	case southbound.TypeEchoRequest:
@@ -156,15 +154,15 @@ func (p *ParentConn) handle(m southbound.Msg) {
 
 	case southbound.TypeBarrierRequest:
 		// Fence exactly the modifications that arrived before this
-		// barrier: snapshot the in-flight set (later mods start a fresh
-		// one) and reply when all of them have fully translated into the
-		// child's region. The wait runs off the serve goroutine so
-		// translation round trips of back-to-back parent operations
-		// overlap; the parent matches replies by xid, so fence replies
-		// completing out of order are harmless.
-		tasks := p.modsInFlight
-		p.modsInFlight = nil
-		go p.completeFence(m.Xid, tasks)
+		// barrier; later mods count toward the next one.
+		f := p.open
+		p.open = nil
+		if f == nil {
+			p.send(southbound.Msg{Type: southbound.TypeBarrierReply, Xid: m.Xid, Body: southbound.Barrier{}})
+			return
+		}
+		f.barrier = m.Xid
+		f.done() // releases the serve loop's count
 
 	case southbound.TypePacketOut:
 		po, ok := m.Body.(southbound.PacketOut)
@@ -198,55 +196,108 @@ func (p *ParentConn) handle(m southbound.Msg) {
 	}
 }
 
-// modTask is one modification message in flight between its dispatch and
-// the barrier that fences it; err is written before done closes.
-type modTask struct {
-	xid  uint32
-	done chan struct{}
-	err  error
+// fence joins the modification messages between two barriers. The
+// completion that brings left to zero sends the refused mods' errors in
+// arrival order — the parent consumes them at fence completion, so they
+// must precede the reply — then the barrier reply.
+type fence struct {
+	p *ParentConn
+	// left counts the mod completions due, plus one the serve loop holds
+	// until a barrier seals the fence.
+	left atomic.Int32
+	// mods and barrier (the sealing xid) are written by the serve loop
+	// before it releases its count.
+	mods    int
+	barrier uint32
+	mu      sync.Mutex
+	// refused lists the failed mods, guarded by mu.
+	refused []modErr
 }
 
-// startMods dispatches one modification message's mods onto their own
-// goroutine and records the task for the next fence. Within the message,
-// mods translate strictly in order and the first failure aborts the rest
-// — the SwitchAgent batch contract; across messages, ordering is the
-// parent's job (it fences before issuing a dependent operation, e.g. a
-// teardown only ever follows its setup's completed barrier).
+// modErr is one refused mod message: its place in the fence, xid and error.
+type modErr struct {
+	seq int
+	xid uint32
+	err error
+}
+
+// done records one completion; it never blocks, so it is safe as a fence
+// callback.
+func (f *fence) done() {
+	if f.left.Add(-1) != 0 {
+		return
+	}
+	f.mu.Lock()
+	refused := f.refused
+	f.mu.Unlock()
+	slices.SortFunc(refused, func(a, b modErr) int { return a.seq - b.seq })
+	for _, r := range refused {
+		f.p.sendErr(r.xid, southbound.ErrCodeBadRequest, r.err.Error())
+	}
+	f.p.send(southbound.Msg{Type: southbound.TypeBarrierReply, Xid: f.barrier, Body: southbound.Barrier{}})
+}
+
+// startMods issues one modification message's mods and counts it toward
+// the next barrier's fence.
 func (p *ParentConn) startMods(xid uint32, mods []southbound.FlowMod) {
-	t := &modTask{xid: xid, done: make(chan struct{})}
-	p.modsInFlight = append(p.modsInFlight, t)
-	go func() {
-		defer close(t.done)
-		for i := range mods {
-			if err := p.applyMod(&mods[i]); err != nil {
-				t.err = err
+	f := p.open
+	if f == nil {
+		f = &fence{p: p}
+		f.left.Store(1)
+		p.open = f
+	}
+	seq := f.mods
+	f.mods++
+	f.left.Add(1)
+	p.applyMods(mods, func(err error) {
+		if err != nil {
+			f.mu.Lock()
+			f.refused = append(f.refused, modErr{seq: seq, xid: xid, err: err})
+			f.mu.Unlock()
+		}
+		f.done()
+	})
+}
+
+// applyMods executes one message's virtual-rule modifications against the
+// child's RecA — the wire face of the parent's logicalDevice calls (§4.3) —
+// and then hears when the last completes. Within the message, mods apply
+// strictly in order and the first failure aborts the rest (the
+// SwitchAgent batch contract); a run of adds of one owner and version
+// translates as one child batch. Across messages, ordering is the parent's
+// job: it fences before issuing a dependent operation, e.g. a teardown
+// only ever follows its setup's completed barrier.
+func (p *ParentConn) applyMods(mods []southbound.FlowMod, then func(error)) {
+	if len(mods) == 0 {
+		then(nil)
+		return
+	}
+	first, n := &mods[0], 1
+	for n < len(mods) && first.Command == southbound.FlowAdd && mods[n].Command == southbound.FlowAdd &&
+		mods[n].Rule.Owner == first.Rule.Owner && mods[n].Rule.Version == first.Rule.Version {
+		n++
+	}
+	done := then
+	if n < len(mods) {
+		done = func(err error) {
+			if err != nil {
+				then(err)
 				return
 			}
-		}
-	}()
-}
-
-// completeFence waits for every snapshotted modification, reports each
-// failure under its own message xid (the parent stashes mod errors per
-// xid and consumes them at fence completion, so errors must precede the
-// barrier reply on the conn), then acknowledges the fence.
-func (p *ParentConn) completeFence(xid uint32, tasks []*modTask) {
-	for _, t := range tasks {
-		<-t.done
-		if t.err != nil {
-			p.sendErr(t.xid, southbound.ErrCodeBadRequest, t.err.Error())
+			p.applyMods(mods[n:], then)
 		}
 	}
-	p.send(southbound.Msg{Type: southbound.TypeBarrierReply, Xid: xid, Body: southbound.Barrier{}})
-}
-
-// applyMod executes one virtual-rule modification against the child's
-// RecA — the wire face of the parent's logicalDevice calls (§4.3).
-func (p *ParentConn) applyMod(fm *southbound.FlowMod) error {
-	if fm.Command == southbound.FlowAdd {
-		return p.child.TranslateRules([]dataplane.Rule{fm.Rule})
+	if first.Command != southbound.FlowAdd {
+		//softmow:allow errdiscard with a callback the outcome reaches done and the return is always nil
+		_ = p.child.RemoveTranslated(first.Command, first.Owner, first.Version, done)
+		return
 	}
-	return p.child.RemoveTranslated(fm.Command, fm.Owner, fm.Version)
+	rules := make([]dataplane.Rule, n)
+	for i := range rules {
+		rules[i] = mods[i].Rule
+	}
+	//softmow:allow errdiscard with a callback the outcome reaches done and the return is always nil
+	_ = p.child.TranslateRules(rules, done)
 }
 
 // adoptRows rebinds transferred UE rows to live path owners: rows this

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/ltetrace"
@@ -88,17 +89,31 @@ func TestGeneratorLifecycle(t *testing.T) {
 }
 
 // TestEngineDeterminism: trace and final logical state digests are
-// identical across worker counts and pacing modes; no operation fails.
+// identical across worker counts, pacing modes and control planes (direct
+// devices, and protocol devices behind a 200 µs channel); no operation
+// fails, and no rule outlives its path. The digests hash UE tables only,
+// so the orphan check is what catches a delete that missed a device.
 func TestEngineDeterminism(t *testing.T) {
 	type variant struct {
-		name    string
-		mutate  func(*Config)
-		workers int
+		name   string
+		mutate func(*Config)
 	}
-	variants := []variant{
-		{"serial", func(c *Config) { c.Workers = 1 }, 1},
-		{"parallel", func(c *Config) { c.Workers = 8 }, 8},
-		{"open-loop", func(c *Config) { c.Workers = 8; c.Mode = ModeOpen; c.MaxInFlight = 4 }, 8},
+	var variants []variant
+	for _, plane := range []struct {
+		name  string
+		delay time.Duration
+	}{{"direct", 0}, {"protocol", 200 * time.Microsecond}} {
+		for _, v := range []variant{
+			{"serial", func(c *Config) { c.Workers = 1 }},
+			{"parallel", func(c *Config) { c.Workers = 8 }},
+			{"open-loop", func(c *Config) { c.Workers = 8; c.Mode = ModeOpen; c.MaxInFlight = 4 }},
+		} {
+			delay, mutate := plane.delay, v.mutate
+			variants = append(variants, variant{plane.name + "/" + v.name, func(c *Config) {
+				mutate(c)
+				c.ControlDelay = delay
+			}})
+		}
 	}
 	var trace, state string
 	for _, v := range variants {
@@ -112,8 +127,12 @@ func TestEngineDeterminism(t *testing.T) {
 		if res.Failures != 0 {
 			t.Fatalf("%s: %d failures, first: %v", v.name, res.Failures, res.FirstErr)
 		}
+		orphans := core.CheckNoOrphanRules(cl.Net, cl.Hier.All)
 		td, sd := TraceDigest(res.Ops), StateDigest(cl)
 		cl.Close()
+		if orphans != nil {
+			t.Fatalf("%s: %v", v.name, orphans)
+		}
 		if trace == "" {
 			trace, state = td, sd
 			continue
