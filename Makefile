@@ -29,8 +29,10 @@ docs-check:
 	$(GO) run ./cmd/docscheck internal
 
 # Enforce the lock, determinism, layering, error-handling, wire-parity,
-# goroutine-lifecycle, metric-name, and stale-suppression invariants over
-# ./internal/... and ./cmd/... (see DESIGN.md "Enforced invariants").
+# goroutine-lifecycle, metric-name, test-only-code and stale-suppression
+# invariants over ./internal/... and ./cmd/... (see DESIGN.md "Enforced
+# invariants"); the test-only check loads the whole program, bench/
+# included, and exits 2 when any of it fails to load.
 # Prints per-analyzer finding counts and wall time, and writes the table
 # plus every finding to lint-report.txt (uploaded as a CI artifact).
 lint:
@@ -76,7 +78,7 @@ BENCH_JSON = awk '/^Benchmark/ { cpu = 1; if (match($$1, /-[0-9]+$$/)) { cpu = s
 	for (i = 3; i < NF; i += 2) { u = tolower($$(i+1)); gsub(/\//, "_", u); printf(",\"%s\":%s", u, $$i) } print "}" }'
 bench:
 	( $(BENCH_CONFIG); \
-	  $(GO) test -run '^$$' -bench 'BenchmarkBuildGraph|BenchmarkShortestPath|BenchmarkMetricsFrom|BenchmarkPairMetrics|BenchmarkCompute|BenchmarkRouteRecursive|BenchmarkGraphCacheHit|BenchmarkBearerSetup' \
+	  $(GO) test -run '^$$' -bench 'BenchmarkBuildGraph|BenchmarkShortestPath|BenchmarkMetricsFrom|BenchmarkCompute|BenchmarkRouteRecursive|BenchmarkGraphCacheHit|BenchmarkBearerSetup' \
 	  -benchmem ./internal/routing ./internal/reca ./internal/core | $(BENCH_JSON); \
 	  $(GO) test -run '^$$' -bench 'BenchmarkRouteMemoParallel' -cpu 1,2 -benchmem ./internal/routing | $(BENCH_JSON) ) | tee BENCH_routing.json
 	( $(BENCH_CONFIG); \

@@ -123,7 +123,6 @@ func runPartitioned(cfg workload.Config, eng *workload.Engine, cl *workload.Clus
 	leaf := cl.Regions[0].Leaf
 	upBefore := leaf.NIB.NumUpLinks()
 	prober := core.NewLivenessProber(leaf, core.LivenessConfig{
-		Interval:     time.Hour, // rounds driven explicitly below
 		Timeout:      50 * time.Millisecond,
 		SuspectAfter: 2,
 	})

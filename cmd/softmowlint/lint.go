@@ -27,6 +27,7 @@ var checkNames = map[string]bool{
 	"wireparity":  true,
 	"gospawn":     true,
 	"metricname":  true,
+	"testonly":    true,
 	"staleallow":  true,
 }
 

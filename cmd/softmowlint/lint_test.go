@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -267,9 +268,65 @@ func TestSuppressionDiagnostics(t *testing.T) {
 	}
 }
 
-// TestRepoClean runs the production configuration over every production
-// package: the merged tree must stay lint-clean. Skipped under -short (it
-// type-checks the whole module).
+// TestTestonly runs the whole-program check over each fixture as its own
+// program, through the production suppression pipeline: unreferenced
+// functions and methods are findings, interface-named methods, init and
+// annotated probes are not, and an annotation over a referenced function
+// is stale.
+func TestTestonly(t *testing.T) {
+	all := func(*Package) bool { return true }
+	for _, name := range []string{"tonlybad", "tonlygood"} {
+		p := fixture(t, name)
+		checkFixture(t, p, applySuppressions(p, testonly([]*Package{p}, all)))
+	}
+	bad := fixture(t, "tonlybad")
+	if fs := testonly([]*Package{bad}, func(*Package) bool { return false }); len(fs) != 0 {
+		t.Errorf("testonly reported declarations outside the selected packages: %v", fs)
+	}
+}
+
+// TestTestonlyNeedsBench builds a tiny module whose only reference to an
+// internal function lives in bench/: without bench/ the lint must fail to
+// load and report nothing as unused; with it, the function is used; with
+// the reference gone, it is a finding.
+func TestTestonlyNeedsBench(t *testing.T) {
+	root := t.TempDir()
+	write := func(rel, src string) {
+		t.Helper()
+		path := filepath.Join(root, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module fake\n\ngo 1.22\n")
+	write("doc.go", "// Package fake is a lint fixture.\npackage fake\n")
+	write("internal/a/a.go", "// Package a is a lint fixture.\npackage a\n\n// Used is called from bench only.\nfunc Used() int { return 1 }\n")
+	write("cmd/x/main.go", "package main\n\nfunc main() {}\n")
+	write("examples/y/main.go", "package main\n\nfunc main() {}\n")
+	targets := []string{"fake/internal/a"}
+
+	fs, errs := lintRepo(root, "fake", targets, nil)
+	if len(errs) == 0 || len(fs) != 0 {
+		t.Fatalf("without bench/: errs=%v findings=%v, want a load error and no findings", errs, fs)
+	}
+	write("bench/main.go", "package main\n\nimport \"fake/internal/a\"\n\nfunc main() { _ = a.Used() }\n")
+	if fs, errs := lintRepo(root, "fake", targets, nil); len(errs) != 0 || len(fs) != 0 {
+		t.Fatalf("with bench/: errs=%v findings=%v, want neither", errs, fs)
+	}
+	write("bench/main.go", "package main\n\nfunc main() {}\n")
+	fs, errs = lintRepo(root, "fake", targets, nil)
+	if len(errs) != 0 || len(fs) != 1 || fs[0].Check != "testonly" || !strings.HasPrefix(fs[0].Message, "Used ") {
+		t.Fatalf("bench reference removed: errs=%v findings=%v, want one testonly finding for Used", errs, fs)
+	}
+}
+
+// TestRepoClean runs every analyzer in the production configuration over
+// every production package, with the whole program (bench module
+// included) loaded for testonly: the merged tree must stay lint-clean.
+// Skipped under -short (it type-checks the whole module).
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -282,14 +339,12 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := NewLoader(repoRoot, module)
-	for _, ip := range pkgs {
-		p, err := loader.Load(ip)
-		if err != nil {
-			t.Fatalf("load %s: %v", ip, err)
-		}
-		for _, f := range runConfigured(p, nil) {
-			t.Errorf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Check, f.Message)
-		}
+	st := newLintStats()
+	findings, errs := lintRepo(repoRoot, module, pkgs, st)
+	for _, err := range errs {
+		t.Errorf("load: %v", err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s:%d:%d: [%s] %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Check, f.Message)
 	}
 }

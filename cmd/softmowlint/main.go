@@ -1,7 +1,7 @@
 // Command softmowlint enforces the repository's cross-cutting invariants as
 // compile-gated static analysis, using only the standard library (go/parser,
 // go/ast, go/types with a recursive source loader — the stdlib-only
-// precedent set by cmd/docscheck). Eight analyzers run over ./internal/...
+// precedent set by cmd/docscheck). Nine analyzers run over ./internal/...
 // and ./cmd/...:
 //
 //   - lockguard: struct fields annotated `// guarded by <mutexField>` may
@@ -32,6 +32,14 @@
 //     drawn from the per-package registry of known names, and every
 //     registered name must be minted — a typo creates a silent new counter
 //     and the dashboards lie.
+//   - testonly: a function or method declared under internal/ (outside
+//     internal/testutil) that no production file references — only tests,
+//     or nothing — is a finding. The check is whole-program: production is
+//     internal/, cmd/, examples/, the root package and the bench module, and
+//     _test.go files never count. A method whose name any interface in the
+//     program or its imports declares counts as used, since dynamic dispatch
+//     leaves no static reference. Consts and vars are out of scope: they
+//     name wire and JSON values.
 //   - staleallow: a //softmow:allow annotation that no longer suppresses
 //     any finding is itself a finding, keeping the suppression inventory
 //     honest as code moves.
@@ -44,10 +52,13 @@
 //	go run ./cmd/softmowlint [-stats] [-report file] [packages...]
 //
 // With no arguments every package under internal/ and cmd/ is checked
-// (testdata trees excluded). -stats prints per-analyzer finding counts and
-// wall time; -report writes the same table (plus every finding) to a file
-// for CI artifacts. Exit status is 1 when any unsuppressed finding is
-// reported and 2 when a package fails to load or type-check.
+// (testdata trees excluded); testonly always loads the whole program.
+// -stats prints per-analyzer finding counts and wall time; -report writes
+// the same table (plus every finding) to a file for CI artifacts. Exit
+// status is 1 when any unsuppressed finding is reported and 2 when a
+// package fails to load or type-check — bench/ included, so a missing or
+// broken bench module fails loudly instead of making the identifiers only
+// it uses look unused.
 package main
 
 import (
@@ -87,7 +98,7 @@ var determinismPkgs = map[string]bool{
 // analyzerNames lists every analyzer in run order, for the stats table.
 var analyzerNames = []string{
 	"lockguard", "determinism", "layering", "errdiscard",
-	"wireparity", "gospawn", "metricname", "staleallow",
+	"wireparity", "gospawn", "metricname", "testonly", "staleallow",
 }
 
 // lintStats accumulates per-analyzer finding counts and wall time across a
@@ -124,9 +135,10 @@ func (st *lintStats) table(total time.Duration) string {
 }
 
 // runConfigured executes every analyzer that applies to the package under
-// the production configuration, filters suppressed findings, and reports
-// stale suppressions. st may be nil.
-func runConfigured(p *Package, st *lintStats) []Finding {
+// the production configuration, filters suppressed findings (whole are the
+// package's findings from the whole-program analyzers), and reports stale
+// suppressions. st may be nil.
+func runConfigured(p *Package, whole []Finding, st *lintStats) []Finding {
 	var fs []Finding
 	run := func(name string, f func() []Finding) {
 		start := time.Now()
@@ -148,6 +160,7 @@ func runConfigured(p *Package, st *lintStats) []Finding {
 	}
 	run("wireparity", func() []Finding { return wireparity(p, southboundWireparity) })
 	run("metricname", func() []Finding { return metricname(p, prodMetricRegistry, metricsPkgPath) })
+	fs = append(fs, whole...)
 	var out []Finding
 	run("staleallow", func() []Finding { out = applySuppressions(p, fs); return nil })
 	if st != nil {
@@ -201,6 +214,71 @@ func listPackages(repoRoot, module string, roots []string) ([]string, error) {
 	return out, nil
 }
 
+// productionPackages lists every package of the program whose references
+// decide testonly: internal/, cmd/, examples/, the root package, and the
+// bench module (its own go.mod, resolving repro to this tree). bench is
+// named explicitly, so a missing bench/ fails to load instead of making
+// bench-only identifiers look unused.
+func productionPackages(repoRoot, module string) ([]string, error) {
+	pkgs, err := listPackages(repoRoot, module, []string{"internal", "cmd", "examples"})
+	if err != nil {
+		return nil, err
+	}
+	return append(pkgs, module, module+"/bench"), nil
+}
+
+// lintRepo runs every analyzer over targets and returns the unsuppressed
+// findings, sorted, plus one error per package that failed to load. The
+// whole-program testonly check loads the full production program first; if
+// any of it fails to load, testonly reports nothing rather than guess.
+func lintRepo(repoRoot, module string, targets []string, st *lintStats) ([]Finding, []error) {
+	loader := NewLoader(repoRoot, module)
+	var errs []error
+	prodPaths, err := productionPackages(repoRoot, module)
+	if err != nil {
+		return nil, []error{err}
+	}
+	var prog []*Package
+	failed := make(map[string]bool)
+	for _, ip := range prodPaths {
+		p, err := loader.Load(ip)
+		if err != nil {
+			errs = append(errs, err)
+			failed[ip] = true
+			continue
+		}
+		prog = append(prog, p)
+	}
+	whole := make(map[string][]Finding) // by package directory
+	if len(errs) == 0 {
+		start := time.Now()
+		internal := module + "/internal/"
+		for _, f := range testonly(prog, func(p *Package) bool {
+			return strings.HasPrefix(p.Path, internal) && !strings.HasPrefix(p.Path+"/", internal+"testutil/")
+		}) {
+			dir := filepath.Dir(f.Pos.Filename)
+			whole[dir] = append(whole[dir], f)
+		}
+		if st != nil {
+			st.elapsed["testonly"] += time.Since(start)
+		}
+	}
+	var findings []Finding
+	for _, ip := range targets {
+		if failed[ip] {
+			continue // already reported
+		}
+		p, err := loader.Load(ip)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		findings = append(findings, runConfigured(p, whole[p.Dir], st)...)
+	}
+	sortFindings(findings)
+	return findings, errs
+}
+
 func main() {
 	stats := flag.Bool("stats", false, "print per-analyzer finding counts and wall time")
 	report := flag.String("report", "", "write findings and the per-analyzer table to this file")
@@ -221,20 +299,11 @@ func main() {
 		}
 	}
 
-	loader := NewLoader(repoRoot, module)
 	st := newLintStats()
-	loadFailed := false
-	var findings []Finding
-	for _, ip := range pkgs {
-		p, err := loader.Load(ip)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "softmowlint:", err)
-			loadFailed = true
-			continue
-		}
-		findings = append(findings, runConfigured(p, st)...)
+	findings, loadErrs := lintRepo(repoRoot, module, pkgs, st)
+	for _, err := range loadErrs {
+		fmt.Fprintln(os.Stderr, "softmowlint:", err)
 	}
-	sortFindings(findings)
 	var lines strings.Builder
 	for _, f := range findings {
 		rel := f.Pos.Filename
@@ -254,7 +323,7 @@ func main() {
 		}
 	}
 	switch {
-	case loadFailed:
+	case len(loadErrs) > 0:
 		os.Exit(2)
 	case len(findings) > 0:
 		fmt.Fprintf(os.Stderr, "softmowlint: %d finding(s)\n", len(findings))

@@ -1,0 +1,9 @@
+package tonlybad
+
+import "testing"
+
+func TestOnlyTests(t *testing.T) {
+	if onlyTests() != 1 {
+		t.Fatal("onlyTests")
+	}
+}

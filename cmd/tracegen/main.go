@@ -31,9 +31,10 @@ func main() {
 	defer w.Flush()
 
 	if *groups {
+		// Inferred groups are rings (§7.1); the column keeps the format.
 		fmt.Fprintln(w, "group,topology,members")
 		for _, g := range model.Groups {
-			fmt.Fprintf(w, "%s,%s,", g.ID, g.Topology)
+			fmt.Fprintf(w, "%s,ring,", g.ID)
 			for i, m := range g.Members() {
 				if i > 0 {
 					fmt.Fprint(w, ";")

@@ -84,3 +84,9 @@ func TestFaultPlanSkip(t *testing.T) {
 		t.Fatal("Disarm must report the fault never fired")
 	}
 }
+
+// EventLog returns the deterministic event trace (one line per action);
+// two runs with equal Options produce byte-identical logs.
+func (h *Harness) EventLog() []string {
+	return append([]string(nil), h.log...)
+}

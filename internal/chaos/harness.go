@@ -315,12 +315,6 @@ func (h *Harness) redistributeRoutes() {
 // Stats returns a snapshot of the counters.
 func (h *Harness) Stats() Stats { return h.stats }
 
-// EventLog returns the deterministic event trace (one line per action);
-// two runs with equal Options produce byte-identical logs.
-func (h *Harness) EventLog() []string {
-	return append([]string(nil), h.log...)
-}
-
 // Run executes n randomized fault events, checking every invariant after
 // each one. It returns the first violation, annotated with the event
 // number and seed for replay.

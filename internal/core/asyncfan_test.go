@@ -84,7 +84,7 @@ func TestChildFailureRollsBackAcrossRegions(t *testing.T) {
 	}
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: "u1", DstPrefix: "pfxFar", QoS: -1}
 	for i := 0; i < 200; i++ {
-		_, err := f.root.SetupPath(match, res.Path)
+		_, err := f.root.SetupPathWithDemand(match, res.Path, 0)
 		if err == nil || !strings.Contains(err.Error(), "refused") {
 			t.Fatalf("iteration %d: setup through a refusing switch returned %v, want the refusal", i, err)
 		}

@@ -211,7 +211,7 @@ func TestConnDeviceAdmissionError(t *testing.T) {
 	dev := h.devs["S1"]
 	rule := dataplane.Rule{
 		Priority: 1,
-		Match:    dataplane.AnyMatch(),
+		Match:    dataplane.Match{InPort: dataplane.PortAny, QoS: -1},
 		Actions:  []dataplane.Action{dataplane.Output(1)},
 		Owner:    "t",
 		Demand:   5000, // 1 Gbps link

@@ -837,6 +837,8 @@ func (d *ConnDevice) Barrier() error {
 
 // SetRole requests a controller role on the device (§5.3.2's
 // OFPCR_ROLE_EQUAL dance during region handover).
+//
+//softmow:allow testonly ROADMAP item 4: the wire §5.3 reconfiguration hands a region over with it
 func (d *ConnDevice) SetRole(controller string, role southbound.Role) (southbound.Role, error) {
 	reply, err := d.request(southbound.Msg{Type: southbound.TypeRoleRequest,
 		Body: southbound.RoleRequest{Controller: controller, Role: role}})

@@ -179,7 +179,7 @@ func TestEqualRoleRegionHandover(t *testing.T) {
 	if role, err := dst.SetRole("leaf-dst", southbound.RoleEqual); err != nil || role != southbound.RoleEqual {
 		t.Fatalf("equal role: %v %v", role, err)
 	}
-	if err := dst.InstallRules([]dataplane.Rule{{Priority: 1, Match: dataplane.AnyMatch(), Owner: "dst"}}); err != nil {
+	if err := dst.InstallRules([]dataplane.Rule{{Priority: 1, Match: dataplane.Match{InPort: dataplane.PortAny, QoS: -1}, Owner: "dst"}}); err != nil {
 		t.Fatalf("equal-role install: %v", err)
 	}
 
@@ -194,7 +194,7 @@ func TestEqualRoleRegionHandover(t *testing.T) {
 	if _, err := src.SetRole("leaf-src", southbound.RoleSlave); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.InstallRules([]dataplane.Rule{{Priority: 1, Match: dataplane.AnyMatch(), Owner: "src"}}); err == nil {
+	if err := src.InstallRules([]dataplane.Rule{{Priority: 1, Match: dataplane.Match{InPort: dataplane.PortAny, QoS: -1}, Owner: "src"}}); err == nil {
 		t.Fatal("slave write should be refused")
 	}
 	if _, err := dst.SetRole("leaf-dst", southbound.RoleMaster); err != nil {

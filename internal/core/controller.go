@@ -229,13 +229,6 @@ func (c *Controller) Devices() []Device {
 	return out
 }
 
-// Child returns the child controller exposing the given G-switch, or nil.
-func (c *Controller) Child(gswitch dataplane.DeviceID) *Controller {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.children[gswitch]
-}
-
 // Children returns child controllers in deterministic order.
 func (c *Controller) Children() []*Controller {
 	c.mu.Lock()
@@ -300,14 +293,6 @@ func (c *Controller) refreshDevice(d Device) {
 				c.NIB.RemoveLink(l.Key())
 			}
 		}
-	}
-}
-
-// RefreshDevices re-reads features from every device (after child
-// re-abstraction or reconfiguration).
-func (c *Controller) RefreshDevices() {
-	for _, d := range c.Devices() {
-		c.refreshDevice(d)
 	}
 }
 

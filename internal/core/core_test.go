@@ -401,9 +401,6 @@ func TestHierarchyHelpers(t *testing.T) {
 	if f.h.LeafOf("S3") != f.l2 || f.h.LeafOf("ghost") != nil {
 		t.Fatal("LeafOf lookup")
 	}
-	if f.root.Child(f.l1.GSwitchID()) != f.l1 {
-		t.Fatal("Child lookup")
-	}
 	if len(f.root.Children()) != 2 {
 		t.Fatal("Children")
 	}

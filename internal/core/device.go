@@ -56,9 +56,6 @@ func NewSwitchDevice(net *dataplane.Network, sw *dataplane.Switch) *SwitchDevice
 	return d
 }
 
-// Switch exposes the underlying switch (tests, reconfiguration).
-func (d *SwitchDevice) Switch() *dataplane.Switch { return d.sw }
-
 func (d *SwitchDevice) setController(c *Controller) {
 	d.mu.Lock()
 	d.ctrl = c

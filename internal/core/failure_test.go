@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/dataplane"
-	"repro/internal/reca"
 	"repro/internal/routing"
 )
 
@@ -19,7 +16,7 @@ import (
 func TestLinkFlapFixpoint(t *testing.T) {
 	f := buildRerouteFixture(t)
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: "u1", QoS: -1}
-	if _, err := f.leaf.SetupPath(match, f.pathVia(t, routing.MinHops)); err != nil {
+	if _, err := f.leaf.SetupPathWithDemand(match, f.pathVia(t, routing.MinHops), 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,98 +75,5 @@ func TestLinkFlapFixpoint(t *testing.T) {
 		if res.MaxLabelDepth > 1 {
 			t.Fatalf("flap %d: label depth %d", i, res.MaxLabelDepth)
 		}
-	}
-}
-
-// TestTranslateRuleRollbackOnInstallFault drives a classification fan-out
-// (an internal G-BS with two constituent attachments) into an injected
-// install failure at the second source: the first source's already
-// installed rules must be rolled back so no rule under the parent's
-// owner/version survives.
-func TestTranslateRuleRollbackOnInstallFault(t *testing.T) {
-	net := dataplane.NewNetwork()
-	for _, id := range []dataplane.DeviceID{"A1", "A2", "E"} {
-		net.AddSwitch(id)
-	}
-	for _, pair := range [][2]dataplane.DeviceID{{"A1", "E"}, {"A2", "E"}} {
-		if _, err := net.Connect(pair[0], pair[1], time.Millisecond, 1000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rp1, _ := net.AddRadioPort("A1", "g1")
-	rp2, _ := net.AddRadioPort("A2", "g2")
-	if _, err := net.AddEgress("E1", "E", "isp"); err != nil {
-		t.Fatal(err)
-	}
-	h, err := NewTwoLevel(net, "root", []LeafSpec{{
-		ID:       "L1",
-		Switches: []dataplane.DeviceID{"A1", "A2", "E"},
-		Radios: []reca.RadioAttachment{
-			{ID: "g1", Attach: dataplane.PortRef{Dev: "A1", Port: rp1.ID}, Border: false},
-			{ID: "g2", Attach: dataplane.PortRef{Dev: "A2", Port: rp2.ID}, Border: false},
-		},
-		BSGroup: map[dataplane.DeviceID]dataplane.DeviceID{"b1": "g1", "b2": "g2"},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaf := h.Leaves[0]
-	ab := leaf.Abstraction()
-	var gbsPort, egPort dataplane.PortID
-	for _, gp := range ab.GSwitch.Ports {
-		if gp.GBS != "" {
-			gbsPort = gp.ID
-		}
-		if gp.External {
-			egPort = gp.ID
-		}
-	}
-	if gbsPort == 0 || egPort == 0 {
-		t.Fatalf("fixture: gbsPort=%d egPort=%d", gbsPort, egPort)
-	}
-
-	// Fail every install on A2 — the second fan-out source — after A1's
-	// path installed cleanly.
-	net.SetInstallFault(func(sw dataplane.DeviceID, r *dataplane.Rule) error {
-		if sw == "A2" {
-			return fmt.Errorf("injected install fault on %s", sw)
-		}
-		return nil
-	})
-	vrule := dataplane.Rule{
-		Priority: 100, Version: 7, Owner: "root/p99",
-		Match:   dataplane.Match{InPort: gbsPort, MatchNoLabel: true, UE: "u1", QoS: -1},
-		Actions: []dataplane.Action{dataplane.Push(42), dataplane.Output(egPort)},
-	}
-	installedBefore := leaf.StatsSnapshot().RulesInstalled
-	if err := leaf.TranslateRules([]dataplane.Rule{vrule}, nil); err == nil {
-		t.Fatal("expected the injected fault to fail the translation")
-	}
-	if leaf.StatsSnapshot().RulesInstalled <= installedBefore {
-		t.Fatal("fixture did not install anything before the fault — rollback unexercised")
-	}
-	for _, sw := range net.Switches() {
-		for _, r := range sw.Table.Rules() {
-			if r.Owner == "root/p99" {
-				t.Fatalf("partial install survived on %s: %v", sw.ID, r)
-			}
-		}
-	}
-
-	// With the fault cleared the same virtual rule installs end to end.
-	net.SetInstallFault(nil)
-	if err := leaf.TranslateRules([]dataplane.Rule{vrule}, nil); err != nil {
-		t.Fatalf("clean retry failed: %v", err)
-	}
-	rules := 0
-	for _, sw := range net.Switches() {
-		for _, r := range sw.Table.Rules() {
-			if r.Owner == "root/p99" {
-				rules++
-			}
-		}
-	}
-	if rules == 0 {
-		t.Fatal("clean retry installed nothing")
 	}
 }

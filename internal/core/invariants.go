@@ -68,6 +68,8 @@ func CheckNoOrphanRules(net *dataplane.Network, ctrls []*Controller) error {
 // PathTableSize reports how many records the path table holds: the live
 // paths plus any failed repair still awaiting its bearer's release. It
 // returns to the live bearer count once churn stops.
+//
+//softmow:allow testonly read-only probe: core and northbound tests read the path table size
 func (c *Controller) PathTableSize() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -26,12 +26,10 @@ type Pinger interface {
 }
 
 // LivenessConfig parameterizes a prober (sOFTDP-style fast liveness:
-// periodic echoes, suspicion after consecutive misses, targeted
-// rediscovery on recovery instead of waiting for a full refresh).
+// echo rounds, suspicion after consecutive misses, targeted rediscovery on
+// recovery instead of waiting for a full refresh).
 type LivenessConfig struct {
-	// Interval is the probe period per round.
-	Interval time.Duration
-	// Timeout bounds each echo round trip.
+	// Timeout bounds each echo round trip (default 25 ms).
 	Timeout time.Duration
 	// SuspectAfter is how many consecutive misses declare the device's
 	// control channel suspect.
@@ -39,11 +37,8 @@ type LivenessConfig struct {
 }
 
 func (cfg *LivenessConfig) normalize() {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 50 * time.Millisecond
-	}
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = cfg.Interval / 2
+		cfg.Timeout = 25 * time.Millisecond
 	}
 	if cfg.SuspectAfter <= 0 {
 		cfg.SuspectAfter = 3
@@ -64,9 +59,9 @@ type LivenessStats struct {
 	Rediscoveries int64 `json:"rediscoveries"`
 }
 
-// LivenessProber periodically pings every Pinger-capable device of one
-// controller. After SuspectAfter consecutive misses the device's NIB
-// links are marked down (routing immediately stops using them — the
+// LivenessProber pings every Pinger-capable device of one controller in
+// each ProbeOnce round. After SuspectAfter consecutive misses the device's
+// NIB links are marked down (routing immediately stops using them — the
 // paper's reachability contract under a partitioned control channel);
 // when a suspect device answers again, the prober triggers a targeted
 // RediscoverDevice instead of a full RunDiscovery, so one healed WAN link
@@ -82,14 +77,10 @@ type LivenessProber struct {
 	suspect map[dataplane.DeviceID]bool
 	// stats accumulates lifetime counts, guarded by mu.
 	stats LivenessStats
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
 }
 
-// NewLivenessProber builds a prober for c's devices; call Start to probe
-// periodically or ProbeOnce to drive rounds explicitly.
+// NewLivenessProber builds a prober for c's devices; the caller drives
+// rounds with ProbeOnce.
 func NewLivenessProber(c *Controller, cfg LivenessConfig) *LivenessProber {
 	cfg.normalize()
 	return &LivenessProber{
@@ -97,20 +88,7 @@ func NewLivenessProber(c *Controller, cfg LivenessConfig) *LivenessProber {
 		cfg:     cfg,
 		misses:  make(map[dataplane.DeviceID]int),
 		suspect: make(map[dataplane.DeviceID]bool),
-		stop:    make(chan struct{}),
 	}
-}
-
-// Start launches the periodic probe loop; Stop terminates it.
-func (p *LivenessProber) Start() {
-	p.wg.Add(1)
-	go p.loop()
-}
-
-// Stop halts the probe loop and waits for it to exit. Idempotent.
-func (p *LivenessProber) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	p.wg.Wait()
 }
 
 // Stats snapshots the prober's lifetime counts.
@@ -131,20 +109,6 @@ func (p *LivenessProber) Suspects() []dataplane.DeviceID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func (p *LivenessProber) loop() {
-	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			p.ProbeOnce()
-		case <-p.stop:
-			return
-		}
-	}
 }
 
 // ProbeOnce runs one probe round over every Pinger-capable device, in

@@ -11,7 +11,6 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/nib"
 	"repro/internal/southbound"
-	"repro/internal/testutil/leakcheck"
 )
 
 // probeDev is a minimal single-port Device whose discovery frames loop
@@ -85,7 +84,6 @@ func TestLivenessSuspectAndRediscovery(t *testing.T) {
 	c.NIB.PutLink(link)
 
 	p := NewLivenessProber(c, LivenessConfig{
-		Interval:     time.Hour, // rounds driven explicitly
 		Timeout:      10 * time.Millisecond,
 		SuspectAfter: 2,
 	})
@@ -138,25 +136,4 @@ func TestLivenessSuspectAndRediscovery(t *testing.T) {
 	if l, ok := c.NIB.LinkByKey(link.Key()); !ok || !l.Up {
 		t.Fatalf("rediscovery did not restore the link: %+v ok=%v", l, ok)
 	}
-}
-
-// TestLivenessProberStartStop: the periodic loop probes on its own and
-// Stop is idempotent and leak-free.
-func TestLivenessProberStartStop(t *testing.T) {
-	leakcheck.Check(t)
-	c := NewController("L", 0, 0)
-	d := &pingableDev{}
-	d.id = "SA"
-	c.AttachDevice(d)
-	p := NewLivenessProber(c, LivenessConfig{Interval: time.Millisecond})
-	p.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Stats().Probes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("periodic loop never probed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	p.Stop()
-	p.Stop() // idempotent
 }

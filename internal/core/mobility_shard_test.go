@@ -119,12 +119,12 @@ func TestOneStripeKeepsPerUELocks(t *testing.T) {
 // panic.
 func TestSetUEShardCount(t *testing.T) {
 	c := NewController("c", 1, 0)
-	if got := c.UEShardCount(); got != DefaultUEShards {
+	if got := len(c.ue.shards); got != DefaultUEShards {
 		t.Fatalf("default shards = %d, want %d", got, DefaultUEShards)
 	}
 	c.SetRadioIndex(map[dataplane.DeviceID]dataplane.DeviceID{"b1": "gA"}, nil)
 	c.SetUEShardCount(5)
-	if got := c.UEShardCount(); got != 8 {
+	if got := len(c.ue.shards); got != 8 {
 		t.Fatalf("shards after SetUEShardCount(5) = %d, want 8", got)
 	}
 	// The radio index survives the resize.

@@ -78,17 +78,13 @@ type ruleCtx struct {
 	demand float64
 }
 
-// SetupPath implements the northbound PathSetup(match fields, path) API
-// (§4.3): it installs an end-to-end path in this controller's topology.
-// Rules on gigantic switches translate recursively in the children; every
-// physical packet carries at most one label under ModeSwap.
-func (c *Controller) SetupPath(match dataplane.Match, path *routing.Path) (PathID, error) {
-	return c.SetupPathWithDemand(match, path, 0)
-}
-
-// SetupPathWithDemand installs a path whose rules reserve demandMbps on
-// every traversed link (admission control against the §3.2 bandwidth
-// metrics). Installation fails, with full rollback, when any link cannot
+// SetupPathWithDemand implements the northbound PathSetup(match fields,
+// path) API (§4.3): it installs an end-to-end path in this controller's
+// topology whose rules reserve demandMbps on every traversed link
+// (admission control against the §3.2 bandwidth metrics; 0 is
+// best-effort). Rules on gigantic switches translate recursively in the
+// children; every physical packet carries at most one label under
+// ModeSwap. Installation fails, with full rollback, when any link cannot
 // admit the demand.
 func (c *Controller) SetupPathWithDemand(match dataplane.Match, path *routing.Path, demandMbps float64) (PathID, error) {
 	start := time.Now() //softmow:allow determinism wall clock feeds the setup-latency histogram only, never control decisions
@@ -190,6 +186,8 @@ func (c *Controller) Path(id PathID) (PathRecord, bool) {
 }
 
 // NumPaths reports active path count.
+//
+//softmow:allow testonly read-only probe: chaos, core and experiments tests count active paths
 func (c *Controller) NumPaths() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

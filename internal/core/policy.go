@@ -80,6 +80,8 @@ func (c *Controller) middleboxPorts(mt dataplane.MiddleboxType) []dataplane.Port
 // that traverses the policy chain in order. It fails when any chain
 // element has no instance in this controller's region (§4.2: "it checks
 // whether the middlebox poset can be met in its logical region").
+//
+//softmow:allow testonly ROADMAP item 4: the policy bearer op (service chains) drives it
 func (c *Controller) RouteWithPolicy(req RouteRequest, policy dataplane.ServicePolicy) (*PolicyRoute, error) {
 	opts := c.RouteOptions(req.Prefix)
 	if len(opts) == 0 {
@@ -169,6 +171,8 @@ func addCost(a, b routing.Cost) routing.Cost {
 // SetupPolicyPath installs a policy-compliant path: every leg shares one
 // path label; at each waypoint the traffic exits to the middlebox port and
 // the return traffic (same port, same label) continues on the next leg.
+//
+//softmow:allow testonly ROADMAP item 4: the policy bearer op (service chains) drives it
 func (c *Controller) SetupPolicyPath(match dataplane.Match, pr *PolicyRoute) (PathID, error) {
 	if len(pr.Legs) == 0 {
 		return 0, ErrEmptyPath

@@ -65,6 +65,8 @@ func (c *Controller) RecAFeatures() southbound.FeatureReply {
 // recomputes the fabric, and — only when the drift exceeds thresholdMbps —
 // pushes the updated G-switch record to the parent's NIB. Reports whether
 // a notification was sent.
+//
+//softmow:allow testonly ROADMAP item 1: event-driven repair triggers it after a leaf repair
 func (c *Controller) RefreshFabric(thresholdMbps float64) bool {
 	c.RunDiscovery() // refresh link records (available bandwidth rides the meta field)
 	c.mu.Lock()

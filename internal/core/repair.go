@@ -52,9 +52,13 @@ func (c *Controller) RepairPaths(ref dataplane.PortRef) (repaired, failed []Path
 			c.mu.Lock()
 			rec, ok := c.paths[j.id]
 			var owner string
+			var devs []Device
 			if ok {
 				rec.Active = false
 				owner = rec.Owner
+				// The devices any version of the path was installed on,
+				// as TeardownPath deletes on.
+				devs = c.attachedLocked(rec.Devices)
 			}
 			c.mu.Unlock()
 			if ok {
@@ -62,7 +66,7 @@ func (c *Controller) RepairPaths(ref dataplane.PortRef) (repaired, failed []Path
 				// removals are idempotent filters and the path is already
 				// marked failed, so a partial cleanup cannot make it worse
 				//softmow:allow errdiscard best-effort cleanup of an already-failed path
-				_ = c.removeOwned(c.Devices(), southbound.FlowDeleteOwner, owner, 0)
+				_ = c.removeOwned(devs, southbound.FlowDeleteOwner, owner, 0)
 			}
 			failed = append(failed, j.id)
 			continue

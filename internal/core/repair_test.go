@@ -5,12 +5,13 @@ import (
 
 	"repro/internal/dataplane"
 	"repro/internal/routing"
+	"repro/internal/southbound"
 )
 
 func TestRepairPathsAfterLinkFailure(t *testing.T) {
 	f := buildRerouteFixture(t) // diamond: S1-{S2,S3}-S4
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: "u1", QoS: -1}
-	id, err := f.leaf.SetupPath(match, f.pathVia(t, routing.MinHops)) // via S2
+	id, err := f.leaf.SetupPathWithDemand(match, f.pathVia(t, routing.MinHops), 0) // via S2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestRepairPathsAfterLinkFailure(t *testing.T) {
 func TestRepairDeactivatesUnreachablePaths(t *testing.T) {
 	f := buildRerouteFixture(t)
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: "u1", QoS: -1}
-	id, err := f.leaf.SetupPath(match, f.pathVia(t, routing.MinHops))
+	id, err := f.leaf.SetupPathWithDemand(match, f.pathVia(t, routing.MinHops), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestRepairDeactivatesUnreachablePaths(t *testing.T) {
 func TestHandleLinkFailureEndToEnd(t *testing.T) {
 	f := buildRerouteFixture(t)
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: "u1", QoS: -1}
-	if _, err := f.leaf.SetupPath(match, f.pathVia(t, routing.MinHops)); err != nil {
+	if _, err := f.leaf.SetupPathWithDemand(match, f.pathVia(t, routing.MinHops), 0); err != nil {
 		t.Fatal(err)
 	}
 	var link *dataplane.Link
@@ -112,5 +113,51 @@ func TestHandleLinkFailureEndToEnd(t *testing.T) {
 	res := f.drive(t)
 	if res.Disposition != dataplane.DispEgressed || res.Packet.Path()[1] != "S3" {
 		t.Fatalf("post-failure: %v via %v", res.Disposition, res.Packet.Path())
+	}
+}
+
+// deleteCounter wraps a device and counts the delete commands it receives.
+type deleteCounter struct {
+	Device
+	deletes int
+}
+
+func (d *deleteCounter) RemoveRules(cmd southbound.FlowModCommand, owner string, version int) error {
+	d.deletes++
+	return d.Device.RemoveRules(cmd, owner, version)
+}
+
+// TestRepairScrubStaysOnPathDevices: a failed link with no alternative
+// deactivates the path and scrubs its rules from the devices the path was
+// installed on, as a teardown does, not from every device of the region;
+// no rule of the dead path survives anywhere.
+func TestRepairScrubStaysOnPathDevices(t *testing.T) {
+	f := buildRerouteFixture(t) // diamond: S1-{S2,S3}-S4
+	match := dataplane.Match{InPort: dataplane.PortAny, UE: "u1", QoS: -1}
+	id, err := f.leaf.SetupPathWithDemand(match, f.pathVia(t, routing.MinHops), 0) // S1-S2-S4
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := make(map[dataplane.DeviceID]*deleteCounter)
+	for _, d := range f.leaf.Devices() {
+		w := &deleteCounter{Device: d}
+		counters[d.ID()] = w
+		f.leaf.AttachDevice(w)
+	}
+	for _, l := range f.net.Links() {
+		if l.A.Dev == "S1" || l.B.Dev == "S1" {
+			f.net.SetLinkState(l, false)
+		}
+	}
+	if _, failed := f.leaf.RepairPaths(dataplane.PortRef{Dev: "S1", Port: 1}); len(failed) != 1 || failed[0] != id {
+		t.Fatalf("failed = %v, want [%d]", failed, id)
+	}
+	for dev, want := range map[dataplane.DeviceID]int{"S1": 1, "S2": 1, "S3": 0, "S4": 1} {
+		if got := counters[dev].deletes; got != want {
+			t.Errorf("%s received %d delete(s), want %d", dev, got, want)
+		}
+	}
+	if err := CheckNoOrphanRules(f.net, []*Controller{f.leaf}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -87,7 +87,7 @@ func TestReroutePathMakeBeforeBreak(t *testing.T) {
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: "u1", QoS: -1}
 
 	viaS2 := f.pathVia(t, routing.MinHops) // S1-S2-S4
-	id, err := f.leaf.SetupPath(match, viaS2)
+	id, err := f.leaf.SetupPathWithDemand(match, viaS2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func forceVia(t *testing.T, f *rerouteFixture, via dataplane.DeviceID) *routing.
 func TestReroutePathFull(t *testing.T) {
 	f := buildRerouteFixture(t)
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: "u1", QoS: -1}
-	id, err := f.leaf.SetupPath(match, f.pathVia(t, routing.MinHops))
+	id, err := f.leaf.SetupPathWithDemand(match, f.pathVia(t, routing.MinHops), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestReroutePathFull(t *testing.T) {
 func TestPrepareRerouteRollback(t *testing.T) {
 	f := buildRerouteFixture(t)
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: "u1", QoS: -1}
-	id, err := f.leaf.SetupPath(match, f.pathVia(t, routing.MinHops))
+	id, err := f.leaf.SetupPathWithDemand(match, f.pathVia(t, routing.MinHops), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,8 @@ type RouteOptReport struct {
 // has a route at least minHopGain hops better (end-to-end, internal +
 // external) than the installed one. Paths without a resolvable prefix or
 // without improvement are left untouched.
+//
+//softmow:allow testonly ROADMAP item 4: a periodic root re-optimisation event drives it
 func (c *Controller) OptimizeRoutes(minHopGain int) RouteOptReport {
 	if minHopGain < 1 {
 		minHopGain = 1

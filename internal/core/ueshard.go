@@ -44,11 +44,6 @@ func (c *Controller) SetUEShardCount(n int) {
 	c.ue = fresh
 }
 
-// UEShardCount reports the store's stripe count.
-func (c *Controller) UEShardCount() int {
-	return len(c.ue.shards)
-}
-
 // ueState is the sharded §5.1 UE table plus the radio index.
 type ueState struct {
 	// shards is immutable after construction (len is a power of two);

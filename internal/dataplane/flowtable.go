@@ -27,9 +27,6 @@ type Match struct {
 	QoS int
 }
 
-// AnyMatch returns a Match that matches every packet.
-func AnyMatch() Match { return Match{InPort: PortAny, QoS: -1} }
-
 // Matches reports whether the packet arriving on inPort satisfies m.
 func (m Match) Matches(inPort PortID, p *Packet) bool {
 	if m.InPort != PortAny && m.InPort != inPort {
@@ -146,12 +143,6 @@ func Pop() Action { return Action{Op: OpPopLabel} }
 
 // Swap constructs a swap-label action.
 func Swap(l Label) Action { return Action{Op: OpSwapLabel, Label: l} }
-
-// ToController constructs a punt-to-controller action.
-func ToController() Action { return Action{Op: OpToController} }
-
-// Drop constructs a drop action.
-func Drop() Action { return Action{Op: OpDrop} }
 
 // String implements fmt.Stringer.
 func (a Action) String() string {
@@ -414,28 +405,14 @@ func (t *FlowTable) unindexLocked(r *Rule) {
 	}
 }
 
-// RemoveIf deletes all rules for which pred returns true, returning the
-// number removed.
-func (t *FlowTable) RemoveIf(pred func(*Rule) bool) int {
-	return len(t.TakeIf(pred))
-}
-
 // RemoveByOwner deletes all rules installed by owner.
 func (t *FlowTable) RemoveByOwner(owner string) int {
 	return len(t.TakeOwnerIf(owner, nil))
 }
 
-// RemoveVersion deletes all rules with the given version.
-func (t *FlowTable) RemoveVersion(v int) int {
-	return t.RemoveIf(func(r *Rule) bool { return r.Version == v })
-}
-
-// Clear removes every rule.
-func (t *FlowTable) Clear() {
-	t.RemoveIf(func(*Rule) bool { return true })
-}
-
 // Stats returns (hits, misses) lookup counters.
+//
+//softmow:allow testonly read-only probe: tests in seven packages read a table's lookup counters
 func (t *FlowTable) Stats() (hits, misses uint64) {
 	return t.hits.Load(), t.misses.Load()
 }

@@ -5,10 +5,13 @@ import (
 	"testing/quick"
 )
 
+// anyMatch returns a Match that matches every packet.
+func anyMatch() Match { return Match{InPort: PortAny, QoS: -1} }
+
 func TestMatchWildcards(t *testing.T) {
 	p := &Packet{UE: "ue1", SrcIP: "s", DstPrefix: "d", QoS: 3}
-	if !AnyMatch().Matches(7, p) {
-		t.Fatal("AnyMatch should match everything")
+	if !anyMatch().Matches(7, p) {
+		t.Fatal("anyMatch should match everything")
 	}
 	m := Match{InPort: 7, UE: "ue1", DstPrefix: "d", QoS: 3}
 	if !m.Matches(7, p) {
@@ -57,9 +60,9 @@ func TestMatchTopOfStackOnly(t *testing.T) {
 
 func TestFlowTablePriorityAndTies(t *testing.T) {
 	ft := NewFlowTable()
-	ft.Add(Rule{Priority: 1, Match: AnyMatch(), Actions: []Action{Drop()}, Owner: "low"})
-	ft.Add(Rule{Priority: 10, Match: AnyMatch(), Actions: []Action{Output(1)}, Owner: "hiA"})
-	ft.Add(Rule{Priority: 10, Match: AnyMatch(), Actions: []Action{Output(2)}, Owner: "hiB"})
+	ft.Add(Rule{Priority: 1, Match: anyMatch(), Actions: []Action{{Op: OpDrop}}, Owner: "low"})
+	ft.Add(Rule{Priority: 10, Match: anyMatch(), Actions: []Action{Output(1)}, Owner: "hiA"})
+	ft.Add(Rule{Priority: 10, Match: anyMatch(), Actions: []Action{Output(2)}, Owner: "hiB"})
 	r := ft.Lookup(1, &Packet{})
 	if r == nil || r.Owner != "hiA" {
 		t.Fatalf("expected first-inserted high-priority rule, got %v", r)
@@ -80,28 +83,26 @@ func TestFlowTableMiss(t *testing.T) {
 
 func TestFlowTableRemove(t *testing.T) {
 	ft := NewFlowTable()
-	ft.Add(Rule{Priority: 1, Match: AnyMatch(), Owner: "a", Version: 1})
-	ft.Add(Rule{Priority: 1, Match: AnyMatch(), Owner: "b", Version: 1})
-	ft.Add(Rule{Priority: 1, Match: AnyMatch(), Owner: "a", Version: 2})
+	ft.Add(Rule{Priority: 1, Match: anyMatch(), Owner: "a", Version: 1})
+	ft.Add(Rule{Priority: 1, Match: anyMatch(), Owner: "b", Version: 1})
+	ft.Add(Rule{Priority: 1, Match: anyMatch(), Owner: "a", Version: 2})
 	if n := ft.RemoveByOwner("a"); n != 2 {
 		t.Fatalf("removed %d", n)
 	}
 	if ft.Len() != 1 {
 		t.Fatalf("len = %d", ft.Len())
 	}
-	if n := ft.RemoveVersion(1); n != 1 {
+	if n := len(ft.TakeIf(func(r *Rule) bool { return r.Version == 1 })); n != 1 {
 		t.Fatalf("removed version: %d", n)
 	}
-	ft.Add(Rule{Priority: 1, Match: AnyMatch()})
-	ft.Clear()
 	if ft.Len() != 0 {
-		t.Fatal("clear failed")
+		t.Fatalf("len = %d after removing the last rule", ft.Len())
 	}
 }
 
 func TestFlowTableAddCopiesRule(t *testing.T) {
 	ft := NewFlowTable()
-	r := Rule{Priority: 1, Match: AnyMatch(), Owner: "x"}
+	r := Rule{Priority: 1, Match: anyMatch(), Owner: "x"}
 	ft.Add(r)
 	r.Owner = "mutated"
 	if got := ft.Rules()[0].Owner; got != "x" {
@@ -122,7 +123,7 @@ func TestLookupMaxPriorityQuick(t *testing.T) {
 			ft.Add(Rule{
 				Priority: int(s.Priority),
 				Match:    Match{InPort: PortID(s.InPort % 4), QoS: -1},
-				Actions:  []Action{Drop()},
+				Actions:  []Action{{Op: OpDrop}},
 			})
 		}
 		p := &Packet{}
@@ -150,21 +151,21 @@ func TestActionStrings(t *testing.T) {
 		"push:9":   Push(9),
 		"pop":      Pop(),
 		"swap:4":   Swap(4),
-		"drop":     Drop(),
+		"drop":     Action{Op: OpDrop},
 	}
 	for want, a := range cases {
 		if a.String() != want {
 			t.Errorf("%v.String() = %q, want %q", a.Op, a.String(), want)
 		}
 	}
-	if ToController().String() != "to-controller" {
+	if (Action{Op: OpToController}).String() != "to-controller" {
 		t.Error("to-controller string")
 	}
 }
 
 func TestMatchString(t *testing.T) {
-	if AnyMatch().String() != "any" {
-		t.Fatalf("AnyMatch string = %q", AnyMatch().String())
+	if anyMatch().String() != "any" {
+		t.Fatalf("anyMatch string = %q", anyMatch().String())
 	}
 	m := Match{InPort: 2, HasLabel: true, Label: 7, UE: "u", QoS: 1}
 	s := m.String()

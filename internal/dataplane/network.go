@@ -18,33 +18,22 @@ type Network struct {
 	links []*Link
 	// linksByPort indexes links by either endpoint, guarded by mu.
 	linksByPort map[PortRef]*Link
-	// baseStations maps BS IDs to records, guarded by mu.
-	baseStations map[DeviceID]*BaseStation
-	// groups maps BS-group IDs to records, guarded by mu.
-	groups map[DeviceID]*BSGroup
 	// middleboxes maps middlebox IDs to records, guarded by mu.
 	middleboxes map[DeviceID]*Middlebox
 	// mbByPort indexes middleboxes by attachment port, guarded by mu.
 	mbByPort map[PortRef]*Middlebox
 	// egress maps egress names to egress points, guarded by mu.
 	egress map[string]*EgressPoint
-
-	// installFault, when set, is consulted before every rule install; a
-	// non-nil return fails the install with no state change (fault
-	// injection for failure-path testing). guarded by mu.
-	installFault func(DeviceID, *Rule) error
 }
 
 // NewNetwork returns an empty network.
 func NewNetwork() *Network {
 	return &Network{
-		switches:     make(map[DeviceID]*Switch),
-		linksByPort:  make(map[PortRef]*Link),
-		baseStations: make(map[DeviceID]*BaseStation),
-		groups:       make(map[DeviceID]*BSGroup),
-		middleboxes:  make(map[DeviceID]*Middlebox),
-		mbByPort:     make(map[PortRef]*Middlebox),
-		egress:       make(map[string]*EgressPoint),
+		switches:    make(map[DeviceID]*Switch),
+		linksByPort: make(map[PortRef]*Link),
+		middleboxes: make(map[DeviceID]*Middlebox),
+		mbByPort:    make(map[PortRef]*Middlebox),
+		egress:      make(map[string]*EgressPoint),
 	}
 }
 
@@ -78,13 +67,6 @@ func (n *Network) Switches() []*Switch {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// NumSwitches reports the switch count.
-func (n *Network) NumSwitches() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.switches)
 }
 
 // Connect creates a link between fresh ports on switches a and b and
@@ -135,58 +117,6 @@ func (n *Network) SetLinkState(l *Link, up bool) {
 	}
 }
 
-// AddBaseStation registers a base station.
-func (n *Network) AddBaseStation(bs *BaseStation) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.baseStations[bs.ID] = bs
-}
-
-// BaseStation returns a base station or nil.
-func (n *Network) BaseStation(id DeviceID) *BaseStation {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.baseStations[id]
-}
-
-// BaseStations returns all base stations sorted by ID.
-func (n *Network) BaseStations() []*BaseStation {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]*BaseStation, 0, len(n.baseStations))
-	for _, b := range n.baseStations {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// AddGroup registers a BS group.
-func (n *Network) AddGroup(g *BSGroup) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups[g.ID] = g
-}
-
-// Group returns a BS group or nil.
-func (n *Network) Group(id DeviceID) *BSGroup {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.groups[id]
-}
-
-// Groups returns all groups sorted by ID.
-func (n *Network) Groups() []*BSGroup {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]*BSGroup, 0, len(n.groups))
-	for _, g := range n.groups {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // AttachMiddlebox registers a middlebox on a fresh port of its switch.
 func (n *Network) AttachMiddlebox(mb *Middlebox) error {
 	n.mu.Lock()
@@ -202,13 +132,6 @@ func (n *Network) AttachMiddlebox(mb *Middlebox) error {
 	n.middleboxes[mb.ID] = mb
 	n.mbByPort[mb.Attach] = mb
 	return nil
-}
-
-// Middlebox returns a middlebox or nil.
-func (n *Network) Middlebox(id DeviceID) *Middlebox {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.middleboxes[id]
 }
 
 // Middleboxes returns all middleboxes sorted by ID.
@@ -264,13 +187,6 @@ func (n *Network) AddEgress(id string, swID DeviceID, peerDomain string) (*Egres
 	return ep, nil
 }
 
-// Egress returns an egress point or nil.
-func (n *Network) Egress(id string) *EgressPoint {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.egress[id]
-}
-
 // EgressPoints returns all egress points sorted by ID.
 func (n *Network) EgressPoints() []*EgressPoint {
 	n.mu.RLock()
@@ -283,16 +199,6 @@ func (n *Network) EgressPoints() []*EgressPoint {
 	return out
 }
 
-// SetInstallFault installs (or clears, with nil) a hook consulted before
-// every InstallRule; returning an error fails that install with no state
-// change. Used to inject rule-install failures in tests and the chaos
-// harness.
-func (n *Network) SetInstallFault(f func(DeviceID, *Rule) error) {
-	n.mu.Lock()
-	n.installFault = f
-	n.mu.Unlock()
-}
-
 // InstallRule installs r on a switch, reserving r.Demand Mbps on the link
 // behind the rule's output port. Installation fails — leaving no state —
 // when the reservation cannot be admitted.
@@ -300,17 +206,6 @@ func (n *Network) InstallRule(swID DeviceID, r Rule) error {
 	sw := n.Switch(swID)
 	if sw == nil {
 		return fmt.Errorf("dataplane: install on unknown switch %s", swID)
-	}
-	n.mu.RLock()
-	fault := n.installFault
-	n.mu.RUnlock()
-	if fault != nil {
-		// The hook may mutate the rule; only this copy of it escapes.
-		fr := r
-		if err := fault(swID, &fr); err != nil {
-			return err
-		}
-		r = fr
 	}
 	if r.Demand > 0 {
 		if l := n.outputLink(sw, r); l != nil {

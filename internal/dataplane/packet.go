@@ -91,15 +91,6 @@ func (p *Packet) Labels() []Label {
 	return append([]Label(nil), p.labels...)
 }
 
-// Clone deep-copies the packet (including trace).
-func (p *Packet) Clone() *Packet {
-	q := *p
-	q.labels = append([]Label(nil), p.labels...)
-	q.Trace = append([]Hop(nil), p.Trace...)
-	q.MiddleboxesVisited = append([]MiddleboxType(nil), p.MiddleboxesVisited...)
-	return &q
-}
-
 // Path returns the device IDs visited, in order.
 func (p *Packet) Path() []DeviceID {
 	ids := make([]DeviceID, len(p.Trace))

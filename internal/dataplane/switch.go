@@ -141,13 +141,6 @@ func (s *Switch) Ports() []*Port {
 	return out
 }
 
-// NumPorts reports the number of ports.
-func (s *Switch) NumPorts() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.ports)
-}
-
 // Link is a bidirectional physical link between two device ports, annotated
 // with the metrics the vFabric abstraction exposes (§3.2).
 type Link struct {

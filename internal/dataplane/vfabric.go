@@ -32,21 +32,6 @@ type PathMetrics struct {
 	Reachable bool
 }
 
-// Better reports whether m is a strictly better path than o under the
-// lexicographic (hops, latency) order used by the routing service.
-func (m PathMetrics) Better(o PathMetrics) bool {
-	if !m.Reachable {
-		return false
-	}
-	if !o.Reachable {
-		return true
-	}
-	if m.Hops != o.Hops {
-		return m.Hops < o.Hops
-	}
-	return m.Latency < o.Latency
-}
-
 // VFabric is a G-switch's virtual switch fabric: per-port-pair path metrics
 // over the child region's internal topology (§3.2). The zero value is
 // empty; construct with NewVFabric.
@@ -199,16 +184,4 @@ type GMiddleboxInfo struct {
 	Load     float64 // sum of constituent loads
 	// AttachPorts lists G-switch ports the instances hang off.
 	AttachPorts []PortID
-}
-
-// Utilization returns Load/Capacity clamped to [0,1].
-func (g *GMiddleboxInfo) Utilization() float64 {
-	if g.Capacity <= 0 {
-		return 0
-	}
-	u := g.Load / g.Capacity
-	if u > 1 {
-		u = 1
-	}
-	return u
 }

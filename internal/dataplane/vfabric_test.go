@@ -7,6 +7,21 @@ import (
 	"time"
 )
 
+// Better reports whether m is a strictly better path than o under the
+// lexicographic (hops, latency) order used by the routing service.
+func (m PathMetrics) Better(o PathMetrics) bool {
+	if !m.Reachable {
+		return false
+	}
+	if !o.Reachable {
+		return true
+	}
+	if m.Hops != o.Hops {
+		return m.Hops < o.Hops
+	}
+	return m.Latency < o.Latency
+}
+
 func TestPortPairNormalization(t *testing.T) {
 	if NewPortPair(5, 2) != NewPortPair(2, 5) {
 		t.Fatal("port pairs must be orientation-independent")
@@ -144,19 +159,5 @@ func TestGSwitchInfoPortByID(t *testing.T) {
 	}
 	if g.PortByID(99) != nil {
 		t.Fatal("missing port should be nil")
-	}
-}
-
-func TestGMiddleboxUtilization(t *testing.T) {
-	g := &GMiddleboxInfo{Capacity: 200, Load: 50}
-	if g.Utilization() != 0.25 {
-		t.Fatalf("util = %v", g.Utilization())
-	}
-	g.Load = 500
-	if g.Utilization() != 1 {
-		t.Fatal("clamp")
-	}
-	if (&GMiddleboxInfo{}).Utilization() != 0 {
-		t.Fatal("zero capacity")
 	}
 }

@@ -1,7 +1,6 @@
 package discovery
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/simnet"
@@ -157,14 +156,4 @@ func FlatBaseline(controller string, ports, linkEndpoints int) []Probe {
 		probes = append(probes, Probe{Owner: controller, HasLink: i < linkEndpoints})
 	}
 	return probes
-}
-
-// SortedControllers returns the map keys sorted, for stable reporting.
-func SortedControllers(m map[string]time.Duration) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,7 @@
 package discovery
 
 import (
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -194,4 +195,29 @@ func TestDefaultTimingSane(t *testing.T) {
 	if tp.Service <= tp.Propagation {
 		t.Fatal("service must dominate propagation (paper's observation)")
 	}
+}
+
+// Top returns the top entry without removing it.
+func (f *Frame) Top() (StackEntry, bool) {
+	if len(f.Stack) == 0 {
+		return StackEntry{}, false
+	}
+	return f.Stack[len(f.Stack)-1], true
+}
+
+// Clone deep-copies the frame.
+func (f *Frame) Clone() *Frame {
+	c := *f
+	c.Stack = append([]StackEntry(nil), f.Stack...)
+	return &c
+}
+
+// SortedControllers returns the map keys sorted, for stable reporting.
+func SortedControllers(m map[string]time.Duration) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

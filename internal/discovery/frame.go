@@ -70,23 +70,8 @@ func (f *Frame) Pop() (StackEntry, bool) {
 	return e, true
 }
 
-// Top returns the top entry without removing it.
-func (f *Frame) Top() (StackEntry, bool) {
-	if len(f.Stack) == 0 {
-		return StackEntry{}, false
-	}
-	return f.Stack[len(f.Stack)-1], true
-}
-
 // Depth reports the stack depth.
 func (f *Frame) Depth() int { return len(f.Stack) }
-
-// Clone deep-copies the frame.
-func (f *Frame) Clone() *Frame {
-	c := *f
-	c.Stack = append([]StackEntry(nil), f.Stack...)
-	return &c
-}
 
 // String implements fmt.Stringer.
 func (f *Frame) String() string {

@@ -113,14 +113,8 @@ func BuildEval(p Params) (*Eval, error) {
 			return nil, err
 		}
 		g.AccessSwitch = access
-		t.Net.AddGroup(g)
 		ev.GroupRegion[g.ID] = ri
 		ev.GroupAttach[g.ID] = dataplane.PortRef{Dev: access, Port: port.ID}
-	}
-	for _, id := range model.BSIDs {
-		t.Net.AddBaseStation(&dataplane.BaseStation{
-			ID: id, Loc: model.Locs[id], GroupID: model.GroupOf[id],
-		})
 	}
 
 	// Border groups: handovers to a group in another region (a busy-window

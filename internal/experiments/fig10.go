@@ -8,6 +8,7 @@ import (
 	"repro/internal/discovery"
 	"repro/internal/metrics"
 	"repro/internal/nib"
+	"repro/internal/reca"
 )
 
 // Figure 10 (§7.3): per-controller discovery convergence time, SoftMoW vs
@@ -174,9 +175,7 @@ func RunAbstractionStats(ev *Eval) *AbstractionOutcome {
 		ExposedPorts: rootAb.Stats.ExposedPorts,
 		ExposedPct:   rootAb.Stats.ExposedPct(),
 	})
-	totalPhysicalLinks := len(ev.Topo.Net.Links())
-	out.RootHiddenLinkPct = float64(totalPhysicalLinks-ev.H.Root.NIB.NumLinks()) /
-		float64(totalPhysicalLinks) * 100
+	out.RootHiddenLinkPct = reca.HiddenLinkPct(len(ev.Topo.Net.Links()), ev.H.Root.NIB.NumLinks())
 	return out
 }
 

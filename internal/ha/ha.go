@@ -104,13 +104,6 @@ func (i *Instance) Alive() bool {
 	return i.alive
 }
 
-// Processed reports how many events this instance completed.
-func (i *Instance) Processed() int {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.processed
-}
-
 // Pair manages a master/standby instance pair over a shared store.
 type Pair struct {
 	Store *SharedStore
@@ -174,16 +167,6 @@ func (p *Pair) Master() *Instance {
 		return p.master
 	}
 	if p.standby != nil && p.standby.Alive() && p.standby.Role() == RoleMaster {
-		return p.standby
-	}
-	return nil
-}
-
-// Standby returns the standby instance (nil after promotion or failure).
-func (p *Pair) Standby() *Instance {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.standby != nil && p.standby.Alive() && p.standby.Role() == RoleStandby {
 		return p.standby
 	}
 	return nil

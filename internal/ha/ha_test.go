@@ -166,3 +166,20 @@ func TestSharedStoreWiring(t *testing.T) {
 		t.Fatal("log must be the NIB's log")
 	}
 }
+
+// Processed reports how many events this instance completed.
+func (i *Instance) Processed() int {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return i.processed
+}
+
+// Standby returns the standby instance (nil after promotion or failure).
+func (p *Pair) Standby() *Instance {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.standby != nil && p.standby.Alive() && p.standby.Role() == RoleStandby {
+		return p.standby
+	}
+	return nil
+}

@@ -188,25 +188,6 @@ func (w *SnapshotWriter) Commit() {
 	mTruncated.Add(int64(removed))
 }
 
-// Abandon discards the pending capture (a crashed master mid-write).
-func (w *SnapshotWriter) Abandon() {
-	w.store.mu.Lock()
-	w.store.writing = false
-	w.store.mu.Unlock()
-}
-
-// Checkpoint returns the committed checkpoint (nil before the first
-// Commit). The pending state of an in-progress writer is never returned.
-func (s *SharedStore) Checkpoint() *Checkpoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.checkpoint == nil {
-		return nil
-	}
-	cp := *s.checkpoint
-	return &cp
-}
-
 // Rebuild reconstructs application state into sm: restore the committed
 // checkpoint if one exists and replay the delta above its low-water mark,
 // else replay the retained log from genesis. Only finished, successful

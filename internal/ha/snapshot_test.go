@@ -165,3 +165,22 @@ func TestPendingSnapshotNeverVisible(t *testing.T) {
 		t.Fatal("committed capture not visible")
 	}
 }
+
+// Abandon discards the pending capture (a crashed master mid-write).
+func (w *SnapshotWriter) Abandon() {
+	w.store.mu.Lock()
+	w.store.writing = false
+	w.store.mu.Unlock()
+}
+
+// Checkpoint returns the committed checkpoint (nil before the first
+// Commit). The pending state of an in-progress writer is never returned.
+func (s *SharedStore) Checkpoint() *Checkpoint {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.checkpoint == nil {
+		return nil
+	}
+	cp := *s.checkpoint
+	return &cp
+}

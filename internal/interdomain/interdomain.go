@@ -174,9 +174,6 @@ func sin(x float64) float64 { return math.Sin(x) }
 // Prefixes returns all prefix IDs.
 func (t *Table) Prefixes() []PrefixID { return t.prefixes }
 
-// Egresses returns all egress IDs the table covers.
-func (t *Table) Egresses() []string { return t.egresses }
-
 // Snapshots reports the number of routing snapshots.
 func (t *Table) Snapshots() int { return len(t.metrics) }
 
@@ -213,28 +210,4 @@ func (t *Table) SelectRoutes(snapshot int, egress string, egressSwitch dataplane
 		}
 	}
 	return routes
-}
-
-// BestEgress returns, for one prefix, the egress (among candidates; nil
-// means all) with minimal external hops, ties broken by RTT.
-func (t *Table) BestEgress(snapshot int, prefix PrefixID, candidates []string) (string, Metrics, bool) {
-	cands := candidates
-	if cands == nil {
-		cands = t.egresses
-	}
-	var (
-		bestID string
-		best   Metrics
-		found  bool
-	)
-	for _, id := range cands {
-		m, ok := t.Lookup(snapshot, id, prefix)
-		if !ok {
-			continue
-		}
-		if !found || m.Hops < best.Hops || (m.Hops == best.Hops && m.RTT < best.RTT) {
-			bestID, best, found = id, m, true
-		}
-	}
-	return bestID, best, found
 }

@@ -156,3 +156,30 @@ func TestBestEgress(t *testing.T) {
 		t.Fatal("unknown candidates should fail")
 	}
 }
+
+// Egresses returns all egress IDs the table covers.
+func (t *Table) Egresses() []string { return t.egresses }
+
+// BestEgress returns, for one prefix, the egress (among candidates; nil
+// means all) with minimal external hops, ties broken by RTT.
+func (t *Table) BestEgress(snapshot int, prefix PrefixID, candidates []string) (string, Metrics, bool) {
+	cands := candidates
+	if cands == nil {
+		cands = t.egresses
+	}
+	var (
+		bestID string
+		best   Metrics
+		found  bool
+	)
+	for _, id := range cands {
+		m, ok := t.Lookup(snapshot, id, prefix)
+		if !ok {
+			continue
+		}
+		if !found || m.Hops < best.Hops || (m.Hops == best.Hops && m.RTT < best.RTT) {
+			bestID, best, found = id, m, true
+		}
+	}
+	return bestID, best, found
+}

@@ -35,7 +35,7 @@ func BenchmarkInferGroups(b *testing.B) {
 	base := m.HandoverGraphBS(12*60, 15*60)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groups := InferGroups(base.Clone())
+		groups := InferGroups(base) // read-only: InferGroups does not mutate its graph
 		if len(groups) == 0 {
 			b.Fatal("no groups")
 		}

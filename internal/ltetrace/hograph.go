@@ -65,11 +65,6 @@ func (g *HandoverGraph) Add(a, b dataplane.DeviceID, n int) {
 	g.counts[NewEdgeKey(a, b)] += n
 }
 
-// Weight returns the handover count between a and b.
-func (g *HandoverGraph) Weight(a, b dataplane.DeviceID) int {
-	return g.counts[NewEdgeKey(a, b)]
-}
-
 // Nodes returns all nodes in deterministic order.
 func (g *HandoverGraph) Nodes() []dataplane.DeviceID {
 	out := make([]dataplane.DeviceID, 0, len(g.nodes))
@@ -78,9 +73,6 @@ func (g *HandoverGraph) Nodes() []dataplane.DeviceID {
 	}
 	return dataplane.SortDeviceIDs(out)
 }
-
-// NumNodes reports the node count.
-func (g *HandoverGraph) NumNodes() int { return len(g.nodes) }
 
 // Edge is one weighted handover-graph edge.
 type Edge struct {
@@ -105,15 +97,6 @@ func (g *HandoverGraph) Edges() []Edge {
 	return out
 }
 
-// TotalWeight sums all edge weights.
-func (g *HandoverGraph) TotalWeight() int {
-	total := 0
-	for _, w := range g.counts {
-		total += w
-	}
-	return total
-}
-
 // NeighborWeights returns, for node n, each neighbor and the edge weight,
 // in deterministic order.
 func (g *HandoverGraph) NeighborWeights(n dataplane.DeviceID) []Edge {
@@ -133,30 +116,6 @@ func (g *HandoverGraph) NeighborWeights(n dataplane.DeviceID) []Edge {
 		return out[i].Key.B < out[j].Key.B
 	})
 	return out
-}
-
-// Clone deep-copies the graph.
-func (g *HandoverGraph) Clone() *HandoverGraph {
-	c := NewHandoverGraph()
-	for n := range g.nodes {
-		c.nodes[n] = true
-	}
-	for k, w := range g.counts {
-		c.counts[k] = w
-	}
-	return c
-}
-
-// Merge adds every edge (and node) of o into g.
-func (g *HandoverGraph) Merge(o *HandoverGraph) {
-	for n := range o.nodes {
-		g.nodes[n] = true
-	}
-	for k, w := range o.counts {
-		g.nodes[k.A] = true
-		g.nodes[k.B] = true
-		g.counts[k] += w
-	}
 }
 
 // Relabel builds a new graph with nodes mapped through f; edges whose

@@ -123,7 +123,7 @@ func InferGroups(g *HandoverGraph) []*dataplane.BSGroup {
 	groups := make([]*dataplane.BSGroup, 0, len(memberSets))
 	for i, members := range memberSets {
 		grp := dataplane.NewBSGroup(
-			dataplane.DeviceID(fmt.Sprintf("G%04d", i)), dataplane.TopoRing, "")
+			dataplane.DeviceID(fmt.Sprintf("G%04d", i)), "")
 		for _, m := range members {
 			if err := grp.AddMember(m); err != nil {
 				panic(err) // components are bounded by MaxGroupSize
@@ -132,24 +132,4 @@ func InferGroups(g *HandoverGraph) []*dataplane.BSGroup {
 		groups = append(groups, grp)
 	}
 	return groups
-}
-
-// IntraGroupWeight sums the handover weight captured inside groups — the
-// objective the greedy algorithm maximizes.
-func IntraGroupWeight(g *HandoverGraph, groups []*dataplane.BSGroup) int {
-	groupOf := make(map[dataplane.DeviceID]int)
-	for i, grp := range groups {
-		for _, m := range grp.Members() {
-			groupOf[m] = i
-		}
-	}
-	total := 0
-	for k, w := range g.counts {
-		ga, oka := groupOf[k.A]
-		gb, okb := groupOf[k.B]
-		if oka && okb && ga == gb {
-			total += w
-		}
-	}
-	return total
 }

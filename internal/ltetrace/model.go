@@ -308,15 +308,6 @@ func (m *Model) HandoverGraphGroups(from, to int) *HandoverGraph {
 	})
 }
 
-// GroupCentroids returns each group's location centroid.
-func (m *Model) GroupCentroids() map[dataplane.DeviceID]dataplane.GeoPoint {
-	out := make(map[dataplane.DeviceID]dataplane.GeoPoint, len(m.Groups))
-	for _, g := range m.Groups {
-		out[g.ID] = g.Centroid(m.Locs)
-	}
-	return out
-}
-
 // RegionLoads sums per-minute loads over the BSes assigned to each of k
 // regions. assign maps BS ID → region index. Returns bearer, UE-arrival
 // and handover aggregates indexed by region.

@@ -86,18 +86,6 @@ func quantileSorted(s []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Mean returns the arithmetic mean of xs, or NaN for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs))
-}
-
 // CDF is an empirical cumulative distribution function over a fixed sample.
 // The zero value is empty; construct with NewCDF.
 type CDF struct {
@@ -166,38 +154,6 @@ type Point struct {
 	X, Y float64
 }
 
-// Histogram buckets xs into nbins equal-width bins over [min, max] and
-// returns the per-bin counts along with the bin width. Values exactly at the
-// upper edge fall into the last bin.
-func Histogram(xs []float64, nbins int) (counts []int, min, width float64) {
-	if len(xs) == 0 || nbins <= 0 {
-		return nil, 0, 0
-	}
-	min, max := xs[0], xs[0]
-	for _, v := range xs {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	counts = make([]int, nbins)
-	if max == min {
-		counts[0] = len(xs)
-		return counts, min, 0
-	}
-	width = (max - min) / float64(nbins)
-	for _, v := range xs {
-		i := int((v - min) / width)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts, min, width
-}
-
 // Table renders rows of experiment output with aligned columns, in the style
 // of the paper's tables. Header cells define the column count; extra row
 // cells are dropped, missing cells rendered empty.
@@ -227,9 +183,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows reports how many data rows have been added.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 func trimFloat(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {

@@ -256,8 +256,8 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(out, "18.50") {
 		t.Fatalf("fractional float should keep decimals:\n%s", out)
 	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("NumRows = %d", len(tb.rows))
 	}
 }
 
@@ -280,4 +280,48 @@ func TestReductionPct(t *testing.T) {
 	if r := ReductionPct(50, 75); !almostEq(r, -50, 1e-12) {
 		t.Fatalf("negative reduction = %v", r)
 	}
+}
+
+// Mean returns the arithmetic mean of xs, or NaN for empty input.
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	var sum float64
+	for _, v := range xs {
+		sum += v
+	}
+	return sum / float64(len(xs))
+}
+
+// Histogram buckets xs into nbins equal-width bins over [min, max] and
+// returns the per-bin counts along with the bin width. Values exactly at the
+// upper edge fall into the last bin.
+func Histogram(xs []float64, nbins int) (counts []int, min, width float64) {
+	if len(xs) == 0 || nbins <= 0 {
+		return nil, 0, 0
+	}
+	min, max := xs[0], xs[0]
+	for _, v := range xs {
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	counts = make([]int, nbins)
+	if max == min {
+		counts[0] = len(xs)
+		return counts, min, 0
+	}
+	width = (max - min) / float64(nbins)
+	for _, v := range xs {
+		i := int((v - min) / width)
+		if i >= nbins {
+			i = nbins - 1
+		}
+		counts[i]++
+	}
+	return counts, min, width
 }

@@ -209,6 +209,8 @@ type SimScheduler struct {
 
 // NewSimScheduler wraps sim. The caller drives the simulation (Run /
 // RunUntil); the scheduler only enqueues.
+//
+//softmow:allow testonly ROADMAP item 8: virtual-time latency runs the impaired pipeline on it
 func NewSimScheduler(sim *simnet.Sim) *SimScheduler {
 	return &SimScheduler{sim: sim}
 }

@@ -142,13 +142,6 @@ func (l *EventLog) EntriesSince(from uint64) []LogEntry {
 	return out
 }
 
-// Entries returns copies of every retained entry in arrival order (the
-// replay-from-genesis source; after truncation "genesis" is the oldest
-// retained entry).
-func (l *EventLog) Entries() []LogEntry {
-	return l.EntriesSince(0)
-}
-
 // Len reports the number of retained entries.
 func (l *EventLog) Len() int {
 	l.mu.Lock()
@@ -176,21 +169,4 @@ func (l *EventLog) TruncateThrough(upto uint64) int {
 	}
 	l.order = kept
 	return removed
-}
-
-// Compact drops all finished entries, bounding memory on long runs that do
-// not checkpoint. Snapshot-driven truncation (TruncateThrough) is the
-// bounded-recovery variant: it keeps the delta above the checkpoint.
-func (l *EventLog) Compact() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	kept := l.order[:0]
-	for _, id := range l.order {
-		if e := l.entries[id]; e != nil && !e.Done {
-			kept = append(kept, id)
-		} else {
-			delete(l.entries, id)
-		}
-	}
-	l.order = kept
 }

@@ -38,16 +38,6 @@ type PortRecord struct {
 	Underlying dataplane.PortRef
 }
 
-// PortByID returns the device's port record, or nil.
-func (d *Device) PortByID(id dataplane.PortID) *PortRecord {
-	for i := range d.Ports {
-		if d.Ports[i].ID == id {
-			return &d.Ports[i]
-		}
-	}
-	return nil
-}
-
 // Link is one NIB link record between two device ports, annotated with the
 // §3.2 metrics.
 type Link struct {
@@ -232,13 +222,6 @@ func (n *NIB) Devices(kind dataplane.DeviceKind) []Device {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// NumDevices reports the device count.
-func (n *NIB) NumDevices() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.devices)
 }
 
 // PutLink inserts or updates a link record.

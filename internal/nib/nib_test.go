@@ -29,8 +29,8 @@ func TestPutAndGetDevice(t *testing.T) {
 	if _, ok := n.Device("missing"); ok {
 		t.Fatal("missing device should not be found")
 	}
-	if n.NumDevices() != 1 {
-		t.Fatalf("NumDevices = %d", n.NumDevices())
+	if len(n.Devices(dataplane.KindUnknown)) != 1 {
+		t.Fatalf("NumDevices = %d", len(n.Devices(dataplane.KindUnknown)))
 	}
 }
 
@@ -107,8 +107,8 @@ func TestRemoveDeviceCascadesLinks(t *testing.T) {
 	if n.NumLinks() != 0 {
 		t.Fatalf("links touching removed device must go: %d", n.NumLinks())
 	}
-	if n.NumDevices() != 2 {
-		t.Fatalf("devices = %d", n.NumDevices())
+	if len(n.Devices(dataplane.KindUnknown)) != 2 {
+		t.Fatalf("devices = %d", len(n.Devices(dataplane.KindUnknown)))
 	}
 }
 
@@ -172,12 +172,12 @@ func TestSnapshotRestore(t *testing.T) {
 	if fired {
 		t.Fatal("Restore must not fire events")
 	}
-	if m.NumDevices() != 2 || m.NumLinks() != 1 {
-		t.Fatalf("restored %d devices %d links", m.NumDevices(), m.NumLinks())
+	if len(m.Devices(dataplane.KindUnknown)) != 2 || m.NumLinks() != 1 {
+		t.Fatalf("restored %d devices %d links", len(m.Devices(dataplane.KindUnknown)), m.NumLinks())
 	}
 	// snapshot isolation: mutating original does not affect restored copy
 	n.RemoveDevice("A")
-	if m.NumDevices() != 2 {
+	if len(m.Devices(dataplane.KindUnknown)) != 2 {
 		t.Fatal("restored NIB aliases source")
 	}
 }
@@ -227,12 +227,12 @@ func TestEventLog(t *testing.T) {
 	if l.Len() != 3 {
 		t.Fatalf("len = %d", l.Len())
 	}
-	l.Compact()
+	l.TruncateThrough(id3 + 1)
 	if l.Len() != 2 {
-		t.Fatalf("compact kept %d", l.Len())
+		t.Fatalf("truncation kept %d", l.Len())
 	}
 	if len(l.Unfinished()) != 2 {
-		t.Fatal("compact lost unfinished entries")
+		t.Fatal("truncation lost unfinished entries")
 	}
 }
 
@@ -339,4 +339,14 @@ func TestGenerationAdvancesOnMutations(t *testing.T) {
 	if n.Generation() <= before {
 		t.Fatalf("Restore did not advance the generation (%d -> %d)", before, n.Generation())
 	}
+}
+
+// PortByID returns the device's port record, or nil.
+func (d *Device) PortByID(id dataplane.PortID) *PortRecord {
+	for i := range d.Ports {
+		if d.Ports[i].ID == id {
+			return &d.Ports[i]
+		}
+	}
+	return nil
 }

@@ -118,6 +118,8 @@ func ackBody(err error) southbound.NbAck {
 // TransferUEState pushes UE table rows to the child behind d and waits
 // for its acknowledgement — the parent-side half of a §5.3.2 state
 // transfer after a reconfiguration moves base stations between regions.
+//
+//softmow:allow testonly ROADMAP item 4: the wire §5.3 reconfigure event drives it
 func TransferUEState(d *core.ConnDevice, rows []core.UERecord) error {
 	wire := make([]southbound.NbUERow, len(rows))
 	for i, r := range rows {

@@ -92,10 +92,6 @@ func Connect(child *core.Controller, conn southbound.Conn) (*ParentConn, error) 
 	return p, nil
 }
 
-// ParentID returns the parent controller's ID learned during the
-// handshake.
-func (p *ParentConn) ParentID() string { return p.parentID }
-
 // serve owns the receive side until the connection dies.
 func (p *ParentConn) serve() {
 	defer close(p.serveDone)

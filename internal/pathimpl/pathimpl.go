@@ -1,14 +1,15 @@
 // Package pathimpl provides the label machinery behind SoftMoW's global
 // path implementation (§4.3): per-controller label allocation from disjoint
-// ranges, the flow-rule shapes used at classification, transit, ingress and
-// egress points, and both translation strategies — the scalable recursive
-// label *swapping* SoftMoW proposes (≤ 1 label per packet on any physical
-// link) and the high-overhead label *stacking* baseline it compares against
-// (k labels for a level-k path).
+// ranges, the flow-rule shapes used at transit and ingress points, and both
+// translation strategies — the scalable recursive label *swapping* SoftMoW
+// proposes (≤ 1 label per packet on any physical link) and the
+// high-overhead label *stacking* baseline it compares against (k labels for
+// a level-k path).
 //
 // The recursive translation driver that applies these rules through the
-// controller hierarchy lives in internal/core; this package keeps the rule
-// semantics independently testable.
+// controller hierarchy lives in internal/core, which also builds the
+// classification and egress rules whose shape depends on the path's label
+// context.
 package pathimpl
 
 import (
@@ -46,8 +47,6 @@ type Allocator struct {
 	mu   sync.Mutex
 	base dataplane.Label
 	next dataplane.Label
-	// released labels are recycled LIFO.
-	free []dataplane.Label
 }
 
 // NewAllocator creates an allocator for the controller with the given
@@ -60,50 +59,16 @@ func NewAllocator(controllerIndex int) *Allocator {
 	return &Allocator{base: base, next: base + 1}
 }
 
-// Next allocates a fresh (or recycled) label.
+// Next allocates a fresh label.
 func (a *Allocator) Next() dataplane.Label {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if n := len(a.free); n > 0 {
-		l := a.free[n-1]
-		a.free = a.free[:n-1]
-		return l
-	}
 	l := a.next
 	a.next++
 	if a.next-a.base >= 1<<labelSpaceBits {
 		panic("pathimpl: label space exhausted")
 	}
 	return l
-}
-
-// Release returns a label for reuse.
-func (a *Allocator) Release(l dataplane.Label) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.free = append(a.free, l)
-}
-
-// Owner recovers the controller index that allocated a label.
-func Owner(l dataplane.Label) int {
-	return int(l>>labelSpaceBits) - 1
-}
-
-// ClassifyRule builds the access-switch classification rule: match the
-// unlabeled flow, push the path label, forward (§4.3: "the access switch of
-// base stations can perform fine-grained packet classification and push
-// labels onto packets matching flow rules").
-func ClassifyRule(match dataplane.Match, label dataplane.Label, out dataplane.PortID, owner string, version int) dataplane.Rule {
-	m := match
-	m.MatchNoLabel = true
-	m.HasLabel = false
-	return dataplane.Rule{
-		Priority: 100,
-		Match:    m,
-		Actions:  []dataplane.Action{dataplane.Push(label), dataplane.Output(out)},
-		Owner:    owner,
-		Version:  version,
-	}
 }
 
 // TransitRule forwards labeled traffic along a path segment.
@@ -136,40 +101,6 @@ func IngressRule(mode Mode, parent, local dataplane.Label, in dataplane.PortID, 
 	}
 }
 
-// EgressRule builds the region-egress rule restoring the parent label. In
-// swap mode the local label is swapped back to the parent's (§4.3: "At the
-// egress switch of its logical region, the controller aggregates the
-// internal paths by popping their label. It then pushes back the
-// ancestor's label"); in stack mode the local label pops off, exposing the
-// parent's underneath.
-func EgressRule(mode Mode, local, parent dataplane.Label, in dataplane.PortID, out dataplane.PortID, owner string, version int) dataplane.Rule {
-	var actions []dataplane.Action
-	if mode == ModeSwap {
-		actions = []dataplane.Action{dataplane.Swap(parent), dataplane.Output(out)}
-	} else {
-		actions = []dataplane.Action{dataplane.Pop(), dataplane.Output(out)}
-	}
-	return dataplane.Rule{
-		Priority: 60,
-		Match:    dataplane.Match{InPort: in, HasLabel: true, Label: local, QoS: -1},
-		Actions:  actions,
-		Owner:    owner,
-		Version:  version,
-	}
-}
-
-// TerminalRule builds the path-end rule: pop the label and deliver out the
-// final port (an Internet egress or a G-BS attachment).
-func TerminalRule(label dataplane.Label, in dataplane.PortID, out dataplane.PortID, owner string, version int) dataplane.Rule {
-	return dataplane.Rule{
-		Priority: 60,
-		Match:    dataplane.Match{InPort: in, HasLabel: true, Label: label, QoS: -1},
-		Actions:  []dataplane.Action{dataplane.Pop(), dataplane.Output(out)},
-		Owner:    owner,
-		Version:  version,
-	}
-}
-
 // VersionCounter issues monotonically increasing path-update versions for
 // consistent updates (§6: "the new path and packets are assigned a new
 // version number").
@@ -183,12 +114,5 @@ func (c *VersionCounter) Next() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.v++
-	return c.v
-}
-
-// Current returns the last issued version.
-func (c *VersionCounter) Current() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.v
 }

@@ -11,7 +11,6 @@ package reca
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -103,15 +102,10 @@ func InternalGBSID(controllerID string) dataplane.DeviceID {
 	return dataplane.DeviceID("I-" + controllerID)
 }
 
-// Compute builds the abstraction for controller ctrlID from its NIB view
-// and configuration.
-func Compute(ctrlID string, n *nib.NIB, cfg Config) Abstraction {
-	return ComputeWithGraph(ctrlID, n, cfg, nil)
-}
-
-// ComputeWithGraph is Compute with an optional prebuilt routing graph over
-// n (the controller's cached graph); pass nil to have the fabric fill
-// build its own. The graph must reflect n's current contents.
+// ComputeWithGraph builds the abstraction for controller ctrlID from its
+// NIB view and configuration, over an optional prebuilt routing graph of n
+// (the controller's cached graph); pass nil to have the fabric fill build
+// its own. The graph must reflect n's current contents.
 func ComputeWithGraph(ctrlID string, n *nib.NIB, cfg Config, g *routing.Graph) Abstraction {
 	start := time.Now()
 	defer func() {
@@ -338,19 +332,11 @@ func computeFabric(n *nib.NIB, g *routing.Graph, ports []dataplane.GPort) *datap
 }
 
 // HiddenLinkPct returns the share of total physical links hidden from an
-// ancestor that sees only crossLinks of totalLinks (§7.3: "73% of total
+// ancestor that sees only visibleLinks of totalLinks (§7.3: "73% of total
 // links are hidden at the root level").
 func HiddenLinkPct(totalLinks, visibleLinks int) float64 {
 	if totalLinks == 0 {
 		return 0
 	}
 	return float64(totalLinks-visibleLinks) / float64(totalLinks) * 100
-}
-
-// SaneBandwidth clamps +Inf fabric bandwidths for display.
-func SaneBandwidth(bw float64) float64 {
-	if math.IsInf(bw, 1) {
-		return math.MaxFloat64
-	}
-	return bw
 }

@@ -295,3 +295,9 @@ func TestUnreachablePairMarked(t *testing.T) {
 		t.Fatal("disconnected pair must be unreachable")
 	}
 }
+
+// Compute builds the abstraction for controller ctrlID from its NIB view
+// and configuration.
+func Compute(ctrlID string, n *nib.NIB, cfg Config) Abstraction {
+	return ComputeWithGraph(ctrlID, n, cfg, nil)
+}

@@ -45,7 +45,7 @@ func BenchmarkBuildGraph(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := BuildGraph(nb)
-		if g.NumNodes() == 0 {
+		if len(g.refs) == 0 {
 			b.Fatal("empty graph")
 		}
 	}
@@ -89,20 +89,6 @@ func BenchmarkMetricsFrom(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if row := g.MetricsFrom(src); len(row) == 0 {
 			b.Fatal("empty row")
-		}
-	}
-}
-
-// BenchmarkPairMetrics measures the cost-only pair query (no path
-// reconstruction) used O(ports²) by the abstraction recompute.
-func BenchmarkPairMetrics(b *testing.B) {
-	g := BuildGraph(gridNIB(18))
-	src := dataplane.PortRef{Dev: "SW0000", Port: 1}
-	dst := dataplane.PortRef{Dev: "SW1717", Port: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m := g.PairMetrics(src, dst); !m.Reachable {
-			b.Fatal("unreachable")
 		}
 	}
 }

@@ -213,8 +213,8 @@ func newScratch(n int) *scratch {
 // compares less under both objectives.
 var unreached = Cost{Hops: math.MaxInt32, Latency: time.Duration(math.MaxInt64 / 4)}
 
-// sssp is the single relax loop shared by ShortestPath, MetricsFrom, and
-// PairMetrics: Dijkstra from s under obj and ct. When dst >= 0 the search
+// sssp is the single relax loop shared by ShortestPath and MetricsFrom:
+// Dijkstra from s under obj and ct. When dst >= 0 the search
 // stops as soon as dst is settled; trackPrev records predecessors for path
 // reconstruction. After it returns, sc.seen marks exactly the settled
 // (reachable, constraint-admissible) nodes and sc.dist their final costs.
@@ -336,9 +336,10 @@ func (g *Graph) shortestPath(s, d int, obj Objective, ct Constraints) *Path {
 
 // MetricsFrom runs one single-source shortest-path computation (MinHops
 // objective) and returns the vFabric metrics from src to every reachable
-// port ref. It is the bulk variant of PairMetrics used when abstracting
-// regions with many border ports (one SSSP per exposed port instead of one
-// Dijkstra per pair). The graph is immutable once built, so concurrent
+// port ref: the vFabric annotation of every pair from src, with each
+// path's bottleneck bandwidth (§3.2). Abstracting a region with many
+// border ports costs one SSSP per exposed port instead of one Dijkstra per
+// pair. The graph is immutable once built, so concurrent
 // MetricsFrom calls are safe — the abstraction recompute fans them out
 // across a worker pool.
 func (g *Graph) MetricsFrom(src dataplane.PortRef) map[dataplane.PortRef]dataplane.PathMetrics {
@@ -363,37 +364,4 @@ func (g *Graph) MetricsFrom(src dataplane.PortRef) map[dataplane.PortRef]datapla
 		}
 	}
 	return out
-}
-
-// PairMetrics computes the vFabric annotation for a border-port pair: the
-// MinHops shortest path's cost, with the bottleneck bandwidth of that path
-// (§3.2). Returns an unreachable PathMetrics when no path exists. Only the
-// cost triple is computed — no predecessor tracking or path
-// reconstruction — since it is called O(ports²) from the abstraction
-// recompute.
-func (g *Graph) PairMetrics(a, b dataplane.PortRef) dataplane.PathMetrics {
-	s, ok := g.nodes[a]
-	if !ok {
-		return dataplane.PathMetrics{}
-	}
-	d, ok := g.nodes[b]
-	if !ok {
-		return dataplane.PathMetrics{}
-	}
-	sc := g.scratchPool.Get().(*scratch)
-	defer g.scratchPool.Put(sc)
-	g.sssp(sc, s, d, MinHops, Constraints{}, false)
-	if !sc.seen[d] {
-		return dataplane.PathMetrics{}
-	}
-	// Same-device pairs traverse only the switch backplane; +Inf propagates
-	// through the wire codec (IEEE-754 bits) and min() correctly, so it is
-	// kept as-is.
-	c := sc.dist[d]
-	return dataplane.PathMetrics{
-		Latency:   c.Latency,
-		Hops:      c.Hops,
-		Bandwidth: c.Bottleneck,
-		Reachable: true,
-	}
 }

@@ -205,9 +205,6 @@ func (g *Graph) less(a, b edge) bool {
 	return !a.link && b.link
 }
 
-// NumNodes reports the node count.
-func (g *Graph) NumNodes() int { return len(g.refs) }
-
 // HasNode reports whether a port ref is present.
 func (g *Graph) HasNode(ref dataplane.PortRef) bool {
 	_, ok := g.nodes[ref]

@@ -92,22 +92,6 @@ func (s *Sim) After(d time.Duration, fn func()) *Event {
 	return s.At(s.now+d, fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an already-run or
-// already-cancelled event is a no-op.
-func (s *Sim) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 || ev.index >= len(s.queue) || s.queue[ev.index] != ev {
-		return
-	}
-	heap.Remove(&s.queue, ev.index)
-	ev.index = -1
-}
-
-// Stop halts Run/RunUntil after the currently executing event returns.
-func (s *Sim) Stop() { s.stopped = true }
-
-// Pending reports the number of queued events.
-func (s *Sim) Pending() int { return len(s.queue) }
-
 // Run executes events until the queue drains or Stop is called. It returns
 // the final virtual time.
 func (s *Sim) Run() time.Duration {
@@ -139,20 +123,6 @@ func (s *Sim) RunUntil(deadline time.Duration) time.Duration {
 		s.now = deadline
 	}
 	return s.now
-}
-
-// Step executes exactly one event if one is queued, returning whether an
-// event ran.
-func (s *Sim) Step() bool {
-	if len(s.queue) == 0 {
-		return false
-	}
-	ev := heap.Pop(&s.queue).(*Event)
-	ev.index = -1
-	s.now = ev.At
-	s.Processed++
-	ev.Run()
-	return true
 }
 
 // RNG derives a deterministic child random source from a root seed and a

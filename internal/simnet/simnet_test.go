@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"container/heap"
 	"testing"
 	"testing/quick"
 	"time"
@@ -231,4 +232,34 @@ func TestOrderPropertyQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Cancel removes a scheduled event. Cancelling an already-run or
+// already-cancelled event is a no-op.
+func (s *Sim) Cancel(ev *Event) {
+	if ev == nil || ev.index < 0 || ev.index >= len(s.queue) || s.queue[ev.index] != ev {
+		return
+	}
+	heap.Remove(&s.queue, ev.index)
+	ev.index = -1
+}
+
+// Stop halts Run/RunUntil after the currently executing event returns.
+func (s *Sim) Stop() { s.stopped = true }
+
+// Pending reports the number of queued events.
+func (s *Sim) Pending() int { return len(s.queue) }
+
+// Step executes exactly one event if one is queued, returning whether an
+// event ran.
+func (s *Sim) Step() bool {
+	if len(s.queue) == 0 {
+		return false
+	}
+	ev := heap.Pop(&s.queue).(*Event)
+	ev.index = -1
+	s.now = ev.At
+	s.Processed++
+	ev.Run()
+	return true
 }

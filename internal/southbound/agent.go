@@ -106,6 +106,8 @@ func (a *SwitchAgent) broadcast(m Msg) {
 }
 
 // Roles returns a snapshot of attached controller names and roles.
+//
+//softmow:allow testonly read-only probe: core and southbound tests read the agent role table
 func (a *SwitchAgent) Roles() map[string]Role {
 	a.mu.Lock()
 	defer a.mu.Unlock()

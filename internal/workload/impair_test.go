@@ -85,7 +85,6 @@ func TestPartitionLivenessRecovery(t *testing.T) {
 		t.Fatal("leaf bootstrapped with no up links")
 	}
 	prober := core.NewLivenessProber(leaf, core.LivenessConfig{
-		Interval:     time.Hour, // rounds driven explicitly
 		Timeout:      50 * time.Millisecond,
 		SuspectAfter: 2,
 	})
