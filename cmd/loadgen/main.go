@@ -12,12 +12,12 @@
 //
 // With -procs N the run is distributed: the process becomes the cluster
 // launcher, hosting the root controller and spawning N region processes
-// (itself re-exec'd with -as-region, or the binary named by -region-bin,
-// e.g. a built cmd/region). The regions are split contiguously among the
-// processes, each builds only its slice of the data plane, and the tree
-// is assembled over localhost TCP northbound connections. The schedule
-// and final state are replay-identical to the in-process run at the same
-// seed — -verify-inproc re-runs in-process and checks the digests match:
+// (itself re-exec'd with -as-region). The regions are split contiguously
+// among the processes, each builds only its slice of the data plane, and
+// the tree is assembled over localhost TCP northbound connections. The
+// schedule and final state are replay-identical to the in-process run at
+// the same seed — -verify-inproc re-runs in-process and checks the
+// digests match:
 //
 //	go run ./cmd/loadgen -seed 1 -procs 4 -regions 8 -ues 1000000
 //	go run ./cmd/loadgen -seed 1 -procs 2 -verify-inproc
@@ -36,7 +36,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/ltetrace"
 	"repro/internal/workload"
 )
@@ -72,7 +71,6 @@ func realMain() int {
 		snapEvery = flag.Int("snapshot-every", 64, "checkpoint the replicated UE table every N committed entries under -chaos-failover")
 		impairMtx = flag.Bool("impair-matrix", false, "run the impaired-WAN scenario matrix (clean / lossy / jittery / combined / scheduled partition) at the shared seed, require identical replay digests across scenarios, and emit the impairment report section")
 		procs     = flag.Int("procs", 0, "region processes: >0 runs the distributed multi-process mode with the regions split contiguously among this many processes (0 = in-process)")
-		regionBin = flag.String("region-bin", "", "region process binary for -procs (empty = re-exec this binary with -as-region)")
 		verify    = flag.Bool("verify-inproc", false, "after a -procs run, re-run in-process and require identical replay digests")
 		asRegion  = flag.Bool("as-region", false, "run as a region process under a launcher (internal; reads config and commands from stdin)")
 	)
@@ -122,11 +120,11 @@ func realMain() int {
 		err error
 	)
 	if *procs > 0 {
-		argv, aerr := regionArgv(*regionBin)
-		if aerr != nil {
-			fatal(aerr)
+		exe, xerr := os.Executable()
+		if xerr != nil {
+			fatal(xerr)
 		}
-		rep, err = workload.RunDistributed(cfg, *procs, argv)
+		rep, err = workload.RunDistributed(cfg, *procs, []string{exe, "-as-region"})
 		if err == nil && rep.FirstErr != "" {
 			fmt.Fprintf(os.Stderr, "loadgen: first failure: %s\n", rep.FirstErr)
 		}
@@ -254,7 +252,7 @@ func failoverPasses(cfg workload.Config, baseDigest string, killAt, lost, abando
 	if killAt <= 0 {
 		killAt = cfg.Events / 2
 	}
-	spec := chaos.FailoverSchedule{
+	spec := workload.FailoverSchedule{
 		KillAt: killAt, LostCommits: lost, Abandon: abandon, SnapshotEvery: snapEvery,
 	}
 	_, _, snap, err := workload.RunFailoverPass(cfg, spec)
@@ -270,7 +268,10 @@ func failoverPasses(cfg workload.Config, baseDigest string, killAt, lost, abando
 }
 
 // regionMode serves the region-process protocol on stdio (the -as-region
-// re-exec path), mirroring cmd/region including the SIGTERM drain.
+// re-exec path): it builds its slice of the data plane, attaches its
+// leaves to the launcher over the binary northbound wire, and on SIGTERM
+// or SIGINT drains outstanding northbound requests and southbound fences
+// for up to five seconds so no half-installed batch is stranded.
 func regionMode() int {
 	var cur atomic.Pointer[workload.RegionProc]
 	sig := make(chan os.Signal, 1)
@@ -293,18 +294,6 @@ func regionMode() int {
 		return 1
 	}
 	return 0
-}
-
-// regionArgv resolves the command line for spawned region processes.
-func regionArgv(regionBin string) ([]string, error) {
-	if regionBin != "" {
-		return []string{regionBin}, nil
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	return []string{exe, "-as-region"}, nil
 }
 
 // run executes one configured pass and assembles its report.

@@ -68,9 +68,6 @@ type Problem struct {
 	// (the source and destination G-switches must share an inter-G-switch
 	// link). Nil means all region pairs are adjacent.
 	Adjacent func(from, to string) bool
-	// MaxMoves caps iterations (0 = unlimited; the algorithm always
-	// terminates because every move has strictly positive gain).
-	MaxMoves int
 }
 
 // Move is one applied re-association.
@@ -147,10 +144,8 @@ func Optimize(p Problem) Result {
 	}
 	dataplane.SortDeviceIDs(movable)
 
+	// The loop terminates because every move has strictly positive gain.
 	for {
-		if p.MaxMoves > 0 && len(res.Moves) >= p.MaxMoves {
-			break
-		}
 		var best *Move
 		for _, gbs := range movable {
 			from, ok := assign[gbs]

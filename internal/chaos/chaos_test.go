@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 )
@@ -54,6 +56,34 @@ func TestChaosSeedReplay(t *testing.T) {
 	}
 	if c := run(43); reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical event logs")
+	}
+}
+
+// TestChaosLogPinned pins the 3-region event log across commits: the
+// fnv-64a digest of 300 events (each line plus '\n') per seed. Two runs of
+// one binary agreeing says nothing about a topology change that moves
+// every line; this does.
+func TestChaosLogPinned(t *testing.T) {
+	for seed, want := range map[int64]string{
+		7:    "19eab565df8422f6",
+		23:   "1a1f6937f24d7fec",
+		2026: "79a16134b3caafc4",
+	} {
+		h, err := New(Options{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Run(300); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		d := fnv.New64a()
+		for _, line := range h.EventLog() {
+			_, _ = d.Write([]byte(line)) //softmow:allow errdiscard hash.Hash Write cannot fail
+			_, _ = d.Write([]byte{'\n'}) //softmow:allow errdiscard hash.Hash Write cannot fail
+		}
+		if got := fmt.Sprintf("%016x", d.Sum64()); got != want {
+			t.Errorf("seed %d: event-log digest %s, want %s", seed, got, want)
+		}
 	}
 }
 

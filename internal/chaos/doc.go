@@ -1,9 +1,11 @@
 // Package chaos is a randomized fault-injection harness for the SoftMoW
-// reproduction: it builds a multi-region two-level controller hierarchy
-// over a ring of diamond regions, then drives it through an interleaved
-// stream of failure events — link failures and restores, flaps, silent
-// port-downs, rule-install faults (including faults landing mid-way
-// through a batched flush), controller failovers with write-ahead redo
+// reproduction: it builds the workload's ring of diamond regions under a
+// two-level controller hierarchy (workload.BuildCluster, 2 BSes per
+// region, direct devices), puts a FaultyDevice in front of each leaf's
+// switch devices, then drives it through an interleaved stream of
+// failure events — link failures and restores, flaps, silent port-downs,
+// rule-install faults (including faults landing mid-way through a
+// batched flush), controller failovers with write-ahead redo
 // (internal/ha), and §5.3.2 border-group reconfigurations — while
 // checking global invariants after every event:
 //
@@ -28,7 +30,7 @@
 // child is visited even after one fails, so an armed fault may fire on a
 // sibling of the failed child; the rollback scrubs it like any other.
 //
-// Entry points: New builds the WAN and its controller hierarchy from
-// Options, Harness.Run drives the event stream, and cmd/chaos wraps both
-// behind flags (-seed, -events, -regions, -metrics).
+// Entry points: New builds the WAN, its controller hierarchy and the HA
+// pairs from Options, Harness.Run drives the event stream, and cmd/chaos
+// wraps both behind flags (-seed, -events, -regions, -metrics).
 package chaos

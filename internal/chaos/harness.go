@@ -12,9 +12,9 @@ import (
 	"repro/internal/ha"
 	"repro/internal/interdomain"
 	"repro/internal/nib"
-	"repro/internal/reca"
 	"repro/internal/routing"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // bearerDemand is the per-bearer bandwidth reservation in Mbps, small
@@ -80,23 +80,10 @@ type bearer struct {
 // but not processed before a master crash; the promoted standby redoes it.
 type pendingBearer struct{ b *bearer }
 
-// regionInfo is the static description of one ring region.
-type regionInfo struct {
-	group     dataplane.DeviceID
-	access    dataplane.DeviceID
-	bses      []dataplane.DeviceID
-	attach    dataplane.PortRef
-	prefix    interdomain.PrefixID
-	egressRef dataplane.PortRef
-	routes    []interdomain.Route
-	homeLeaf  string
-}
-
 // Harness owns the simulated deployment and the fault-event generator.
 type Harness struct {
 	opt  Options
-	net  *dataplane.Network
-	hier *core.Hierarchy
+	cl   *workload.Cluster
 	sim  *simnet.Sim
 	rng  *rand.Rand
 	plan *FaultPlan
@@ -104,7 +91,6 @@ type Harness struct {
 	pairs   map[string]*ha.Pair
 	pairIDs []string
 
-	regions   []regionInfo
 	groupLeaf map[dataplane.DeviceID]*core.Controller
 	wrappers  map[dataplane.DeviceID]*FaultyDevice
 
@@ -117,19 +103,23 @@ type Harness struct {
 	stats  Stats
 }
 
-// New builds the topology, hierarchy, HA pairs, and interdomain state.
+// New builds the workload's diamond ring (2 BSes per region, direct
+// devices) with a FaultyDevice in front of every leaf's switch devices,
+// then one HA pair per controller.
 func New(opt Options) (*Harness, error) {
 	if opt.Regions == 0 {
 		opt.Regions = 3
 	}
-	if opt.Regions < 2 {
-		return nil, fmt.Errorf("chaos: need at least 2 regions, got %d", opt.Regions)
-	}
 	if opt.MaxBearers == 0 {
 		opt.MaxBearers = 10 * opt.Regions
 	}
+	cl, err := workload.BuildCluster(opt.Regions, 2, 0, workload.ControlPlane{})
+	if err != nil {
+		return nil, err
+	}
 	h := &Harness{
 		opt:       opt,
+		cl:        cl,
 		sim:       simnet.New(),
 		rng:       simnet.RNG(opt.Seed, "chaos-events"),
 		plan:      &FaultPlan{},
@@ -138,128 +128,25 @@ func New(opt Options) (*Harness, error) {
 		wrappers:  make(map[dataplane.DeviceID]*FaultyDevice),
 		bearers:   make(map[string]*bearer),
 	}
-	if err := h.buildTopology(); err != nil {
-		return nil, err
+	for _, r := range cl.Regions {
+		h.groupLeaf[r.Group] = r.Leaf
+		// The inner adapter stays the switch's event hook (it carries the
+		// controller back-pointer); the wrapper shadows it for installs.
+		for _, d := range r.Leaf.Devices() {
+			w := &FaultyDevice{Inner: d, Plan: h.plan}
+			r.Leaf.AttachDevice(w)
+			h.wrappers[d.ID()] = w
+		}
 	}
 	h.buildPairs()
-	h.redistributeRoutes()
 	return h, nil
-}
-
-// buildTopology creates R diamond regions (access A, middles Ma/Mb, egress
-// E) joined in a ring E(k)—A(k+1), one border BS group per access switch,
-// and one egress prefix per region, then bootstraps the 2-level hierarchy
-// with every physical device wrapped in a FaultyDevice.
-func (h *Harness) buildTopology() error {
-	net := dataplane.NewNetwork()
-	R := h.opt.Regions
-	type wiring struct {
-		switches []dataplane.DeviceID
-		radio    reca.RadioAttachment
-		bsGroup  map[dataplane.DeviceID]dataplane.DeviceID
-	}
-	wirings := make([]wiring, 0, R)
-	for k := 0; k < R; k++ {
-		a := dataplane.DeviceID(fmt.Sprintf("A%d", k))
-		ma := dataplane.DeviceID(fmt.Sprintf("M%da", k))
-		mb := dataplane.DeviceID(fmt.Sprintf("M%db", k))
-		e := dataplane.DeviceID(fmt.Sprintf("E%d", k))
-		for _, id := range []dataplane.DeviceID{a, ma, mb, e} {
-			net.AddSwitch(id)
-		}
-		for _, c := range []struct {
-			x, y dataplane.DeviceID
-			lat  time.Duration
-		}{{a, ma, 2 * time.Millisecond}, {a, mb, 3 * time.Millisecond},
-			{ma, e, 2 * time.Millisecond}, {mb, e, 3 * time.Millisecond}} {
-			if _, err := net.Connect(c.x, c.y, c.lat, 1000); err != nil {
-				return err
-			}
-		}
-		g := dataplane.DeviceID(fmt.Sprintf("g%d", k))
-		rp, err := net.AddRadioPort(a, g)
-		if err != nil {
-			return err
-		}
-		ep, err := net.AddEgress(fmt.Sprintf("X%d", k), e, fmt.Sprintf("isp%d", k))
-		if err != nil {
-			return err
-		}
-		prefix := interdomain.PrefixID(fmt.Sprintf("pfx%d", k))
-		attach := dataplane.PortRef{Dev: a, Port: rp.ID}
-		bses := []dataplane.DeviceID{
-			dataplane.DeviceID(fmt.Sprintf("b%d-0", k)),
-			dataplane.DeviceID(fmt.Sprintf("b%d-1", k)),
-		}
-		h.regions = append(h.regions, regionInfo{
-			group:     g,
-			access:    a,
-			bses:      bses,
-			attach:    attach,
-			prefix:    prefix,
-			egressRef: dataplane.PortRef{Dev: e, Port: ep.Port},
-			routes: []interdomain.Route{{
-				Prefix: prefix, Egress: ep.ID, EgressSwitch: e,
-				Metrics: interdomain.Metrics{Hops: 2, RTT: 8 * time.Millisecond},
-			}},
-			homeLeaf: fmt.Sprintf("L%d", k),
-		})
-		wirings = append(wirings, wiring{
-			switches: []dataplane.DeviceID{a, ma, mb, e},
-			radio:    reca.RadioAttachment{ID: g, Attach: attach, Border: true},
-			bsGroup:  map[dataplane.DeviceID]dataplane.DeviceID{bses[0]: g, bses[1]: g},
-		})
-	}
-	// Ring of cross-region links: E(k) — A(k+1 mod R).
-	for k := 0; k < R; k++ {
-		e := dataplane.DeviceID(fmt.Sprintf("E%d", k))
-		a := dataplane.DeviceID(fmt.Sprintf("A%d", (k+1)%R))
-		if _, err := net.Connect(e, a, 4*time.Millisecond, 1000); err != nil {
-			return err
-		}
-	}
-
-	var leaves []*core.Controller
-	for k := 0; k < R; k++ {
-		leaf := core.NewController(h.regions[k].homeLeaf, 1, k)
-		for _, swID := range wirings[k].switches {
-			inner := core.NewSwitchDevice(net, net.Switch(swID))
-			// Attach the inner adapter first so the controller back-pointer
-			// (and with it port-status / packet-in delivery) is wired, then
-			// shadow it with the fault wrapper for the install path.
-			leaf.AttachDevice(inner)
-			w := &FaultyDevice{Inner: inner, Plan: h.plan}
-			leaf.AttachDevice(w)
-			h.wrappers[swID] = w
-		}
-		leaf.SetConfig(reca.Config{Radios: []reca.RadioAttachment{wirings[k].radio}})
-		leaf.SetRadioIndex(wirings[k].bsGroup,
-			map[dataplane.DeviceID]dataplane.PortRef{h.regions[k].group: h.regions[k].attach})
-		leaf.RunDiscovery()
-		leaf.ComputeAbstraction()
-		h.groupLeaf[h.regions[k].group] = leaf
-		leaves = append(leaves, leaf)
-	}
-	root := core.NewController("root", 2, R)
-	for _, leaf := range leaves {
-		root.AttachChild(leaf)
-	}
-	root.RunDiscovery()
-	core.RefreshDerived(root)
-
-	h.net = net
-	h.hier = &core.Hierarchy{
-		Net: net, Root: root, Leaves: leaves,
-		All: append(append([]*core.Controller{}, leaves...), root),
-	}
-	return nil
 }
 
 // buildPairs starts one master/standby HA pair per controller, each with a
 // replicated bearer state machine and (when configured) incremental
 // snapshotting, and a replica-rebuilding promotion path.
 func (h *Harness) buildPairs() {
-	for _, c := range h.hier.All {
+	for _, c := range h.cl.Hier.All {
 		store := ha.NewSharedStore()
 		store.SnapshotEvery = h.opt.SnapshotEvery
 		store.SetStateMachine(newBearerReplica())
@@ -291,24 +178,6 @@ func (h *Harness) redoFunc() func(nib.LogEntry) error {
 		h.stats.BearersAdded++
 		h.logf("redo bearer-new %s g=%s pfx=%s", pb.b.UE, pb.b.Group, pb.b.Prefix)
 		return nil
-	}
-}
-
-// redistributeRoutes reloads the interdomain snapshot: each region's route
-// enters at the leaf owning its egress switch and propagates to the root
-// (mirroring Hierarchy.DistributeInterdomain). Re-run after every
-// reconfiguration, since re-abstraction renumbers the exposed border ports
-// the root's stored options reference.
-func (h *Harness) redistributeRoutes() {
-	for _, c := range h.hier.All {
-		c.ClearInterdomainRoutes()
-	}
-	for i := range h.regions {
-		r := &h.regions[i]
-		h.hier.Controller(r.homeLeaf).AddInterdomainRoutes(r.routes, r.egressRef)
-	}
-	for _, leaf := range h.hier.Leaves {
-		leaf.PropagateInterdomain()
 	}
 }
 
@@ -429,7 +298,7 @@ func (h *Harness) pickEvent() int {
 
 func (h *Harness) upLinks() []*dataplane.Link {
 	var out []*dataplane.Link
-	for _, l := range h.net.Links() {
+	for _, l := range h.cl.Net.Links() {
 		if l.Up() {
 			out = append(out, l)
 		}
@@ -439,7 +308,7 @@ func (h *Harness) upLinks() []*dataplane.Link {
 
 func (h *Harness) downLinks() []*dataplane.Link {
 	var out []*dataplane.Link
-	for _, l := range h.net.Links() {
+	for _, l := range h.cl.Net.Links() {
 		if !l.Up() {
 			out = append(out, l)
 		}
@@ -466,11 +335,12 @@ func (h *Harness) sortedBearers() []string {
 // stations, and a random destination prefix (possibly in another region,
 // forcing delegation to the root).
 func (h *Harness) newBearer() *bearer {
-	reg := &h.regions[h.rng.Intn(len(h.regions))]
-	bs := reg.bses[h.rng.Intn(len(reg.bses))]
-	prefix := h.regions[h.rng.Intn(len(h.regions))].prefix
+	regions := h.cl.Regions
+	reg := &regions[h.rng.Intn(len(regions))]
+	bs := reg.BSes[h.rng.Intn(len(reg.BSes))]
+	prefix := regions[h.rng.Intn(len(regions))].Prefix
 	h.nextUE++
-	return &bearer{UE: fmt.Sprintf("ue%04d", h.nextUE), BS: bs, Group: reg.group, Prefix: prefix}
+	return &bearer{UE: fmt.Sprintf("ue%04d", h.nextUE), BS: bs, Group: reg.Group, Prefix: prefix}
 }
 
 // installBearer issues the mobility-app bearer request at the given leaf.
@@ -530,12 +400,12 @@ func (h *Harness) evBearerDel() error {
 // harness additionally relays the status to the root against the exposed
 // G-switch border ports, standing in for the RecA vport-status path.
 func (h *Harness) setLink(l *dataplane.Link, up bool) {
-	h.net.SetLinkState(l, up)
-	la, lb := h.hier.LeafOf(l.A.Dev), h.hier.LeafOf(l.B.Dev)
+	h.cl.Net.SetLinkState(l, up)
+	la, lb := h.cl.Hier.LeafOf(l.A.Dev), h.cl.Hier.LeafOf(l.B.Dev)
 	if la == nil || lb == nil || la == lb {
 		return
 	}
-	root := h.hier.Root
+	root := h.cl.Hier.Root
 	if gp, ok := la.ExposedPortFor(l.A); ok {
 		root.HandlePortStatus(la.GSwitchID(), gp, up)
 	}
@@ -546,13 +416,13 @@ func (h *Harness) setLink(l *dataplane.Link, up bool) {
 
 // repairAt triggers §6 path repair at the level owning the failed link.
 func (h *Harness) repairAt(l *dataplane.Link) {
-	la, lb := h.hier.LeafOf(l.A.Dev), h.hier.LeafOf(l.B.Dev)
+	la, lb := h.cl.Hier.LeafOf(l.A.Dev), h.cl.Hier.LeafOf(l.B.Dev)
 	if la != nil && la == lb {
 		rep, failed := la.HandleLinkFailure(l.A.Dev, l.A.Port)
 		h.logf("  repair@%s: %d rerouted, %d failed", la.ID, len(rep), len(failed))
 		return
 	}
-	root := h.hier.Root
+	root := h.cl.Hier.Root
 	if la != nil {
 		if gp, ok := la.ExposedPortFor(l.A); ok {
 			rep, failed := root.HandleLinkFailure(la.GSwitchID(), gp)
@@ -664,10 +534,10 @@ func (h *Harness) evFailover() error {
 // access switch to another leaf, refresh the root's derived state and
 // interdomain snapshot, and re-request the drained bearers at the target.
 func (h *Harness) evReconfig() error {
-	reg := &h.regions[h.rng.Intn(len(h.regions))]
-	src := h.groupLeaf[reg.group]
+	reg := &h.cl.Regions[h.rng.Intn(len(h.cl.Regions))]
+	src := h.groupLeaf[reg.Group]
 	var dsts []*core.Controller
-	for _, leaf := range h.hier.Leaves {
+	for _, leaf := range h.cl.Hier.Leaves {
 		if leaf != src {
 			dsts = append(dsts, leaf)
 		}
@@ -677,7 +547,7 @@ func (h *Harness) evReconfig() error {
 	var drained []*bearer
 	for _, ue := range h.sortedBearers() {
 		b := h.bearers[ue]
-		if b.Group != reg.group {
+		if b.Group != reg.Group {
 			continue
 		}
 		if err := h.deactivate(b); err != nil {
@@ -692,15 +562,15 @@ func (h *Harness) evReconfig() error {
 	// at the target before those discovery rounds. The transfer's own
 	// AttachDevice then shadows the inner with the wrapper again for the
 	// install path, exactly as at construction.
-	dst.AttachDevice(h.wrappers[reg.access].Inner)
-	if err := h.hier.TransferBorderGroup(reg.group, src, dst); err != nil {
-		return fmt.Errorf("reconfig %s %s->%s: %w", reg.group, src.ID, dst.ID, err)
+	dst.AttachDevice(h.wrappers[reg.Attach.Dev].Inner)
+	if err := h.cl.Hier.TransferBorderGroup(reg.Group, src, dst); err != nil {
+		return fmt.Errorf("reconfig %s %s->%s: %w", reg.Group, src.ID, dst.ID, err)
 	}
-	h.groupLeaf[reg.group] = dst
-	core.RefreshDerived(h.hier.Root)
-	h.redistributeRoutes()
+	h.groupLeaf[reg.Group] = dst
+	core.RefreshDerived(h.cl.Hier.Root)
+	h.cl.ReloadInterdomain()
 	h.stats.Reconfigs++
-	h.logf("reconfig %s %s->%s (%d bearers re-homed)", reg.group, src.ID, dst.ID, len(drained))
+	h.logf("reconfig %s %s->%s (%d bearers re-homed)", reg.Group, src.ID, dst.ID, len(drained))
 	for _, b := range drained {
 		if err := h.requestBearer(b); err != nil {
 			b.Broken = true
@@ -720,15 +590,15 @@ func (h *Harness) probe(b *bearer) (dataplane.TraversalResult, error) {
 	if !ok {
 		return dataplane.TraversalResult{}, fmt.Errorf("group %s has no attachment at %s", b.Group, leaf.ID)
 	}
-	return h.net.Inject(attach.Dev, attach.Port,
+	return h.cl.Net.Inject(attach.Dev, attach.Port,
 		&dataplane.Packet{UE: b.UE, DstPrefix: string(b.Prefix), QoS: 0})
 }
 
 // expectedEgress returns the peering port traffic for a prefix must exit.
 func (h *Harness) expectedEgress(p interdomain.PrefixID) dataplane.PortRef {
-	for i := range h.regions {
-		if h.regions[i].prefix == p {
-			return h.regions[i].egressRef
+	for _, r := range h.cl.Regions {
+		if r.Prefix == p {
+			return r.Egress
 		}
 	}
 	return dataplane.PortRef{}

@@ -37,7 +37,7 @@ func (h *Harness) CheckInvariants() error {
 // group has a radio attachment. A violation means a concurrent mobility
 // operation tore a row and its path apart.
 func (h *Harness) checkUEConsistency() error {
-	for _, c := range h.hier.All {
+	for _, c := range h.cl.Hier.All {
 		for _, rec := range c.UERecords() {
 			if rec.Active {
 				if rec.HandledBy == nil {
@@ -75,7 +75,7 @@ func (h *Harness) checkUEConsistency() error {
 // owned by a live path record at its current version
 // (core.CheckNoOrphanRules).
 func (h *Harness) checkNoOrphanRules() error {
-	return core.CheckNoOrphanRules(h.net, h.hier.All)
+	return core.CheckNoOrphanRules(h.cl.Net, h.cl.Hier.All)
 }
 
 // checkLinkConsistency asserts the NIB view matches the physical link
@@ -84,8 +84,8 @@ func (h *Harness) checkNoOrphanRules() error {
 // root's NIB between the exposed G-switch border ports, and no NIB record
 // contradicts the data plane.
 func (h *Harness) checkLinkConsistency() error {
-	for _, l := range h.net.Links() {
-		la, lb := h.hier.LeafOf(l.A.Dev), h.hier.LeafOf(l.B.Dev)
+	for _, l := range h.cl.Net.Links() {
+		la, lb := h.cl.Hier.LeafOf(l.A.Dev), h.cl.Hier.LeafOf(l.B.Dev)
 		switch {
 		case la == nil || lb == nil:
 			return fmt.Errorf("link %s touches a switch no leaf owns", linkName(l))
@@ -107,7 +107,7 @@ func (h *Harness) checkLinkConsistency() error {
 			key := nib.NewLinkKey(
 				dataplane.PortRef{Dev: la.GSwitchID(), Port: gpa},
 				dataplane.PortRef{Dev: lb.GSwitchID(), Port: gpb})
-			rec, ok := h.hier.Root.NIB.LinkByKey(key)
+			rec, ok := h.cl.Hier.Root.NIB.LinkByKey(key)
 			if !ok {
 				return fmt.Errorf("root NIB lost cross link %s (g-ports %s:%d-%s:%d)",
 					linkName(l), la.GSwitchID(), gpa, lb.GSwitchID(), gpb)
@@ -120,9 +120,9 @@ func (h *Harness) checkLinkConsistency() error {
 	}
 	// The reverse direction: every leaf NIB record must describe a real,
 	// state-matching physical link (leaf NIBs hold only intra-region links).
-	for _, leaf := range h.hier.Leaves {
+	for _, leaf := range h.cl.Hier.Leaves {
 		for _, rec := range leaf.NIB.Links() {
-			l := h.net.LinkAt(rec.A)
+			l := h.cl.Net.LinkAt(rec.A)
 			if l == nil {
 				return fmt.Errorf("leaf %s NIB has phantom link %s:%d-%s:%d",
 					leaf.ID, rec.A.Dev, rec.A.Port, rec.B.Dev, rec.B.Port)

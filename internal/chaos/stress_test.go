@@ -29,8 +29,8 @@ func TestConcurrentMobilityStress(t *testing.T) {
 		sharedUEs = 48
 	)
 	leaves := []*core.Controller{
-		h.groupLeaf[h.regions[0].group],
-		h.groupLeaf[h.regions[1].group],
+		h.groupLeaf[h.cl.Regions[0].Group],
+		h.groupLeaf[h.cl.Regions[1].Group],
 	}
 
 	var wg sync.WaitGroup
@@ -42,7 +42,7 @@ func TestConcurrentMobilityStress(t *testing.T) {
 			for i := 0; i < opsPerW; i++ {
 				ue := fmt.Sprintf("su%d", rng.Intn(sharedUEs))
 				src := rng.Intn(2)
-				reg, dst := &h.regions[src], &h.regions[1-src]
+				reg, dst := &h.cl.Regions[src], &h.cl.Regions[1-src]
 				// Every op may legitimately fail (the UE may be detached,
 				// homed in the other region, or mid-collision); the point is
 				// that no interleaving corrupts state, which the invariant
@@ -51,13 +51,13 @@ func TestConcurrentMobilityStress(t *testing.T) {
 				case 0, 1: // attach / bearer re-setup
 					// QoS 0 matches the harness's probe packets.
 					_, _ = leaves[src].HandleBearerRequest(core.BearerRequest{
-						UE: ue, BS: reg.bses[rng.Intn(len(reg.bses))],
-						Prefix: reg.prefix, QoS: 0,
+						UE: ue, BS: reg.BSes[rng.Intn(len(reg.BSes))],
+						Prefix: reg.Prefix, QoS: 0,
 					})
 				case 2: // intra-region handover
-					_ = leaves[src].Handover(ue, reg.group, reg.bses[rng.Intn(len(reg.bses))])
+					_ = leaves[src].Handover(ue, reg.Group, reg.BSes[rng.Intn(len(reg.BSes))])
 				case 3: // inter-region handover
-					_ = leaves[src].Handover(ue, dst.group, dst.bses[rng.Intn(len(dst.bses))])
+					_ = leaves[src].Handover(ue, dst.Group, dst.BSes[rng.Intn(len(dst.BSes))])
 				case 4:
 					if rng.Intn(2) == 0 {
 						_ = leaves[src].DeactivateBearer(ue)
@@ -76,7 +76,7 @@ func TestConcurrentMobilityStress(t *testing.T) {
 
 	// Probe every surviving active bearer end to end: it must egress at
 	// its prefix's peering port with label depth ≤ 1 (§4.3).
-	for _, c := range h.hier.All {
+	for _, c := range h.cl.Hier.All {
 		for _, rec := range c.UERecords() {
 			if !rec.Active || rec.Group == "" {
 				continue
@@ -93,7 +93,7 @@ func TestConcurrentMobilityStress(t *testing.T) {
 	}
 
 	// Drain: detach every UE everywhere, then the data plane must be empty.
-	for _, c := range h.hier.All {
+	for _, c := range h.cl.Hier.All {
 		for _, rec := range c.UERecords() {
 			if err := c.Detach(rec.UE); err != nil {
 				t.Fatalf("drain detach %s at %s: %v", rec.UE, c.ID, err)
@@ -103,7 +103,7 @@ func TestConcurrentMobilityStress(t *testing.T) {
 	if err := h.CheckInvariants(); err != nil {
 		t.Fatalf("invariants after drain: %v", err)
 	}
-	for _, c := range h.hier.All {
+	for _, c := range h.cl.Hier.All {
 		if n := c.NumPaths(); n != 0 {
 			t.Fatalf("%s still holds %d active paths after drain", c.ID, n)
 		}
@@ -111,7 +111,7 @@ func TestConcurrentMobilityStress(t *testing.T) {
 			t.Fatalf("%s still holds %d UE rows after drain", c.ID, n)
 		}
 	}
-	for _, sw := range h.net.Switches() {
+	for _, sw := range h.cl.Net.Switches() {
 		if n := len(sw.Table.Rules()); n != 0 {
 			t.Fatalf("switch %s still holds %d rules after drain", sw.ID, n)
 		}

@@ -35,26 +35,30 @@ type LeafSpec struct {
 // uses (§7.2: "a two-level architecture with 4 leaf regions"): leaves
 // discover their physical regions and abstract them; the root discovers
 // the inter-G-switch links.
-func NewTwoLevel(net *dataplane.Network, rootID string, leaves []LeafSpec) (*Hierarchy, error) {
-	h := &Hierarchy{Net: net}
-	idx := 0
-	for _, spec := range leaves {
-		leaf := NewController(spec.ID, 1, idx)
-		idx++
-		if err := h.initLeaf(leaf, spec); err != nil {
+func NewTwoLevel(net *dataplane.Network, rootID string, specs []LeafSpec) (*Hierarchy, error) {
+	leaves := make([]*Controller, 0, len(specs))
+	for i, spec := range specs {
+		leaf := NewController(spec.ID, 1, i)
+		if err := BootstrapLeaf(net, leaf, spec); err != nil {
 			return nil, err
 		}
-		h.Leaves = append(h.Leaves, leaf)
-		h.All = append(h.All, leaf)
+		leaves = append(leaves, leaf)
 	}
-	root := NewController(rootID, 2, idx)
-	for _, leaf := range h.Leaves {
+	return AssembleTwoLevel(net, NewController(rootID, 2, len(leaves)), leaves), nil
+}
+
+// AssembleTwoLevel is the root's bootstrap: it attaches the bootstrapped
+// leaves under root in order, runs discovery of the inter-G-switch links,
+// then derives the root's config, radio index and abstraction
+// (RefreshDerived). It returns the hierarchy the two levels form.
+func AssembleTwoLevel(net *dataplane.Network, root *Controller, leaves []*Controller) *Hierarchy {
+	for _, leaf := range leaves {
 		root.AttachChild(leaf)
 	}
-	h.Root = root
-	h.All = append(h.All, root)
-	h.finishLevel(root)
-	return h, nil
+	root.RunDiscovery()
+	RefreshDerived(root)
+	return &Hierarchy{Net: net, Root: root, Leaves: leaves,
+		All: append(append([]*Controller{}, leaves...), root)}
 }
 
 // NewThreeLevel builds a 3-level hierarchy: named groups of leaves under

@@ -75,6 +75,8 @@ type Region struct {
 	Prefix interdomain.PrefixID
 	// Attach is the radio attachment port carrying Group.
 	Attach dataplane.PortRef
+	// Egress is the peering port Prefix exits through.
+	Egress dataplane.PortRef
 }
 
 // Cluster is an N-region deployment the engine drives: diamond regions
@@ -102,6 +104,21 @@ type Cluster struct {
 	closeOnce sync.Once
 }
 
+// The ring's shape, shared by the builder and by FinishDistRoot, which
+// stitches the ring at a distributed root: region k is a diamond of
+// access switch A<k>, middles M<k>a and M<k>b, and egress switch E<k>,
+// and the ring link E<k> — A<k+1 mod R> joins it to the next region.
+const (
+	// ringLatency is the one-way latency of every ring link.
+	ringLatency = 4 * time.Millisecond
+	// linkMbps is the bandwidth of every link, diamond and ring alike.
+	linkMbps = 10_000
+)
+
+func accessSwitch(k int) dataplane.DeviceID { return dataplane.DeviceID(fmt.Sprintf("A%d", k)) }
+func egressSwitch(k int) dataplane.DeviceID { return dataplane.DeviceID(fmt.Sprintf("E%d", k)) }
+func egressPoint(k int) string              { return fmt.Sprintf("X%d", k) }
+
 // regionNames fills the deterministic name fields for region k.
 func regionNames(k, bsPerRegion int) Region {
 	bses := make([]dataplane.DeviceID, bsPerRegion)
@@ -115,17 +132,16 @@ func regionNames(k, bsPerRegion int) Region {
 	}
 }
 
-// addRegionDataplane builds region k's diamond (access — two middles —
-// egress), radio port, and egress point in net, returning the region's
-// populated name fields, its leaf spec, and its egress point. Port
-// numbering per switch is independent of which other regions exist in
-// net, which is what lets a region slice reproduce the exact features the
-// full cluster's switches expose.
-func addRegionDataplane(net *dataplane.Network, k, bsPerRegion int) (Region, core.LeafSpec, *dataplane.EgressPoint, error) {
-	a := dataplane.DeviceID(fmt.Sprintf("A%d", k))
+// addRegionDataplane builds region k's diamond, radio port and egress
+// point in the cluster's network, fills Regions[k]'s ports, and returns
+// its leaf spec. Port numbering per switch is independent of which other
+// regions exist in the network, which is what lets a region slice
+// reproduce the exact features the full cluster's switches expose.
+func (cl *Cluster) addRegionDataplane(k int) (core.LeafSpec, error) {
+	net := cl.Net
+	a, e := accessSwitch(k), egressSwitch(k)
 	ma := dataplane.DeviceID(fmt.Sprintf("M%da", k))
 	mb := dataplane.DeviceID(fmt.Sprintf("M%db", k))
-	e := dataplane.DeviceID(fmt.Sprintf("E%d", k))
 	for _, id := range []dataplane.DeviceID{a, ma, mb, e} {
 		net.AddSwitch(id)
 	}
@@ -134,31 +150,145 @@ func addRegionDataplane(net *dataplane.Network, k, bsPerRegion int) (Region, cor
 		lat  time.Duration
 	}{{a, ma, 2 * time.Millisecond}, {a, mb, 3 * time.Millisecond},
 		{ma, e, 2 * time.Millisecond}, {mb, e, 3 * time.Millisecond}} {
-		if _, err := net.Connect(c.x, c.y, c.lat, 10_000); err != nil {
-			return Region{}, core.LeafSpec{}, nil, err
+		if _, err := net.Connect(c.x, c.y, c.lat, linkMbps); err != nil {
+			return core.LeafSpec{}, err
 		}
 	}
-	reg := regionNames(k, bsPerRegion)
+	reg := &cl.Regions[k]
 	rp, err := net.AddRadioPort(a, reg.Group)
 	if err != nil {
-		return Region{}, core.LeafSpec{}, nil, err
+		return core.LeafSpec{}, err
 	}
-	ep, err := net.AddEgress(fmt.Sprintf("X%d", k), e, fmt.Sprintf("isp%d", k))
+	ep, err := net.AddEgress(egressPoint(k), e, fmt.Sprintf("isp%d", k))
 	if err != nil {
-		return Region{}, core.LeafSpec{}, nil, err
+		return core.LeafSpec{}, err
 	}
 	reg.Attach = dataplane.PortRef{Dev: a, Port: rp.ID}
-	bsGroup := make(map[dataplane.DeviceID]dataplane.DeviceID, bsPerRegion)
+	reg.Egress = dataplane.PortRef{Dev: e, Port: ep.Port}
+	bsGroup := make(map[dataplane.DeviceID]dataplane.DeviceID, len(reg.BSes))
 	for _, bs := range reg.BSes {
 		bsGroup[bs] = reg.Group
 	}
-	spec := core.LeafSpec{
+	return core.LeafSpec{
 		ID:       fmt.Sprintf("L%d", k),
 		Switches: []dataplane.DeviceID{a, ma, mb, e},
 		Radios:   []reca.RadioAttachment{{ID: reg.Group, Attach: reg.Attach, Border: true}},
 		BSGroup:  bsGroup,
+	}, nil
+}
+
+// buildRing is the one body behind BuildCluster and BuildRegionSlice: it
+// lays the [lo, hi) slice of the R-region ring in a fresh network and
+// bootstraps each owned region's leaf, attached to no parent. Only the
+// owned regions' switches exist; a ring link that leaves the slice is
+// replaced by a stub port carrying the same port number and feature bits
+// (up, internal, no radio) as its connected counterpart in the full
+// ring, so a slice leaf's discovery, abstraction and G-switch exposure
+// are byte-identical to the full build's — the property the
+// replay-digest comparison relies on. Construction is deterministic:
+// topology consumes no RNG.
+func buildRing(regions, bsPerRegion, shards int, cp ControlPlane, lo, hi int) (*Cluster, error) {
+	if regions < 2 {
+		return nil, fmt.Errorf("workload: need at least 2 regions, got %d", regions)
 	}
-	return reg, spec, ep, nil
+	if bsPerRegion < 1 {
+		return nil, fmt.Errorf("workload: need at least 1 BS per region, got %d", bsPerRegion)
+	}
+	if lo < 0 || hi <= lo || hi > regions {
+		return nil, fmt.Errorf("workload: bad region slice [%d, %d) of %d", lo, hi, regions)
+	}
+	net := dataplane.NewNetwork()
+	cl := &Cluster{Net: net, Regions: make([]Region, regions), Lo: lo, Hi: hi, cp: cp}
+	for k := range cl.Regions {
+		cl.Regions[k] = regionNames(k, bsPerRegion)
+	}
+	specs := make([]core.LeafSpec, 0, hi-lo)
+	for k := lo; k < hi; k++ {
+		spec, err := cl.addRegionDataplane(k)
+		if err != nil {
+			return nil, err
+		}
+		specs = append(specs, spec)
+	}
+	// The ring, k = lo..hi-1: a link where both ends are owned, a stub
+	// port in the same NextFreePort slot otherwise.
+	full := hi-lo == regions
+	for k := lo; k < hi; k++ {
+		if k+1 < hi || full {
+			if _, err := net.Connect(egressSwitch(k), accessSwitch((k+1)%regions), ringLatency, linkMbps); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		sw := net.Switch(egressSwitch(k))
+		sw.AddPort(sw.NextFreePort())
+	}
+	if !full {
+		// The ring-in port of the first owned region: its neighbor's
+		// Connect would have added it in the full build.
+		sw := net.Switch(accessSwitch(lo))
+		sw.AddPort(sw.NextFreePort())
+	}
+	for k := lo; k < hi; k++ {
+		leaf := core.NewController(specs[k-lo].ID, 1, k)
+		if err := core.BootstrapLeaf(net, leaf, specs[k-lo]); err != nil {
+			return nil, err
+		}
+		if shards != 0 {
+			leaf.SetUEShardCount(shards)
+		}
+		cl.Regions[k].Leaf = leaf
+	}
+	return cl, nil
+}
+
+// BuildCluster constructs the R-region ring with bsPerRegion base
+// stations per region and the given UE-store shard count on every
+// controller (0 keeps core.DefaultUEShards): the full slice [0, R) under
+// an in-process root. A control plane requesting protocol attachment
+// (nonzero Delay or a netem profile) re-attaches every leaf's physical
+// switches through the real southbound protocol over impaired pipes; the
+// full impairment activates after construction. Link impairment streams
+// derive from cp.Seed alone.
+func BuildCluster(regions, bsPerRegion, shards int, cp ControlPlane) (*Cluster, error) {
+	cl, err := buildRing(regions, bsPerRegion, shards, cp, 0, regions)
+	if err != nil {
+		return nil, err
+	}
+	cl.Hier = core.AssembleTwoLevel(cl.Net, NewDistRoot(regions, shards), cl.OwnedLeaves())
+	return cl.finish()
+}
+
+// BuildRegionSlice constructs the [lo, hi) slice of the R-region ring for
+// one region process of a distributed cluster. The cross-boundary
+// connectivity lives only in the launcher's root NIB, which stitches
+// G-switch-level ring links from the exposed ports (FinishDistRoot).
+//
+// Leaves are bootstrapped but not attached to any parent; the caller
+// connects each to the launcher over the northbound wire and sequences
+// interdomain propagation in region order.
+func BuildRegionSlice(regions, bsPerRegion, shards int, cp ControlPlane, lo, hi int) (*Cluster, error) {
+	cl, err := buildRing(regions, bsPerRegion, shards, cp, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return cl.finish()
+}
+
+// finish completes a build: protocol attach of the owned leaves' switches
+// when the control plane asks for it, the interdomain routes, then the
+// full impairment.
+func (cl *Cluster) finish() (*Cluster, error) {
+	if cl.cp.protocol() {
+		for k := cl.Lo; k < cl.Hi; k++ {
+			if err := cl.attachProtocol(cl.Regions[k].Leaf, k); err != nil {
+				return nil, err
+			}
+		}
+	}
+	cl.ReloadInterdomain()
+	cl.ActivateImpairment()
+	return cl, nil
 }
 
 // attachProtocol replaces region k's in-process switch adapters with
@@ -246,166 +376,32 @@ func (cl *Cluster) Close() {
 	})
 }
 
-// addInterdomain wires region r's prefix to exit via its own egress.
-// Propagation to the parent is the caller's job: the in-process build
-// propagates immediately, a region slice waits until the launcher
-// sequences the pushes in region order over the wire (the root appends
-// route options in push order, and the tie-break depends on it).
-func addInterdomain(r *Region, ep *dataplane.EgressPoint) {
-	r.Leaf.AddInterdomainRoutes([]interdomain.Route{{
-		Prefix: r.Prefix, Egress: ep.ID, EgressSwitch: ep.Switch,
-		Metrics: interdomain.Metrics{Hops: 2, RTT: 8 * time.Millisecond},
-	}}, dataplane.PortRef{Dev: ep.Switch, Port: ep.Port})
-}
-
-// BuildCluster constructs the R-region ring with bsPerRegion base
-// stations per region and the given UE-store shard count on every
-// controller (0 keeps core.DefaultUEShards). A control plane requesting
-// protocol attachment (nonzero Delay or a netem profile) re-attaches every
-// leaf's physical switches through the real southbound protocol over
-// impaired pipes; the full impairment activates after construction.
-// Construction is deterministic — topology consumes no RNG, and link
-// impairment streams derive from cp.Seed alone.
-func BuildCluster(regions, bsPerRegion, shards int, cp ControlPlane) (*Cluster, error) {
-	if regions < 2 {
-		return nil, fmt.Errorf("workload: need at least 2 regions, got %d", regions)
-	}
-	if bsPerRegion < 1 {
-		return nil, fmt.Errorf("workload: need at least 1 BS per region, got %d", bsPerRegion)
-	}
-	net := dataplane.NewNetwork()
-	cl := &Cluster{Net: net, Lo: 0, Hi: regions, cp: cp}
-	specs := make([]core.LeafSpec, 0, regions)
-	egresses := make([]*dataplane.EgressPoint, 0, regions)
-	for k := 0; k < regions; k++ {
-		reg, spec, ep, err := addRegionDataplane(net, k, bsPerRegion)
-		if err != nil {
-			return nil, err
-		}
-		cl.Regions = append(cl.Regions, reg)
-		specs = append(specs, spec)
-		egresses = append(egresses, ep)
-	}
-	// Ring of cross-region links: E(k) — A(k+1 mod R).
-	for k := 0; k < regions; k++ {
-		e := dataplane.DeviceID(fmt.Sprintf("E%d", k))
-		a := dataplane.DeviceID(fmt.Sprintf("A%d", (k+1)%regions))
-		if _, err := net.Connect(e, a, 4*time.Millisecond, 10_000); err != nil {
-			return nil, err
+// ReloadInterdomain loads every owned region's route: its prefix exits
+// via its own egress, entered at its own leaf. With an in-process root it
+// first clears every controller's routes, then propagates them upward in
+// region order; re-run it after a reconfiguration, since re-abstraction
+// renumbers the exposed border ports the root's stored options reference.
+// A region slice leaves propagation to the launcher, which sequences the
+// pushes in region order over the wire (the root appends route options
+// in push order, and the tie-break depends on it).
+func (cl *Cluster) ReloadInterdomain() {
+	if cl.Hier != nil {
+		for _, c := range cl.Hier.All {
+			c.ClearInterdomainRoutes()
 		}
 	}
-
-	hier, err := core.NewTwoLevel(net, "root", specs)
-	if err != nil {
-		return nil, err
-	}
-	cl.Hier = hier
-	if shards != 0 {
-		for _, c := range hier.All {
-			c.SetUEShardCount(shards)
-		}
-	}
-	if cp.protocol() {
-		for k, leaf := range hier.Leaves {
-			if err := cl.attachProtocol(leaf, k); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Interdomain: each region's prefix exits via its own egress,
-	// propagated upward in region order.
-	for k := range cl.Regions {
+	for k := cl.Lo; k < cl.Hi; k++ {
 		r := &cl.Regions[k]
-		r.Leaf = hier.Leaves[k]
-		addInterdomain(r, egresses[k])
-		r.Leaf.PropagateInterdomain()
+		r.Leaf.AddInterdomainRoutes([]interdomain.Route{{
+			Prefix: r.Prefix, Egress: egressPoint(k), EgressSwitch: r.Egress.Dev,
+			Metrics: interdomain.Metrics{Hops: 2, RTT: 8 * time.Millisecond},
+		}}, r.Egress)
 	}
-	cl.ActivateImpairment()
-	return cl, nil
-}
-
-// BuildRegionSlice constructs the [lo, hi) slice of the R-region ring for
-// one region process of a distributed cluster: only the owned regions'
-// switches exist in this process's data plane, with the ring links at the
-// slice boundaries replaced by stub ports. A stub port carries the same
-// port number and reports the same feature bits (up, internal, no radio)
-// as its connected counterpart in the full cluster, so the leaf's
-// discovery, abstraction, and G-switch exposure are byte-identical to the
-// in-process build — the property the replay-digest comparison relies on.
-// The cross-boundary connectivity lives only in the launcher's root NIB,
-// which stitches G-switch-level ring links from the exposed ports.
-//
-// Leaves are bootstrapped but not attached to any parent; the caller
-// connects each to the launcher over the northbound wire and sequences
-// interdomain propagation in region order.
-func BuildRegionSlice(regions, bsPerRegion, shards int, cp ControlPlane, lo, hi int) (*Cluster, error) {
-	if regions < 2 {
-		return nil, fmt.Errorf("workload: need at least 2 regions, got %d", regions)
-	}
-	if bsPerRegion < 1 {
-		return nil, fmt.Errorf("workload: need at least 1 BS per region, got %d", bsPerRegion)
-	}
-	if lo < 0 || hi <= lo || hi > regions {
-		return nil, fmt.Errorf("workload: bad region slice [%d, %d) of %d", lo, hi, regions)
-	}
-	net := dataplane.NewNetwork()
-	cl := &Cluster{Net: net, Regions: make([]Region, regions), Lo: lo, Hi: hi, cp: cp}
-	for k := range cl.Regions {
-		cl.Regions[k] = regionNames(k, bsPerRegion)
-	}
-	specs := make(map[int]core.LeafSpec, hi-lo)
-	egresses := make(map[int]*dataplane.EgressPoint, hi-lo)
-	for k := lo; k < hi; k++ {
-		reg, spec, ep, err := addRegionDataplane(net, k, bsPerRegion)
-		if err != nil {
-			return nil, err
+	if cl.Hier != nil {
+		for _, leaf := range cl.Hier.Leaves {
+			leaf.PropagateInterdomain()
 		}
-		cl.Regions[k] = reg
-		specs[k] = spec
-		egresses[k] = ep
 	}
-	// Ring phase, mirroring the full build's k = lo..hi-1 pass: a link is
-	// real when both endpoints are owned, a stub port otherwise. The stub
-	// occupies the same NextFreePort slot the Connect would have.
-	full := hi-lo == regions
-	for k := lo; k < hi; k++ {
-		e := dataplane.DeviceID(fmt.Sprintf("E%d", k))
-		next := (k + 1) % regions
-		a := dataplane.DeviceID(fmt.Sprintf("A%d", next))
-		if next >= lo && next < hi && (k+1 < hi || full) {
-			if _, err := net.Connect(e, a, 4*time.Millisecond, 10_000); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		sw := net.Switch(e)
-		sw.AddPort(sw.NextFreePort())
-	}
-	if !full {
-		// The ring-in port of the first owned region: its neighbor's
-		// Connect would have added it in the full build.
-		sw := net.Switch(dataplane.DeviceID(fmt.Sprintf("A%d", lo)))
-		sw.AddPort(sw.NextFreePort())
-	}
-
-	for k := lo; k < hi; k++ {
-		leaf := core.NewController(fmt.Sprintf("L%d", k), 1, k)
-		if err := core.BootstrapLeaf(net, leaf, specs[k]); err != nil {
-			return nil, err
-		}
-		if shards != 0 {
-			leaf.SetUEShardCount(shards)
-		}
-		if cp.protocol() {
-			if err := cl.attachProtocol(leaf, k); err != nil {
-				return nil, err
-			}
-		}
-		cl.Regions[k].Leaf = leaf
-		addInterdomain(&cl.Regions[k], egresses[k])
-	}
-	cl.ActivateImpairment()
-	return cl, nil
 }
 
 // OwnedLeaves lists the cluster's leaf controllers in region order — for

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -25,8 +26,8 @@ func distCfg() workload.Config {
 }
 
 // buildDistCluster assembles a procs-way distributed cluster over real
-// TCP using the same primitives cmd/region and the launcher use, minus
-// the process boundary: RegionProc slices connected to a launcher-side
+// TCP using the same primitives loadgen's -as-region mode and the
+// launcher use, minus the process boundary: RegionProc slices connected to a launcher-side
 // root via northbound wires.
 func buildDistCluster(t *testing.T, cfg workload.Config, procs int) (*core.Controller, []*workload.RegionProc) {
 	t.Helper()
@@ -154,6 +155,31 @@ func TestDistributedDigestsMatchInProcess(t *testing.T) {
 	for i, p := range ps {
 		if err := p.Drain(2 * time.Second); err != nil {
 			t.Errorf("proc %d drain: %v", i, err)
+		}
+	}
+}
+
+// TestRegionSliceLeafMatchesFullBuild unit-tests the premise the digest
+// comparison relies on: a one-region slice's leaf exposes exactly the
+// features — G-switch ports and their numbers, fabric, G-BSes — the full
+// build's leaf for that region does, stub ports standing in for the ring
+// links that leave the slice.
+func TestRegionSliceLeafMatchesFullBuild(t *testing.T) {
+	for _, regions := range []int{2, 4} {
+		full, err := workload.BuildCluster(regions, 4, 0, workload.ControlPlane{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < regions; k++ {
+			slice, err := workload.BuildRegionSlice(regions, 4, 0, workload.ControlPlane{}, k, k+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := slice.Regions[k].Leaf.RecAFeatures()
+			want := full.Regions[k].Leaf.RecAFeatures()
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("R=%d region %d: slice leaf features\n%+v\nwant\n%+v", regions, k, got, want)
+			}
 		}
 	}
 }

@@ -25,7 +25,16 @@
 // internal/ltetrace diurnal model's per-BS bearer/attach/handover rates
 // (MixFromLTE).
 //
-// cmd/loadgen wires the engine to an N-region ring topology (BuildCluster)
-// and emits BENCH_workload.json: sustained events/sec, p50/p99 latency per
+// The ring is the repo's one test topology, and cluster.go its only
+// builder: one body lays the [lo, hi) slice of an N-region ring of
+// diamonds. BuildRegionSlice is that body for one region process of a
+// distributed run; BuildCluster is the full slice [0, N) under an
+// in-process root, and internal/chaos builds through it too. The
+// launcher's FinishDistRoot stitches the ring from the same constants.
+// A failover-under-fire run crashes the HA master on a FailoverSchedule
+// (failover.go).
+//
+// cmd/loadgen wires the engine to BuildCluster and emits
+// BENCH_workload.json: sustained events/sec, p50/p99 latency per
 // operation type, and the replay digests.
 package workload

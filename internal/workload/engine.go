@@ -71,10 +71,6 @@ type Config struct {
 	// ControlDelay is zero; its delay and jitter add on top of
 	// ControlDelay. Per-link randomness derives from Seed.
 	Impair *netem.Profile
-	// ImpairNB impairs the child→parent northbound wire of a distributed
-	// region slice (applied when the slice dials its launcher); in-process
-	// clusters ignore it.
-	ImpairNB *netem.Profile
 }
 
 // EffectiveProfile is the full per-link southbound impairment profile

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/ha"
 	"repro/internal/nib"
 	"repro/internal/simnet"
@@ -16,7 +15,7 @@ import (
 
 // This file is the failover-under-fire driver: it routes every workload op
 // through an HA pair's write-ahead log, kills the master mid-run on a
-// chaos.FailoverSchedule, and measures the promoted standby's recovery —
+// FailoverSchedule, and measures the promoted standby's recovery —
 // time-to-recovery, redone and replayed entries, duplicates detected, and
 // whether the replicated UE table converged with the real controllers.
 //
@@ -27,6 +26,56 @@ import (
 // executes exactly once in per-UE schedule order, so the run's final
 // StateDigest must equal a plain run's at the same seed — the property
 // cmd/loadgen -chaos-failover asserts.
+
+// FailoverSchedule plans one master crash injected into a live workload
+// run (the failover-under-fire experiment). Op indices
+// count arrivals at the HA wrapper, 1-based:
+//
+//   - ops before KillAt-LostCommits follow the full log→process→commit
+//     discipline;
+//   - the LostCommits ops right before KillAt execute and are acknowledged,
+//     but the master dies before committing them — the §6 window the
+//     promoted standby re-delivers and the duplicate detector must catch;
+//   - the Abandon ops starting at KillAt are logged but never processed by
+//     the dying master: their callers block until the promoted standby
+//     redoes them from the log;
+//   - everything later blocks until recovery completes, then flows through
+//     the new master.
+//
+// SnapshotEvery is the store's checkpoint cadence for the run; 0 means
+// promotion rebuilds by full-history replay (the O(history) baseline the
+// incremental-snapshot pass is measured against).
+type FailoverSchedule struct {
+	KillAt        int
+	LostCommits   int
+	Abandon       int
+	SnapshotEvery int
+}
+
+// Normalized validates the schedule against a run of `events` ops driven
+// by `workers` concurrent lanes, clamping the windows to values that
+// cannot deadlock the driver: the Abandon window must fit within the
+// lanes' blocking capacity (each abandoned op parks its lane until the
+// promotion redo releases it), and both windows must fit inside the run.
+func (s FailoverSchedule) Normalized(events, workers int) (FailoverSchedule, error) {
+	if s.KillAt <= 0 {
+		return s, fmt.Errorf("workload: failover KillAt must be positive, got %d", s.KillAt)
+	}
+	if s.LostCommits < 0 || s.Abandon < 1 {
+		return s, fmt.Errorf("workload: failover windows out of range (lost=%d abandon=%d)", s.LostCommits, s.Abandon)
+	}
+	if s.Abandon > workers {
+		s.Abandon = workers
+	}
+	if s.LostCommits >= s.KillAt {
+		s.LostCommits = s.KillAt - 1
+	}
+	if s.KillAt+s.Abandon > events {
+		return s, fmt.Errorf("workload: failover window [%d, %d) exceeds the %d-op run",
+			s.KillAt, s.KillAt+s.Abandon, events)
+	}
+	return s, nil
+}
 
 // ueImage is the post-op UE row image logged as the physiological redo
 // payload: Seq orders images per UE (last writer wins under at-least-once
@@ -153,7 +202,7 @@ func (r *ueTableReplica) presentRows() map[string]string {
 // failoverDriver wraps every engine op in the HA write-ahead discipline
 // and injects the scheduled crash.
 type failoverDriver struct {
-	spec  chaos.FailoverSchedule
+	spec  FailoverSchedule
 	cl    *Cluster
 	pair  *ha.Pair
 	store *ha.SharedStore
@@ -520,7 +569,7 @@ func BuildFailoverSection(baselineDigest string, snap, full *FailoverPassStats) 
 // measured pass stats. The run fails if recovery never completes, if
 // mastership is not single afterwards, or if the replicated UE table
 // diverged from the live controllers.
-func RunFailoverPass(cfg Config, spec chaos.FailoverSchedule) (*Result, *Cluster, *FailoverPassStats, error) {
+func RunFailoverPass(cfg Config, spec FailoverSchedule) (*Result, *Cluster, *FailoverPassStats, error) {
 	// Closed-loop only: open-loop lanes block whole workers, which shrinks
 	// the abandon window's blocking capacity below the schedule's needs.
 	cfg.Mode = ModeClosed

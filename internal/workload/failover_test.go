@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"testing"
-
-	"repro/internal/chaos"
-)
+import "testing"
 
 func failoverConfig() Config {
 	return Config{
@@ -30,7 +26,7 @@ func TestFailoverDigestMatchesPlainRun(t *testing.T) {
 	eng.Run()
 	want := StateDigest(cl)
 
-	spec := chaos.FailoverSchedule{KillAt: 1500, LostCommits: 3, Abandon: 4, SnapshotEvery: 64}
+	spec := FailoverSchedule{KillAt: 1500, LostCommits: 3, Abandon: 4, SnapshotEvery: 64}
 	_, fcl, stats, err := RunFailoverPass(cfg, spec)
 	if err != nil {
 		t.Fatalf("failover pass: %v", err)
@@ -62,7 +58,7 @@ func TestFailoverDigestMatchesPlainRun(t *testing.T) {
 // still reach the identical final state.
 func TestFailoverSnapshotBoundsReplay(t *testing.T) {
 	cfg := failoverConfig()
-	spec := chaos.FailoverSchedule{KillAt: 2000, LostCommits: 2, Abandon: 3, SnapshotEvery: 64}
+	spec := FailoverSchedule{KillAt: 2000, LostCommits: 2, Abandon: 3, SnapshotEvery: 64}
 
 	_, scl, snap, err := RunFailoverPass(cfg, spec)
 	if err != nil {
@@ -100,17 +96,17 @@ func TestFailoverSnapshotBoundsReplay(t *testing.T) {
 // TestFailoverScheduleNormalization pins the clamping rules that keep a
 // schedule from deadlocking the driver.
 func TestFailoverScheduleNormalization(t *testing.T) {
-	s, err := chaos.FailoverSchedule{KillAt: 100, LostCommits: 5, Abandon: 50}.Normalized(1000, 8)
+	s, err := FailoverSchedule{KillAt: 100, LostCommits: 5, Abandon: 50}.Normalized(1000, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Abandon != 8 {
 		t.Fatalf("abandon window not clamped to workers: %d", s.Abandon)
 	}
-	if _, err := (chaos.FailoverSchedule{KillAt: 990, LostCommits: 0, Abandon: 20}).Normalized(1000, 64); err == nil {
+	if _, err := (FailoverSchedule{KillAt: 990, LostCommits: 0, Abandon: 20}).Normalized(1000, 64); err == nil {
 		t.Fatal("schedule overflowing the run must be rejected")
 	}
-	if _, err := (chaos.FailoverSchedule{KillAt: 0, Abandon: 1}).Normalized(1000, 8); err == nil {
+	if _, err := (FailoverSchedule{KillAt: 0, Abandon: 1}).Normalized(1000, 8); err == nil {
 		t.Fatal("non-positive KillAt must be rejected")
 	}
 }

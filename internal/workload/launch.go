@@ -19,9 +19,9 @@ import (
 	"repro/internal/southbound"
 )
 
-// NewDistRoot creates the launcher-side root controller for an R-region
-// distributed cluster, mirroring the level, index, and shard count the
-// in-process NewTwoLevel build would give it.
+// NewDistRoot creates the root controller of an R-region cluster: the
+// launcher's root in a distributed run, and BuildCluster's in-process
+// root, so both carry the same level, index and shard count.
 func NewDistRoot(regions, shards int) *core.Controller {
 	root := core.NewController("root", 2, regions)
 	if shards != 0 {
@@ -31,15 +31,15 @@ func NewDistRoot(regions, shards int) *core.Controller {
 }
 
 // FinishDistRoot completes the root's bootstrap once every region child is
-// attached (in region order) — the distributed counterpart of the
-// Hierarchy's finishLevel. In-band discovery flushes each child's view,
+// attached (in region order) — the distributed counterpart of
+// core.AssembleTwoLevel. In-band discovery flushes each child's view,
 // but the ring links joining regions cannot be discovered: their
 // endpoints' emission frames die on stub ports in the neighbor-less
 // region slices. Those links are instead stitched from the features every
 // child exposes — each region's G-switch carries exactly one internal
 // non-radio port over its egress switch (ring out) and one over its
-// access switch (ring in) — using the same latency and bandwidth the
-// in-process ring is built with, so the root's NIB ends up identical.
+// access switch (ring in) — using the ring's own latency and bandwidth,
+// so the root's NIB ends up identical to the in-process build's.
 func FinishDistRoot(root *core.Controller, devs []*core.ConnDevice) error {
 	root.RunDiscovery()
 	if err := northbound.FenceDiscovery(devs); err != nil {
@@ -53,16 +53,14 @@ func FinishDistRoot(root *core.Controller, devs []*core.ConnDevice) error {
 	for k, d := range devs {
 		fr := d.Features()
 		rp := ringPorts{gsw: fr.Device}
-		eDev := dataplane.DeviceID(fmt.Sprintf("E%d", k))
-		aDev := dataplane.DeviceID(fmt.Sprintf("A%d", k))
 		for _, p := range fr.Ports {
 			if p.External || p.Radio != "" {
 				continue
 			}
 			switch p.Underlying.Dev {
-			case eDev:
+			case egressSwitch(k):
 				rp.out = p.ID
-			case aDev:
+			case accessSwitch(k):
 				rp.in = p.ID
 			}
 		}
@@ -76,8 +74,8 @@ func FinishDistRoot(root *core.Controller, devs []*core.ConnDevice) error {
 		root.NIB.PutLink(nib.Link{
 			A:         dataplane.PortRef{Dev: ports[k].gsw, Port: ports[k].out},
 			B:         dataplane.PortRef{Dev: ports[n].gsw, Port: ports[n].in},
-			Latency:   4 * time.Millisecond,
-			Bandwidth: 10_000,
+			Latency:   ringLatency,
+			Bandwidth: linkMbps,
 			Up:        true,
 		})
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/netem"
 	"repro/internal/northbound"
 	"repro/internal/southbound"
 )
@@ -83,14 +82,7 @@ func (p *RegionProc) ConnectRegion(k int) error {
 	if err != nil {
 		return err
 	}
-	var conn southbound.Conn = southbound.NewBinConn(nc)
-	if prof := p.rc.Config.ImpairNB; prof != nil {
-		// The northbound wire gets its own impairment stream, keyed by the
-		// leaf name so every region's channel draws independently.
-		conn = southbound.NewImpairedConn(conn, *prof,
-			netem.LinkRNG(p.rc.Config.Seed, fmt.Sprintf("nb/L%d", k)))
-	}
-	pc, err := northbound.Connect(p.cl.Regions[k].Leaf, conn)
+	pc, err := northbound.Connect(p.cl.Regions[k].Leaf, southbound.NewBinConn(nc))
 	if err != nil {
 		nc.Close()
 		return err
@@ -188,7 +180,8 @@ func (p *RegionProc) Close() {
 // RegionMain runs one region process's command loop against a launcher:
 // read the RegionConfig line, then serve CONNECT/PROP/RUN until QUIT.
 // register, if non-nil, receives the constructed RegionProc before READY
-// is reported — cmd/region uses it to wire the SIGTERM drain path.
+// is reported — loadgen's -as-region mode uses it to wire the SIGTERM
+// drain path.
 func RegionMain(r io.Reader, w io.Writer, register func(*RegionProc)) error {
 	in := bufio.NewScanner(r)
 	in.Buffer(make([]byte, 0, 1<<20), 1<<20)
