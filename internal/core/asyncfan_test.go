@@ -248,3 +248,99 @@ func TestInterRegionHandoverOverlapsInstalls(t *testing.T) {
 		}
 	})
 }
+
+// handoverProbe wraps a child's ParentLink and hands every answered
+// inter-region handover to onAnswer before the child sees it.
+type handoverProbe struct {
+	ParentLink
+	onAnswer func(path, transfer PathID)
+}
+
+func (l handoverProbe) InterRegionHandover(req HandoverRequest) (PathID, PathID, PathOwner, error) {
+	path, transfer, owner, err := l.ParentLink.InterRegionHandover(req)
+	if err == nil {
+		l.onAnswer(path, transfer)
+	}
+	return path, transfer, owner, err
+}
+
+// countRules counts the installed rules of owner across every switch.
+func (f *fig5) countRules(owner string) int {
+	n := 0
+	for _, sw := range f.net.Switches() {
+		for _, r := range sw.Table.Rules() {
+			if r.Owner == owner {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// The ancestor of an inter-region handover answers with the old, the new
+// and the transfer path all recorded and installed; the source leaf then
+// releases the old path and the transfer path together. Both deletes reach
+// S1, the switch the two share, before S1 answers the first one's barrier,
+// and once Handover returns only the new path's record and rules are left.
+func TestInterRegionHandoverReleasesOldAndTransferTogether(t *testing.T) {
+	f := buildFig5(t, pathimpl.ModeSwap)
+	var hold *holdbackConn
+	devs := f.attachOverPipes(t, func(id dataplane.DeviceID, c southbound.Conn) southbound.Conn {
+		if id != "S1" {
+			return c
+		}
+		hold = &holdbackConn{Conn: c}
+		return hold
+	})
+	// The held barrier must not time out into a retry while it waits.
+	devs["S1"].MinRTO, devs["S1"].RequestTimeout = 10*time.Second, 10*time.Second
+	before, err := f.l1.HandleBearerRequest(BearerRequest{UE: "u1", BS: "b1", Prefix: "pfxFar"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, ok := f.root.Path(before.PathID)
+	if !ok || before.HandledBy != PathOwner(f.root) {
+		t.Fatalf("precondition: path %d owned by %s, want a root record", before.PathID, before.HandledBy.OwnerID())
+	}
+
+	var xfer PathRecord
+	f.l1.SetParentLink(handoverProbe{ParentLink: f.l1.ParentLinkRef(), onAnswer: func(path, transfer PathID) {
+		if n := f.root.PathTableSize(); n != 3 {
+			t.Errorf("root holds %d path records when it answers, want old, new and transfer", n)
+		}
+		rec, ok := f.root.Path(transfer)
+		if !ok {
+			t.Errorf("transfer path %d is not recorded at the root", transfer)
+			return
+		}
+		xfer = rec
+		if f.countRules(old.Owner) == 0 || f.countRules(xfer.Owner) == 0 {
+			t.Errorf("a path was released before the UE switched: old %d rules, transfer %d",
+				f.countRules(old.Owner), f.countRules(xfer.Owner))
+		}
+		hold.arm(2)
+	}})
+	if err := f.l1.Handover("u1", "gB", "b3"); err != nil {
+		t.Fatal(err)
+	}
+	if xfer.ID == 0 {
+		t.Fatal("the ancestor answered without a transfer path")
+	}
+	if hold.releasedEarly() {
+		t.Fatal("S1 answered a barrier before the second delete reached it: the releases ran one after the other")
+	}
+	row, _ := f.l1.UE("u1")
+	if n := f.root.PathTableSize(); n != 1 {
+		t.Fatalf("root holds %d path records after the handover, want the new path alone", n)
+	}
+	rec, ok := f.root.Path(row.PathID)
+	if !ok {
+		t.Fatalf("the new path %d is not recorded", row.PathID)
+	}
+	if left := f.rulesNotOwnedBy(rec.Owner); len(left) != 0 {
+		t.Fatalf("%d rules besides the new path's, first %+v", len(left), left[0])
+	}
+	if err := CheckNoOrphanRules(f.net, f.h.All); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -85,7 +85,7 @@ func TestReservationReleaseOnTeardown(t *testing.T) {
 	if reserved == 0 {
 		t.Fatal("no reservations taken")
 	}
-	if err := f.leaf.TeardownPath(id); err != nil {
+	if err := f.leaf.TeardownPath(id, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, l := range f.net.Links() {

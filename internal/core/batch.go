@@ -141,14 +141,8 @@ func (c *Controller) fanPerDevice(devs []Device, asyncF func(asyncDevice, func(e
 	if !slices.ContainsFunc(devs, isAsync) {
 		return settle(runPerDevice(devs, syncF), then)
 	}
-	// One join and one bound method serve every device's completion. The
-	// issuer holds one count of its own, so no completion can finish the
-	// join before every device has been issued.
-	j := &fanJoin{then: then}
-	if then == nil {
-		j.wg.Add(1)
-	}
-	j.left.Store(1)
+	// One join and one bound method serve every device's completion.
+	j := newFanJoin(then)
 	done := j.done
 	var syncDevs []Device
 	for _, d := range devs {
@@ -159,17 +153,14 @@ func (c *Controller) fanPerDevice(devs []Device, asyncF func(asyncDevice, func(e
 			syncDevs = append(syncDevs, d)
 		}
 	}
-	done(runPerDevice(syncDevs, syncF)) // releases the issuer's count
-	if then != nil {
-		return nil
-	}
-	j.wg.Wait()
-	return j.firstErr()
+	return j.finish(runPerDevice(syncDevs, syncF))
 }
 
 // fanJoin joins the completions of one fan-out: first error wins, and the
 // last completion hands it on — to then, or to a blocking issuer parked on
-// wg when then is nil.
+// wg when then is nil. The issuer holds one count of its own, so no
+// completion can finish the join before everything has been issued: it
+// adds one to left per completion it issues, then calls finish.
 type fanJoin struct {
 	// left counts the completions still due, the issuer's own included.
 	left atomic.Int32
@@ -180,6 +171,28 @@ type fanJoin struct {
 	// which waits on wg instead.
 	then func(error)
 	wg   sync.WaitGroup
+}
+
+// newFanJoin returns a join holding only the issuer's count.
+func newFanJoin(then func(error)) *fanJoin {
+	j := &fanJoin{then: then}
+	if then == nil {
+		j.wg.Add(1)
+	}
+	j.left.Store(1)
+	return j
+}
+
+// finish releases the issuer's count with err. With a nil then it waits
+// for every completion and returns the first error; otherwise it returns
+// nil at once.
+func (j *fanJoin) finish(err error) error {
+	j.done(err)
+	if j.then != nil {
+		return nil
+	}
+	j.wg.Wait()
+	return j.firstErr()
 }
 
 // done records one completion; it never blocks, so it is safe as an

@@ -464,7 +464,7 @@ func BenchmarkBearerSetupConn(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StopTimer()
-			if err := rec.HandledBy.TeardownPath(rec.PathID); err != nil {
+			if err := rec.HandledBy.TeardownPath(rec.PathID, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

@@ -69,7 +69,7 @@ func BenchmarkBearerSetup(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		_ = rec.HandledBy.TeardownPath(rec.PathID)
+		_ = rec.HandledBy.TeardownPath(rec.PathID, nil)
 		b.StartTimer()
 	}
 }

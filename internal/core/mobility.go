@@ -191,7 +191,7 @@ func (c *Controller) handleBearerRequestLocked(req *BearerRequest, handover bool
 // best-effort cleanup.
 func (c *Controller) replaceBearer(req *BearerRequest, group dataplane.DeviceID, old *UERecord, wasLive bool, id PathID, owner PathOwner, handover bool) UERecord {
 	if wasLive {
-		_ = old.HandledBy.TeardownPath(old.PathID) //softmow:allow errdiscard best-effort release of the replaced bearer path; teardown is idempotent
+		_ = old.HandledBy.TeardownPath(old.PathID, nil) //softmow:allow errdiscard best-effort release of the replaced bearer path; teardown is idempotent
 	}
 	rec := &UERecord{
 		UE: req.UE, BS: req.BS, Group: group, Prefix: req.Prefix, QoS: req.QoS,
@@ -234,7 +234,7 @@ func (c *Controller) deactivateBearerLocked(ue string) error {
 	if !ok {
 		return fmt.Errorf("core: unknown UE %s", ue)
 	}
-	return rec.HandledBy.TeardownPath(rec.PathID)
+	return rec.HandledBy.TeardownPath(rec.PathID, nil)
 }
 
 // Detach removes a UE from the network entirely: its bearer path (if
@@ -250,7 +250,7 @@ func (c *Controller) Detach(ue string) error {
 	}
 	var err error
 	if rec.Active {
-		err = rec.HandledBy.TeardownPath(rec.PathID)
+		err = rec.HandledBy.TeardownPath(rec.PathID, nil)
 	}
 	c.ue.remove(ue)
 	return err
@@ -308,19 +308,28 @@ func (c *Controller) handoverLocked(ue string, dstGBS, dstBS dataplane.DeviceID)
 		UE: ue, SrcGBS: srcGBS, SrcBS: rec.BS, DstGBS: dstGBS, DstBS: dstBS,
 		Prefix: rec.Prefix, QoS: rec.QoS,
 	}
-	newPath, handledBy, err := pl.InterRegionHandover(req)
+	newPath, transfer, handledBy, err := pl.InterRegionHandover(req)
 	if err != nil {
 		return err
 	}
-	// Release the old path and update the UE record (§5.2: "Once the
-	// handover finishes, the root asks G-BS1 to release the resources. It
-	// then removes old paths").
+	// The UE has switched: release the old path and the transfer path
+	// together, then update the UE record (§5.2: "Once the handover
+	// finishes, the root asks G-BS1 to release the resources. It then
+	// removes old paths"). The two releases overlap and are joined once,
+	// so the cleanup costs one fence phase. The new path is installed and
+	// the handover has succeeded; failing it now over a cleanup error
+	// would strand the UE worse than a leaked (idempotent, re-removable)
+	// rule does.
+	j := newFanJoin(nil)
 	if rec.Active {
-		// The new path is installed and the handover has succeeded; failing
-		// it now over an old-path cleanup error would strand the UE worse
-		// than a leaked (idempotent, re-removable) rule does.
-		_ = rec.HandledBy.TeardownPath(rec.PathID) //softmow:allow errdiscard §5.2 old-path release is best-effort after a committed handover
+		j.left.Add(1)
+		_ = rec.HandledBy.TeardownPath(rec.PathID, j.done) //softmow:allow errdiscard with a callback the outcome reaches the join
 	}
+	if transfer != 0 {
+		j.left.Add(1)
+		_ = handledBy.TeardownPath(transfer, j.done) //softmow:allow errdiscard with a callback the outcome reaches the join
+	}
+	_ = j.finish(nil) //softmow:allow errdiscard §5.2 old-path and transfer-path releases are best-effort after a committed handover
 	c.ue.update(ue, func(r *UERecord) {
 		r.BS = dstBS
 		r.Group = "" // now controlled by the target leaf
@@ -354,15 +363,18 @@ func (c *Controller) gbsOfGroup(group dataplane.DeviceID) (dataplane.DeviceID, b
 }
 
 // handleInterRegionHandover runs the §5.2 ancestor procedure: if this
-// controller sees both G-BSes it implements the new path (and a transfer
-// path for in-flight packets); otherwise it delegates upward.
-func (c *Controller) handleInterRegionHandover(req HandoverRequest) (PathID, PathOwner, error) {
+// controller sees both G-BSes it implements the new path and a transfer
+// path for in-flight packets, records both and answers with both IDs
+// (the transfer ID is 0 when there is none); otherwise it delegates
+// upward. It releases nothing on success: the source leaf releases the
+// transfer path together with the old path once the UE has switched.
+func (c *Controller) handleInterRegionHandover(req HandoverRequest) (PathID, PathID, PathOwner, error) {
 	srcPort, srcOK := c.findGBSPort(req.SrcGBS)
 	dstPort, dstOK := c.findGBSPort(req.DstGBS)
 	if !srcOK || !dstOK {
 		pl := c.ParentLinkRef()
 		if pl == nil {
-			return 0, nil, fmt.Errorf("core: no common ancestor for %s -> %s", req.SrcGBS, req.DstGBS)
+			return 0, 0, nil, fmt.Errorf("core: no common ancestor for %s -> %s", req.SrcGBS, req.DstGBS)
 		}
 		c.mu.Lock()
 		c.stats.DelegatedRequests++
@@ -378,13 +390,13 @@ func (c *Controller) handleInterRegionHandover(req HandoverRequest) (PathID, Pat
 	// together and joined once: the two installs cost one fence, not two.
 	res, err := c.Route(RouteRequest{From: dstPort, Prefix: req.Prefix, Objective: req.Objective})
 	if err != nil {
-		return 0, nil, fmt.Errorf("core: handover path for %s: %w", req.UE, err)
+		return 0, 0, nil, fmt.Errorf("core: handover path for %s: %w", req.UE, err)
 	}
 	start := time.Now() //softmow:allow determinism wall clock feeds the setup-latency histogram only, never control decisions
 	match := dataplane.Match{InPort: dataplane.PortAny, UE: req.UE, DstPrefix: string(req.Prefix), QoS: req.QoS}
 	rec, b, err := c.preparePath(match, res.Path, 0)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, nil, err
 	}
 	// The transfer path is best-effort: a missing path (e.g. detached
 	// regions) or a failed install does not fail the handover.
@@ -398,7 +410,7 @@ func (c *Controller) handleInterRegionHandover(req HandoverRequest) (PathID, Pat
 	newc := make(chan error, 1)
 	devs, err := c.issueBatch(b, rec.Owner, rec.Version, func(err error) { newc <- err })
 	if err != nil {
-		return 0, nil, err // nothing was issued
+		return 0, 0, nil, err // nothing was issued
 	}
 	var xdevs []Device
 	var xferc chan error
@@ -417,21 +429,20 @@ func (c *Controller) handleInterRegionHandover(req HandoverRequest) (PathID, Pat
 	}
 	if newErr != nil {
 		c.scrubVersion(devs, rec.Owner, rec.Version)
-		return 0, nil, newErr
+		return 0, 0, nil, newErr
 	}
 	c.recordPath(rec)
 	setupLatency.Observe(time.Since(start))
+	var transfer PathID
 	if xdevs != nil {
-		// In-flight transfer paths are short-lived; tear down immediately
-		// after the switchover in this synchronous model.
 		c.recordPath(xrec)
-		_ = c.TeardownPath(xrec.ID) //softmow:allow errdiscard transfer path just recorded above, teardown cannot hit unknown-path
+		transfer = xrec.ID
 	}
 
 	c.mu.Lock()
 	c.stats.InterRegionHandovers++
 	c.mu.Unlock()
-	return rec.ID, c, nil
+	return rec.ID, transfer, c, nil
 }
 
 // findGBSPort locates the port (on a child G-switch in this controller's

@@ -16,8 +16,9 @@ import (
 type PathOwner interface {
 	// OwnerID is the owning controller's ID.
 	OwnerID() string
-	// TeardownPath releases the owned path.
-	TeardownPath(id PathID) error
+	// TeardownPath releases the owned path. With then nil it waits;
+	// otherwise it returns nil at once and then receives the outcome.
+	TeardownPath(id PathID, then func(error)) error
 	// Path returns the owner's path record, when reachable. Remote proxies
 	// report not-found: path-table introspection (chaos invariants) runs
 	// in-process only.
@@ -47,10 +48,15 @@ type ParentLink interface {
 	// path for a request already translated into parent coordinates.
 	DelegateBearer(req RouteRequest, match dataplane.Match, demand float64) (PathID, PathOwner, error)
 	// InterRegionHandover ascends a §5.2 handover to the lowest ancestor
-	// seeing both G-BSes.
-	InterRegionHandover(req HandoverRequest) (PathID, PathOwner, error)
-	// TeardownOwned releases a path owned by the named ancestor.
-	TeardownOwned(owner string, id PathID) error
+	// seeing both G-BSes. It answers with the new path and the transfer
+	// path (0 when there is none), both owned by owner and both still
+	// installed: the source leaf releases the transfer path with the old
+	// one, once the UE has switched.
+	InterRegionHandover(req HandoverRequest) (path, transfer PathID, owner PathOwner, err error)
+	// TeardownOwned releases a path owned by the named ancestor. With then
+	// nil it waits; otherwise it returns nil at once and then receives
+	// the outcome.
+	TeardownOwned(owner string, id PathID, then func(error)) error
 	// PushInterdomain delivers translated interdomain route options; the
 	// parent appends them and continues propagation upward.
 	PushInterdomain(routes []TranslatedRoute) error
@@ -99,13 +105,13 @@ func (lp localParent) DelegateBearer(req RouteRequest, match dataplane.Match, de
 }
 
 // InterRegionHandover implements ParentLink.
-func (lp localParent) InterRegionHandover(req HandoverRequest) (PathID, PathOwner, error) {
+func (lp localParent) InterRegionHandover(req HandoverRequest) (PathID, PathID, PathOwner, error) {
 	return lp.parent.HandleInterRegionHandoverRequest(req)
 }
 
 // TeardownOwned implements ParentLink.
-func (lp localParent) TeardownOwned(owner string, id PathID) error {
-	return lp.parent.TeardownOwnedPath(owner, id)
+func (lp localParent) TeardownOwned(owner string, id PathID, then func(error)) error {
+	return lp.parent.TeardownOwnedPath(owner, id, then)
 }
 
 // PushInterdomain implements ParentLink.
@@ -165,24 +171,26 @@ func (c *Controller) delegateBearerUp(req RouteRequest, match dataplane.Match, d
 }
 
 // HandleInterRegionHandoverRequest runs the §5.2 ancestor procedure for a
-// handover ascending from a child: implement the new path when both
-// G-BSes are visible here, else keep delegating upward.
-func (c *Controller) HandleInterRegionHandoverRequest(req HandoverRequest) (PathID, PathOwner, error) {
+// handover ascending from a child: implement the new path and the
+// transfer path when both G-BSes are visible here, else keep delegating
+// upward.
+func (c *Controller) HandleInterRegionHandoverRequest(req HandoverRequest) (path, transfer PathID, owner PathOwner, err error) {
 	return c.handleInterRegionHandover(req)
 }
 
 // TeardownOwnedPath releases a path on behalf of a descendant: locally
 // when this controller owns it, otherwise forwarded up the tree toward
-// the named owner.
-func (c *Controller) TeardownOwnedPath(owner string, id PathID) error {
+// the named owner. With then nil it waits; otherwise it returns nil at
+// once and then receives the outcome.
+func (c *Controller) TeardownOwnedPath(owner string, id PathID, then func(error)) error {
 	if owner == c.ID {
-		return c.TeardownPath(id)
+		return c.TeardownPath(id, then)
 	}
 	pl := c.ParentLinkRef()
 	if pl == nil {
-		return fmt.Errorf("core: %s: no route to path owner %s", c.ID, owner)
+		return settle(fmt.Errorf("core: %s: no route to path owner %s", c.ID, owner), then)
 	}
-	return pl.TeardownOwned(owner, id)
+	return pl.TeardownOwned(owner, id, then)
 }
 
 // AcceptTranslatedRoutes appends interdomain route options pushed up by a

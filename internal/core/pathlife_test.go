@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -229,7 +230,7 @@ func TestTeardownReleasedPathIsNoop(t *testing.T) {
 	f := buildLifeFixture(t, true)
 	rec := f.attach(t, BearerRequest{UE: "u1", BS: "b1", Prefix: "pfx"})
 	base := connFlowMods.Value()
-	if err := f.leaf.TeardownPath(rec.PathID); err != nil {
+	if err := f.leaf.TeardownPath(rec.PathID, nil); err != nil {
 		t.Fatal(err)
 	}
 	first := connFlowMods.Value()
@@ -239,14 +240,14 @@ func TestTeardownReleasedPathIsNoop(t *testing.T) {
 	if n := f.totalRules(); n != 0 {
 		t.Fatalf("%d rules survive the release", n)
 	}
-	if err := f.leaf.TeardownPath(rec.PathID); err != nil {
+	if err := f.leaf.TeardownPath(rec.PathID, nil); err != nil {
 		t.Fatalf("repeat release of an issued id: %v", err)
 	}
 	if got := connFlowMods.Value(); got != first {
 		t.Fatalf("repeat release sent %d FlowMods, want none", got-first)
 	}
 	for _, id := range []PathID{rec.PathID + 1, 0, -1} {
-		if err := f.leaf.TeardownPath(id); err == nil {
+		if err := f.leaf.TeardownPath(id, nil); err == nil {
 			t.Fatalf("release of never-issued id %d must fail", id)
 		}
 	}
@@ -485,5 +486,161 @@ func TestConcurrentHandoversVsLinkFailure(t *testing.T) {
 	}
 	if f.leaf.PathTableSize() != 0 || f.totalRules() != 0 {
 		t.Fatalf("after detach: %d records, %d rules", f.leaf.PathTableSize(), f.totalRules())
+	}
+}
+
+// hopLink wraps a controller's ParentLink the way the wire does: the owner
+// of every answered path becomes a proxy that releases it through the
+// child's TeardownOwnedPath, one TeardownOwned hop per level. It logs the
+// transfer paths answered to the child and every hop.
+type hopLink struct {
+	ParentLink
+	child *Controller
+	log   *hopLog
+}
+
+type hopLog struct {
+	mu sync.Mutex
+	// transfers lists the transfer IDs answered to each controller;
+	// hops lists the controller of each TeardownOwned, in call order.
+	// Both guarded by mu.
+	transfers map[string][]PathID
+	hops      []string
+}
+
+func (l hopLink) DelegateBearer(req RouteRequest, match dataplane.Match, demand float64) (PathID, PathOwner, error) {
+	id, owner, err := l.ParentLink.DelegateBearer(req, match, demand)
+	if err != nil {
+		return 0, nil, err
+	}
+	return id, proxyOwner{id: owner.OwnerID(), child: l.child}, nil
+}
+
+func (l hopLink) InterRegionHandover(req HandoverRequest) (PathID, PathID, PathOwner, error) {
+	path, transfer, owner, err := l.ParentLink.InterRegionHandover(req)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	l.log.mu.Lock()
+	l.log.transfers[l.child.ID] = append(l.log.transfers[l.child.ID], transfer)
+	l.log.mu.Unlock()
+	return path, transfer, proxyOwner{id: owner.OwnerID(), child: l.child}, nil
+}
+
+func (l hopLink) TeardownOwned(owner string, id PathID, then func(error)) error {
+	l.log.mu.Lock()
+	l.log.hops = append(l.log.hops, l.child.ID)
+	l.log.mu.Unlock()
+	return l.ParentLink.TeardownOwned(owner, id, then)
+}
+
+// proxyOwner is a PathOwner known only by ID, as a wire child knows an
+// ancestor: releases climb from child.
+type proxyOwner struct {
+	id    string
+	child *Controller
+}
+
+func (o proxyOwner) OwnerID() string { return o.id }
+
+func (o proxyOwner) TeardownPath(id PathID, then func(error)) error {
+	return o.child.TeardownOwnedPath(o.id, id, then)
+}
+
+func (o proxyOwner) Path(PathID) (PathRecord, bool) { return PathRecord{}, false }
+
+// At depth 3 the two G-BSes meet only at the root. The transfer path's ID
+// crosses the middle controller unchanged, each release climbs two
+// TeardownOwned hops (leaf, then middle) to the root, and after every
+// handover the root holds the moved bearers' new paths and nothing else.
+func TestThreeLevelInterRegionHandoverReleasesAtRoot(t *testing.T) {
+	net := dataplane.NewNetwork()
+	for _, id := range []dataplane.DeviceID{"S1", "S2", "S3", "S4"} {
+		net.AddSwitch(id)
+	}
+	for _, pair := range [][2]dataplane.DeviceID{{"S1", "S2"}, {"S2", "S3"}, {"S3", "S4"}} {
+		if _, err := net.Connect(pair[0], pair[1], 5*timeMs, 1000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rpA, _ := net.AddRadioPort("S1", "gA")
+	rpB, _ := net.AddRadioPort("S3", "gB")
+	ep, _ := net.AddEgress("E1", "S4", "isp")
+	h, err := NewThreeLevel(net, "root", map[string][]LeafSpec{
+		"P1": {
+			{ID: "L1", Switches: []dataplane.DeviceID{"S1"},
+				Radios: []reca.RadioAttachment{
+					{ID: "gA", Attach: dataplane.PortRef{Dev: "S1", Port: rpA.ID},
+						Border: true, Constituents: []dataplane.DeviceID{"gA"}},
+				},
+				BSGroup: map[dataplane.DeviceID]dataplane.DeviceID{"b1": "gA"}},
+			{ID: "L2", Switches: []dataplane.DeviceID{"S2"}},
+		},
+		"P2": {
+			{ID: "L3", Switches: []dataplane.DeviceID{"S3", "S4"},
+				Radios: []reca.RadioAttachment{
+					{ID: "gB", Attach: dataplane.PortRef{Dev: "S3", Port: rpB.ID},
+						Border: true, Constituents: []dataplane.DeviceID{"gB"}},
+				},
+				BSGroup: map[dataplane.DeviceID]dataplane.DeviceID{"b3": "gB"}},
+		},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1, p1, l3, root := h.Controller("L1"), h.Controller("P1"), h.Controller("L3"), h.Root
+	l3.AddInterdomainRoutes([]interdomain.Route{
+		{Prefix: "pfx", Egress: "E1", EgressSwitch: "S4",
+			Metrics: interdomain.Metrics{Hops: 5, RTT: 10 * timeMs}},
+	}, dataplane.PortRef{Dev: "S4", Port: ep.Port})
+	l3.PropagateInterdomain()
+	log := &hopLog{transfers: make(map[string][]PathID)}
+	for _, c := range []*Controller{l1, p1} {
+		c.SetParentLink(hopLink{ParentLink: c.ParentLinkRef(), child: c, log: log})
+	}
+
+	live := make(map[PathID]bool)
+	for i := 0; i < 4; i++ {
+		ue := fmt.Sprintf("u%d", i)
+		if _, err := l1.HandleBearerRequest(BearerRequest{UE: ue, BS: "b1", Prefix: "pfx"}); err != nil {
+			t.Fatal(err)
+		}
+		log.mu.Lock()
+		log.hops = nil
+		log.mu.Unlock()
+		if err := l1.Handover(ue, "gB", "b3"); err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckNoOrphanRules(net, h.All); err != nil {
+			t.Fatalf("after handover %d: %v", i, err)
+		}
+		log.mu.Lock()
+		leafX, midX, hops := log.transfers["L1"], log.transfers["P1"], log.hops
+		log.mu.Unlock()
+		if len(leafX) != i+1 || len(midX) != i+1 || leafX[i] == 0 || leafX[i] != midX[i] {
+			t.Fatalf("handover %d: transfer IDs answered to P1 %v, to L1 %v; want one non-zero ID, unchanged", i, midX, leafX)
+		}
+		if want := []string{"L1", "P1", "L1", "P1"}; !slices.Equal(hops, want) {
+			t.Fatalf("handover %d: releases climbed through %v, want %v (old and transfer, two hops each)", i, hops, want)
+		}
+		if _, ok := root.Path(leafX[i]); ok {
+			t.Fatalf("handover %d: transfer path %d outlived the handover", i, leafX[i])
+		}
+		row, _ := l1.UE(ue)
+		if row.HandledBy.OwnerID() != root.ID {
+			t.Fatalf("handover %d: new path owned by %s, want the root", i, row.HandledBy.OwnerID())
+		}
+		live[row.PathID] = true
+		for id := range live {
+			if _, ok := root.Path(id); !ok {
+				t.Fatalf("handover %d: new path %d is gone", i, id)
+			}
+		}
+		if n := root.PathTableSize(); n != len(live) {
+			t.Fatalf("handover %d: root holds %d path records, want the %d new paths alone", i, n, len(live))
+		}
+	}
+	if n := l1.PathTableSize() + p1.PathTableSize(); n != 0 {
+		t.Fatalf("leaf and middle hold %d path records", n)
 	}
 }

@@ -204,8 +204,9 @@ func (c *Controller) NumPaths() int {
 // children) and forgets the record (§5.1 deactivatePath). Release is
 // idempotent: tearing down an ID this controller issued and has already
 // released is a no-op that programs nothing; an ID it never issued is an
-// error.
-func (c *Controller) TeardownPath(id PathID) error {
+// error. With then nil it waits; otherwise it returns nil at once and then
+// receives the outcome, from whichever goroutine completed the last delete.
+func (c *Controller) TeardownPath(id PathID, then func(error)) error {
 	c.mu.Lock()
 	rec, ok := c.paths[id]
 	delete(c.paths, id)
@@ -213,9 +214,9 @@ func (c *Controller) TeardownPath(id PathID) error {
 	c.mu.Unlock()
 	if !ok {
 		if issued {
-			return nil
+			return settle(nil, then)
 		}
-		return fmt.Errorf("core: unknown path %d", id)
+		return settle(fmt.Errorf("core: unknown path %d", id), then)
 	}
 	start := time.Now() //softmow:allow determinism wall clock feeds the teardown-latency histogram only, never control decisions
 	// Teardown is best-effort: the record is already gone, removals are
@@ -223,9 +224,18 @@ func (c *Controller) TeardownPath(id PathID) error {
 	// (its rules died with it) or will be scrubbed by a later delete. The
 	// deletes fan out with pipelined fences, so a multi-region path tears
 	// down in one wire round trip.
+	var done func(error)
+	if then != nil {
+		done = func(error) {
+			teardownLatency.Observe(time.Since(start))
+			then(nil)
+		}
+	}
 	//softmow:allow errdiscard best-effort teardown of a released path
-	_ = c.removeOwned(c.attached(rec.Devices), southbound.FlowDeleteOwner, rec.Owner, 0)
-	teardownLatency.Observe(time.Since(start))
+	_ = c.removeOwnedThen(c.attached(rec.Devices), southbound.FlowDeleteOwner, rec.Owner, 0, done)
+	if then == nil {
+		teardownLatency.Observe(time.Since(start))
+	}
 	return nil
 }
 

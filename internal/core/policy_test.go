@@ -109,7 +109,7 @@ func TestRouteWithPolicySingleMiddlebox(t *testing.T) {
 	}
 
 	// teardown removes the steering
-	if err := f.leaf.TeardownPath(id); err != nil {
+	if err := f.leaf.TeardownPath(id, nil); err != nil {
 		t.Fatal(err)
 	}
 	res2, _ := f.net.Inject("S1", f.radio.Port, &dataplane.Packet{UE: "u1", DstPrefix: "pfx"})

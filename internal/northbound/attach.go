@@ -49,20 +49,20 @@ func servePeer(parent *core.Controller, conn southbound.Conn, m southbound.Msg) 
 			MaxTotalHops: b.MaxTotalHops,
 			MaxTotalRTT:  b.MaxTotalRTT,
 		}, b.Match, b.Demand)
-		reply = southbound.Msg{Type: southbound.TypeNbPathReply, Body: pathReplyBody(id, owner, err)}
+		reply = southbound.Msg{Type: southbound.TypeNbPathReply, Body: pathReplyBody(id, 0, owner, err)}
 
 	case southbound.NbHandover:
-		id, owner, err := parent.HandleInterRegionHandoverRequest(core.HandoverRequest{
+		id, transfer, owner, err := parent.HandleInterRegionHandoverRequest(core.HandoverRequest{
 			UE:     b.UE,
 			SrcGBS: b.SrcGBS, SrcBS: b.SrcBS,
 			DstGBS: b.DstGBS, DstBS: b.DstBS,
 			Prefix: interdomain.PrefixID(b.Prefix), QoS: b.QoS,
 			Objective: routing.Objective(b.Objective),
 		})
-		reply = southbound.Msg{Type: southbound.TypeNbPathReply, Body: pathReplyBody(id, owner, err)}
+		reply = southbound.Msg{Type: southbound.TypeNbPathReply, Body: pathReplyBody(id, transfer, owner, err)}
 
 	case southbound.NbTeardown:
-		err := parent.TeardownOwnedPath(b.Owner, core.PathID(b.Path))
+		err := parent.TeardownOwnedPath(b.Owner, core.PathID(b.Path), nil)
 		reply = southbound.Msg{Type: southbound.TypeNbAck, Body: ackBody(err)}
 
 	case southbound.NbInterdomain:
@@ -99,12 +99,13 @@ func servePeer(parent *core.Controller, conn southbound.Conn, m southbound.Msg) 
 
 // pathReplyBody flattens a delegation/handover result for the wire. Only
 // the owner's identity crosses; the requesting child rebinds it to a
-// teardown-forwarding proxy on its side.
-func pathReplyBody(id core.PathID, owner core.PathOwner, err error) southbound.NbPathReply {
+// teardown-forwarding proxy on its side. transfer is a handover's transfer
+// path at the same owner, 0 for a delegation.
+func pathReplyBody(id, transfer core.PathID, owner core.PathOwner, err error) southbound.NbPathReply {
 	if err != nil {
 		return southbound.NbPathReply{Err: err.Error()}
 	}
-	return southbound.NbPathReply{Path: int64(id), Owner: owner.OwnerID()}
+	return southbound.NbPathReply{Path: int64(id), Transfer: int64(transfer), Owner: owner.OwnerID()}
 }
 
 // ackBody flattens an error for the wire.

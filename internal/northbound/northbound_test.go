@@ -284,7 +284,7 @@ func TestDistributedDelegation(t *testing.T) {
 		t.Fatalf("root still holds the path after remote teardown: %+v", pr)
 	}
 	// A repeat release of the forgotten path crosses the wire as a no-op.
-	if err := rec.HandledBy.TeardownPath(rec.PathID); err != nil {
+	if err := rec.HandledBy.TeardownPath(rec.PathID, nil); err != nil {
 		t.Fatalf("repeat remote teardown: %v", err)
 	}
 	if got := dt.totalRules(); got != base {

@@ -25,8 +25,8 @@ import (
 // parent operations overlap their translation round trips while every
 // reply stays a true fence, and a failed translation is left to the
 // parent's rollback, which follows the reply over this conn (DESIGN.md
-// §11). Replies to the child's own northbound requests are routed to their
-// waiters by transaction ID.
+// §11). Replies to the child's own northbound requests complete their
+// requests by transaction ID, on the serve goroutine.
 //
 // ParentConn implements core.ParentLink, so installing it on a controller
 // routes every upward code path (delegation, handover ascent, teardown
@@ -42,9 +42,10 @@ type ParentConn struct {
 	parentID string
 
 	mu sync.Mutex
-	// pending maps outstanding child-request xids to their reply
-	// channels, guarded by mu.
-	pending map[uint32]chan southbound.Msg
+	// pending maps outstanding child-request xids to their completions,
+	// guarded by mu. Whoever removes an entry completes it: the reply,
+	// the timeout or failAll, whichever comes first.
+	pending map[uint32]*call
 	// closed records connection teardown, guarded by mu.
 	closed bool
 	// serveDone is closed when the serve goroutine exits, so Close can
@@ -80,7 +81,7 @@ func Connect(child *core.Controller, conn southbound.Conn) (*ParentConn, error) 
 		conn:           conn,
 		gswitch:        child.GSwitchID(),
 		parentID:       parentID,
-		pending:        make(map[uint32]chan southbound.Msg),
+		pending:        make(map[uint32]*call),
 		serveDone:      make(chan struct{}),
 		RequestTimeout: 30 * time.Second,
 	}
@@ -121,8 +122,8 @@ func (p *ParentConn) sendErr(xid uint32, code int, msg string) {
 // next barrier seals; everything else runs inline on the serve goroutine
 // in arrival order (discovery emissions in particular must stay ordered
 // ahead of the barriers that fence them). Child-originated waits never run
-// here (they block on application goroutines), so inline handling cannot
-// deadlock.
+// here (they block on application goroutines, and a reply's completion
+// must not block), so inline handling cannot deadlock.
 func (p *ParentConn) handle(m southbound.Msg) {
 	switch m.Type {
 	case southbound.TypeEchoRequest:
@@ -180,14 +181,8 @@ func (p *ParentConn) handle(m southbound.Msg) {
 		p.send(southbound.Msg{Type: southbound.TypeNbAck, Xid: m.Xid, Body: southbound.NbAck{}})
 
 	case southbound.TypeEchoReply, southbound.TypeNbPathReply, southbound.TypeNbAck:
-		p.mu.Lock()
-		ch, ok := p.pending[m.Xid]
-		if ok {
-			delete(p.pending, m.Xid)
-		}
-		p.mu.Unlock()
-		if ok {
-			ch <- m
+		if c := p.take(m.Xid); c != nil {
+			c.then(p.outcome(m))
 		}
 	}
 }
@@ -318,45 +313,81 @@ func (p *ParentConn) adoptRows(rows []southbound.NbUERow) []core.UERecord {
 	return out
 }
 
-// request performs one synchronous northbound round trip.
-func (p *ParentConn) request(m southbound.Msg) (southbound.Msg, error) {
+// call is one outstanding child request: its completion and the timer
+// that bounds it.
+type call struct {
+	then  func(southbound.Msg, error)
+	timer *time.Timer
+}
+
+// requestThen sends one northbound request and completes it through then,
+// exactly once: with the reply, on the serve goroutine; with a timeout
+// error after RequestTimeout, on the timer's; or with ErrClosed or the
+// send error. A reply that arrives after the timeout is dropped. then must
+// not block.
+func (p *ParentConn) requestThen(m southbound.Msg, then func(southbound.Msg, error)) {
 	x := p.xid.Add(1)
 	m.Xid = x
 	m.Datapath = p.gswitch
-	ch := make(chan southbound.Msg, 1)
+	c := &call{then: then}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return southbound.Msg{}, southbound.ErrClosed
+		then(southbound.Msg{}, southbound.ErrClosed)
+		return
 	}
-	p.pending[x] = ch
+	p.pending[x] = c
+	typ, timeout := m.Type, p.RequestTimeout
+	c.timer = time.AfterFunc(timeout, func() {
+		if p.take(x) != nil {
+			then(southbound.Msg{}, fmt.Errorf("northbound: %s request to %s timed out after %v", typ, p.parentID, timeout))
+		}
+	})
 	p.mu.Unlock()
 	if err := p.conn.Send(m); err != nil {
-		p.mu.Lock()
-		delete(p.pending, x)
-		p.mu.Unlock()
-		return southbound.Msg{}, err
-	}
-	t := time.NewTimer(p.RequestTimeout)
-	defer t.Stop()
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			return southbound.Msg{}, southbound.ErrClosed
+		if p.take(x) != nil {
+			then(southbound.Msg{}, err)
 		}
-		if e, isErr := reply.Body.(southbound.Error); isErr {
-			return southbound.Msg{}, fmt.Errorf("northbound: %s: %s", p.parentID, e.Message)
-		}
-		return reply, nil
-	case <-t.C:
-		p.mu.Lock()
-		delete(p.pending, x)
-		p.mu.Unlock()
-		return southbound.Msg{}, fmt.Errorf("northbound: %s request to %s timed out after %v", m.Type, p.parentID, p.RequestTimeout)
 	}
 }
 
-// failAll marks the conn closed and wakes every waiter with ErrClosed.
+// request performs one northbound round trip and waits for it: the
+// blocking face of requestThen.
+func (p *ParentConn) request(m southbound.Msg) (southbound.Msg, error) {
+	type result struct {
+		m   southbound.Msg
+		err error
+	}
+	ch := make(chan result, 1)
+	p.requestThen(m, func(reply southbound.Msg, err error) { ch <- result{reply, err} })
+	r := <-ch
+	return r.m, r.err
+}
+
+// take removes an outstanding request and stops its timer, handing the
+// caller the right to complete it; nil when another path already did.
+func (p *ParentConn) take(x uint32) *call {
+	p.mu.Lock()
+	c := p.pending[x]
+	delete(p.pending, x)
+	p.mu.Unlock()
+	if c != nil {
+		c.timer.Stop()
+	}
+	return c
+}
+
+// outcome is how a reply completes its request: an Error reply becomes
+// the request's error, anything else is the reply itself.
+func (p *ParentConn) outcome(m southbound.Msg) (southbound.Msg, error) {
+	if e, isErr := m.Body.(southbound.Error); isErr {
+		return southbound.Msg{}, fmt.Errorf("northbound: %s: %s", p.parentID, e.Message)
+	}
+	return m, nil
+}
+
+// failAll marks the conn closed and completes every outstanding request
+// once with ErrClosed, in xid order.
 func (p *ParentConn) failAll() {
 	p.mu.Lock()
 	if p.closed {
@@ -365,12 +396,16 @@ func (p *ParentConn) failAll() {
 	}
 	p.closed = true
 	pend := p.pending
-	p.pending = make(map[uint32]chan southbound.Msg)
+	p.pending = make(map[uint32]*call)
 	p.mu.Unlock()
-	// Every waiter gets the same closed-channel signal, so completion
-	// order across the map iteration is unobservable.
-	for _, ch := range pend {
-		close(ch)
+	xids := make([]uint32, 0, len(pend))
+	for x, c := range pend {
+		c.timer.Stop()
+		xids = append(xids, x)
+	}
+	slices.Sort(xids)
+	for _, x := range xids {
+		pend[x].then(southbound.Msg{}, southbound.ErrClosed)
 	}
 }
 
@@ -411,7 +446,7 @@ func (p *ParentConn) ControllerID() string { return p.parentID }
 // carrying the leftover constraint budget, rides one NbBearer frame and
 // blocks until the parent's NbPathReply.
 func (p *ParentConn) DelegateBearer(req core.RouteRequest, match dataplane.Match, demand float64) (core.PathID, core.PathOwner, error) {
-	reply, err := p.request(southbound.Msg{Type: southbound.TypeNbBearer, Body: southbound.NbBearer{
+	r, owner, err := p.pathReply(p.request(southbound.Msg{Type: southbound.TypeNbBearer, Body: southbound.NbBearer{
 		From:         req.From.Port,
 		Prefix:       string(req.Prefix),
 		Objective:    int(req.Objective),
@@ -422,28 +457,35 @@ func (p *ParentConn) DelegateBearer(req core.RouteRequest, match dataplane.Match
 		MaxTotalRTT:  req.MaxTotalRTT,
 		Match:        match,
 		Demand:       demand,
-	}})
-	return p.pathReply(reply, err)
+	}}))
+	return core.PathID(r.Path), owner, err
 }
 
 // InterRegionHandover implements core.ParentLink: the §5.2 ascent toward
-// the lowest common ancestor of the source and destination G-BSes.
-func (p *ParentConn) InterRegionHandover(req core.HandoverRequest) (core.PathID, core.PathOwner, error) {
-	reply, err := p.request(southbound.Msg{Type: southbound.TypeNbHandover, Body: southbound.NbHandover{
+// the lowest common ancestor of the source and destination G-BSes. The
+// reply carries the transfer path beside the new one.
+func (p *ParentConn) InterRegionHandover(req core.HandoverRequest) (core.PathID, core.PathID, core.PathOwner, error) {
+	r, owner, err := p.pathReply(p.request(southbound.Msg{Type: southbound.TypeNbHandover, Body: southbound.NbHandover{
 		UE:     req.UE,
 		SrcGBS: req.SrcGBS, SrcBS: req.SrcBS,
 		DstGBS: req.DstGBS, DstBS: req.DstBS,
 		Prefix: string(req.Prefix), QoS: req.QoS, Objective: int(req.Objective),
-	}})
-	return p.pathReply(reply, err)
+	}}))
+	return core.PathID(r.Path), core.PathID(r.Transfer), owner, err
 }
 
 // TeardownOwned implements core.ParentLink: a teardown for a path owned at
 // or above the parent is forwarded up the tree until it reaches its owner.
-func (p *ParentConn) TeardownOwned(owner string, id core.PathID) error {
-	reply, err := p.request(southbound.Msg{Type: southbound.TypeNbTeardown,
-		Body: southbound.NbTeardown{Owner: owner, Path: int64(id)}})
-	return ackErr(reply, err)
+// With then nil it waits; otherwise it returns nil at once and the reply,
+// timeout or conn teardown completes then.
+func (p *ParentConn) TeardownOwned(owner string, id core.PathID, then func(error)) error {
+	m := southbound.Msg{Type: southbound.TypeNbTeardown,
+		Body: southbound.NbTeardown{Owner: owner, Path: int64(id)}}
+	if then == nil {
+		return ackErr(p.request(m))
+	}
+	p.requestThen(m, func(reply southbound.Msg, err error) { then(ackErr(reply, err)) })
+	return nil
 }
 
 // PushInterdomain implements core.ParentLink. The child's translated
@@ -490,21 +532,21 @@ func (p *ParentConn) FabricUpdated(fab *dataplane.VFabric) error {
 	return ackErr(reply, err)
 }
 
-// pathReply decodes a delegation/handover response into the ParentLink
-// return shape.
-func (p *ParentConn) pathReply(m southbound.Msg, err error) (core.PathID, core.PathOwner, error) {
+// pathReply decodes a delegation/handover response: the reply body, with
+// its owner rebound to a teardown-forwarding proxy. On error the body is
+// zero.
+func (p *ParentConn) pathReply(m southbound.Msg, err error) (southbound.NbPathReply, core.PathOwner, error) {
 	if err != nil {
-		return 0, nil, err
+		return southbound.NbPathReply{}, nil, err
 	}
 	r, ok := m.Body.(southbound.NbPathReply)
 	if !ok {
-		return 0, nil, fmt.Errorf("northbound: malformed path reply body %T", m.Body)
+		return southbound.NbPathReply{}, nil, fmt.Errorf("northbound: malformed path reply body %T", m.Body)
 	}
 	if r.Err != "" {
-		return 0, nil, remoteErr(r.Err)
+		return southbound.NbPathReply{}, nil, remoteErr(r.Err)
 	}
-	var owner core.PathOwner = remoteOwner{id: r.Owner, child: p.child}
-	return core.PathID(r.Path), owner, nil
+	return r, remoteOwner{id: r.Owner, child: p.child}, nil
 }
 
 // ackErr decodes an NbAck response.
@@ -545,8 +587,8 @@ type remoteOwner struct {
 func (o remoteOwner) OwnerID() string { return o.id }
 
 // TeardownPath implements core.PathOwner by forwarding toward the owner.
-func (o remoteOwner) TeardownPath(id core.PathID) error {
-	return o.child.TeardownOwnedPath(o.id, id)
+func (o remoteOwner) TeardownPath(id core.PathID, then func(error)) error {
+	return o.child.TeardownOwnedPath(o.id, id, then)
 }
 
 // Path implements core.PathOwner; remote path tables are not

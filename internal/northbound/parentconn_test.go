@@ -1,11 +1,13 @@
 package northbound_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -472,5 +474,88 @@ func TestParentConnTreeLeavesNoOrphanRules(t *testing.T) {
 	}
 	if n := dt.totalRules(); n != 0 {
 		t.Fatalf("%d rules left with every UE detached", n)
+	}
+}
+
+// A child request completes exactly once. When the parent does not answer
+// within RequestTimeout the timer completes it with the timeout, and the
+// reply that arrives later is dropped. (The fixture is leak-checked: the
+// stopped and fired timers leave no goroutine behind.)
+func TestParentConnRequestTimeoutCompletesOnce(t *testing.T) {
+	rp := newRawParent(t)
+	link := rp.l1.ParentLinkRef().(*northbound.ParentConn)
+	link.RequestTimeout = 50 * time.Millisecond
+	var calls atomic.Int32
+	errs := make(chan error, 2)
+	if err := link.TeardownOwned("root", 7, func(err error) {
+		calls.Add(1)
+		errs <- err
+	}); err != nil {
+		t.Fatalf("TeardownOwned with a callback returned %v", err)
+	}
+	req := rp.next(t)
+	if b, ok := req.Body.(southbound.NbTeardown); req.Type != southbound.TypeNbTeardown || !ok || b.Path != 7 {
+		t.Fatalf("child sent %v %+v, want the teardown of path 7", req.Type, req.Body)
+	}
+	select {
+	case err := <-errs:
+		if err == nil || !strings.Contains(err.Error(), "timed out") {
+			t.Fatalf("unanswered request completed with %v, want a timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("unanswered request still pending 5s after a 50ms timeout")
+	}
+	if err := rp.wire.Send(southbound.Msg{Type: southbound.TypeNbAck, Xid: req.Xid, Body: southbound.NbAck{}}); err != nil {
+		t.Fatal(err)
+	}
+	rp.sync(t) // the serve loop has handled the late reply
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("request completed %d times, want once", n)
+	}
+	if err := link.Drain(time.Second); err != nil {
+		t.Fatalf("timed-out request still counted in flight: %v", err)
+	}
+}
+
+// Close completes every pending request once with ErrClosed, and a request
+// made after Close completes at once the same way.
+func TestParentConnCloseCompletesPending(t *testing.T) {
+	rp := newRawParent(t)
+	link := rp.l1.ParentLinkRef().(*northbound.ParentConn)
+	link.RequestTimeout = 50 * time.Millisecond
+	const n = 3
+	var calls [n + 1]atomic.Int32
+	errs := make(chan error, n+1)
+	teardown := func(i int) {
+		if err := link.TeardownOwned("root", core.PathID(i+1), func(err error) {
+			calls[i].Add(1)
+			errs <- err
+		}); err != nil {
+			t.Fatalf("TeardownOwned with a callback returned %v", err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		teardown(i)
+		rp.next(t) // the request is on the wire and pending
+	}
+	if err := link.Close(); err != nil {
+		t.Fatal(err)
+	}
+	teardown(n)
+	for i := 0; i <= n; i++ {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, southbound.ErrClosed) {
+				t.Fatalf("pending request completed with %v, want ErrClosed", err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%d of %d requests still pending after Close", n+1-i, n+1)
+		}
+	}
+	time.Sleep(100 * time.Millisecond) // past RequestTimeout: a live timer would complete again
+	for i := range calls {
+		if c := calls[i].Load(); c != 1 {
+			t.Fatalf("request %d completed %d times, want once", i, c)
+		}
 	}
 }

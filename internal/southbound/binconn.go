@@ -80,7 +80,10 @@ const fragChunkSize = MaxFrameSize - 64
 // the timeout instead of blocking it (and every queued sender behind wM)
 // forever. Close from another goroutine also unblocks an in-flight write.
 // A logical frame whose payload exceeds MaxFrameSize is transparently
-// split into a contiguous run of TypeFrag frames.
+// split into a contiguous run of TypeFrag frames. A write that fails after
+// part of a frame reached the socket closes the conn: the next frame would
+// start mid-stream, and the peer could decode the torn bytes as a frame.
+// Every later Send returns ErrClosed.
 func (c *BinConn) Send(m Msg) error {
 	bufp := framePool.Get().(*[]byte)
 	buf, err := AppendFrame((*bufp)[:0], &m)
@@ -97,6 +100,11 @@ func (c *BinConn) Send(m Msg) error {
 	}
 
 	c.wM.Lock()
+	if c.closed.Load() {
+		c.wM.Unlock()
+		framePool.Put(bufp)
+		return ErrClosed
+	}
 	if wt := time.Duration(c.writeTimeout.Load()); wt > 0 {
 		deadline := time.Now().Add(wt) //softmow:allow determinism write-deadline arming only, never feeds replayable state
 		if err := c.nc.SetWriteDeadline(deadline); err != nil {
@@ -105,13 +113,13 @@ func (c *BinConn) Send(m Msg) error {
 			return c.sendErr(err)
 		}
 	}
-	_, werr := c.nc.Write(buf)
+	n, werr := c.nc.Write(buf)
+	if werr != nil {
+		werr = c.writeFailed(werr, n > 0)
+	}
 	c.wM.Unlock()
 	framePool.Put(bufp)
-	if werr != nil {
-		return c.sendErr(werr)
-	}
-	return nil
+	return werr
 }
 
 // sendFragmented writes one oversized logical payload as a run of
@@ -123,6 +131,9 @@ func (c *BinConn) sendFragmented(payload []byte) error {
 	defer framePool.Put(fbufp)
 	c.wM.Lock()
 	defer c.wM.Unlock()
+	if c.closed.Load() {
+		return ErrClosed
+	}
 	for off := 0; off < len(payload); {
 		n := len(payload) - off
 		if n > fragChunkSize {
@@ -141,14 +152,26 @@ func (c *BinConn) sendFragmented(payload []byte) error {
 		if wt := time.Duration(c.writeTimeout.Load()); wt > 0 {
 			deadline := time.Now().Add(wt) //softmow:allow determinism write-deadline arming only, never feeds replayable state
 			if err := c.nc.SetWriteDeadline(deadline); err != nil {
-				return c.sendErr(err)
+				return c.writeFailed(err, off > len(chunk))
 			}
 		}
-		if _, err := c.nc.Write(fbuf); err != nil {
-			return c.sendErr(err)
+		if n, err := c.nc.Write(fbuf); err != nil {
+			// Any earlier fragment of the run reached the socket too.
+			return c.writeFailed(err, n > 0 || off > len(chunk))
 		}
 	}
 	return nil
+}
+
+// writeFailed maps a failed socket write to Send's error and, when the
+// write left a torn frame on the stream, closes the conn. It runs under wM,
+// so no other frame can follow the torn one.
+func (c *BinConn) writeFailed(err error, torn bool) error {
+	err = c.sendErr(err)
+	if torn {
+		_ = c.Close() //softmow:allow errdiscard the write error is what the caller acts on
+	}
+	return err
 }
 
 func (c *BinConn) sendErr(err error) error {

@@ -32,8 +32,9 @@ import (
 // WireVersion is the binary framing version byte. Decoders reject frames
 // carrying any other value, giving the format room to evolve. Version 2
 // hand-codes the FeatureReply, PacketIn, PacketOut and NbFabric bodies
-// that version 1 nested as gob blobs.
-const WireVersion = 2
+// that version 1 nested as gob blobs; version 3 adds the transfer path ID
+// to NbPathReply.
+const WireVersion = 3
 
 // Control payload tags: PacketIn.Control and PacketOut.Control are a
 // closed union on the wire. Link-discovery frames are the only payload
@@ -220,6 +221,7 @@ func appendBody(dst []byte, m *Msg) ([]byte, error) {
 			return nil, wireErrorf("nb-path-reply body is %T", m.Body)
 		}
 		dst = binary.BigEndian.AppendUint64(dst, uint64(b.Path))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(b.Transfer))
 		var err error
 		if dst, err = appendString(dst, b.Owner); err != nil {
 			return nil, err
@@ -778,7 +780,7 @@ func decodeBody(fr *frameReader, m *Msg) error {
 		m.Body = b
 
 	case TypeNbPathReply:
-		m.Body = NbPathReply{Path: int64(fr.u64()), Owner: fr.str(), Err: fr.str()}
+		m.Body = NbPathReply{Path: int64(fr.u64()), Transfer: int64(fr.u64()), Owner: fr.str(), Err: fr.str()}
 
 	case TypeNbHandover:
 		m.Body = NbHandover{

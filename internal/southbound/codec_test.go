@@ -1,9 +1,11 @@
 package southbound
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"os"
@@ -117,7 +119,7 @@ func sampleMsgs() []Msg {
 			Match: rule.Match, Demand: 2.5,
 		}},
 		{Type: TypeNbPathReply, Xid: 11, Datapath: "gsw-L0", Body: NbPathReply{
-			Path: 9001, Owner: "root", Err: "",
+			Path: 9001, Transfer: 9002, Owner: "root", Err: "",
 		}},
 		{Type: TypeNbHandover, Xid: 12, Datapath: "gsw-L0", Body: NbHandover{
 			UE: "ue0000001", SrcGBS: "g0", SrcBS: "b0-1",
@@ -250,6 +252,13 @@ func TestFrameRejectsMalformed(t *testing.T) {
 		// A peer still on wire version 1 is refused by version, before any
 		// of its gob blob is looked at.
 		if _, err := DecodeFrame(readSeed(t, "seed-v1-feature-rep-gob")); err == nil || !strings.Contains(err.Error(), "unsupported wire version 1") {
+			t.Fatalf("got %v, want unsupported wire version error", err)
+		}
+	})
+	t.Run("v2 path reply", func(t *testing.T) {
+		// A version-2 NbPathReply has no transfer path ID: a peer still on
+		// it is refused by version, before its body is read.
+		if _, err := DecodeFrame(readSeed(t, "seed-v2-nb-path-rep")); err == nil || !strings.Contains(err.Error(), "unsupported wire version 2") {
 			t.Fatalf("got %v, want unsupported wire version error", err)
 		}
 	})
@@ -549,6 +558,67 @@ func TestBinConnCloseUnblocksSend(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Send still blocked 5s after Close")
+	}
+}
+
+// A write deadline that fires after part of a frame went out closes the
+// conn: the next Send fails with ErrClosed instead of starting a frame
+// mid-stream, and the reader, resuming after the torn bytes, decodes no
+// frame from them.
+func TestBinConnTornWriteCloses(t *testing.T) {
+	leakcheck.Check(t)
+	a, b := net.Pipe()
+	defer b.Close()
+	c := NewBinConn(a)
+	defer c.Close()
+	c.SetWriteTimeout(50 * time.Millisecond)
+
+	// The reader takes the first k bytes of the frame and stops; on the
+	// synchronous pipe the rest of the write waits for a read that never
+	// comes until the deadline fires.
+	const k = 7
+	head := make(chan []byte, 1)
+	resume := make(chan struct{})
+	decoded := make(chan error, 1)
+	go func() {
+		buf := make([]byte, k)
+		if _, err := io.ReadFull(b, buf); err != nil {
+			head <- nil
+			decoded <- err
+			return
+		}
+		head <- buf
+		<-resume
+		peer := &BinConn{nc: b, br: bufio.NewReader(io.MultiReader(bytes.NewReader(buf), b))}
+		m, err := peer.Recv()
+		if err == nil {
+			err = fmt.Errorf("decoded a %s frame from torn bytes", m.Type)
+			decoded <- err
+			return
+		}
+		decoded <- nil
+	}()
+
+	msg := Msg{Type: TypeEchoRequest, Xid: 1, Body: Echo{Payload: strings.Repeat("x", 64)}}
+	err := c.Send(msg)
+	if err == nil || !strings.Contains(err.Error(), "deadline") {
+		t.Fatalf("torn Send returned %v, want a write-deadline error", err)
+	}
+	if got := <-head; len(got) != k {
+		t.Fatalf("reader took %d bytes, want %d", len(got), k)
+	}
+	msg.Xid = 2
+	if err := c.Send(msg); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Send after a torn write returned %v, want ErrClosed", err)
+	}
+	close(resume)
+	select {
+	case err := <-decoded:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("reader still waiting 5s after the torn write: the conn was left open")
 	}
 }
 

@@ -349,6 +349,10 @@ type NbBearer struct {
 type NbPathReply struct {
 	// Path is the path ID at the owning controller.
 	Path int64
+	// Transfer is a handover's transfer path at the same owner, still
+	// installed for in-flight packets; the requester releases it with the
+	// old path. 0 when there is none, and always for a delegation.
+	Transfer int64
 	// Owner is the ID of the controller that resolved and owns the path.
 	Owner string
 	Err   string
