@@ -135,8 +135,8 @@ func TestTestonlyMutation(t *testing.T) {
 			}
 			kept := b.List[:0:0]
 			for _, s := range b.List {
-				// core installs each rule as `if err := install(dev, rule); ...`.
-				if is, ok := s.(*ast.IfStmt); ok && is.Init != nil && calls(is.Init) {
+				// core installs each rule as `install(dev, rule)`.
+				if es, ok := s.(*ast.ExprStmt); ok && calls(es) {
 					removed++
 					continue
 				}

@@ -77,7 +77,7 @@ type FaultyDevice struct {
 func (d *FaultyDevice) ID() dataplane.DeviceID { return d.Inner.ID() }
 
 // Features implements core.Device.
-func (d *FaultyDevice) Features() southbound.FeatureReply { return d.Inner.Features() }
+func (d *FaultyDevice) Features() (southbound.FeatureReply, error) { return d.Inner.Features() }
 
 // InstallRules implements core.Device, consulting the fault plan before
 // every rule, so an armed fault can land mid-batch, leaving the

@@ -1,11 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"slices"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dataplane"
@@ -22,39 +20,28 @@ import (
 //
 // A pump goroutine dispatches asynchronous events (Packet-In, Port-Status)
 // to the owning controller and routes replies by transaction ID; it is the
-// device's only long-lived goroutine. Fences are asynchronous completions:
-// each outstanding barrier lives in a table keyed by its current barrier
-// xid, and its callback fires when the reply arrives, when the retry
-// budget is exhausted (a timer callback, not a parked goroutine, expires
-// fences), or when the connection dies. The synchronous Device methods are
-// thin waits over that table, so callers that can overlap fences (the
-// batch pipeline) share the conn with callers that cannot.
+// device's only long-lived goroutine. Every request that awaits a reply —
+// a fence's barrier, a feature, echo, role or UE-state request — is an
+// entry of one southbound.Inflight table, completed when the reply
+// arrives, when its deadline passes (a timer callback, not a parked
+// goroutine), or when the connection dies. Fences retry under a fresh xid
+// with backoff; the other requests are single-shot, bounded by
+// RequestTimeout. The synchronous Device methods are thin waits over the
+// same completions, so callers that can overlap fences (the batch
+// pipeline) share the conn with callers that cannot.
 type ConnDevice struct {
 	id   dataplane.DeviceID
 	conn southbound.Conn
+	// inflight holds every request awaiting its reply.
+	inflight *southbound.Inflight
 
 	mu sync.Mutex
 	// ctrl is the attached controller, guarded by mu.
 	ctrl *Controller
-	// pending maps synchronous request xids (features, roles, explicit
-	// barriers) to reply channels, guarded by mu.
-	pending map[uint32]chan southbound.Msg
-	// mods maps fenced modification xids to the device's error reply, if
-	// one arrived (nil until then), guarded by mu. Entries are consumed
-	// when the covering fence completes.
-	mods map[uint32]error
-	// barriers maps each outstanding fence's CURRENT barrier xid to its
-	// completion, guarded by mu. A timed-out attempt re-keys the
-	// completion under a fresh xid, so a stale reply to the old xid finds
-	// nothing to satisfy — it cannot complete a newer fence.
-	barriers map[uint32]*barrierComp
-	// dl is the fence deadline queue sorted by expiry (adaptive timeouts
-	// and retry backoff make deadlines non-monotonic, so entries insert
-	// in order rather than append FIFO); the live entries are
-	// dl[dlHead:], popped slots are zeroed. guarded by mu.
-	dl []dlEntry
-	// dlHead indexes the earliest queued deadline in dl, guarded by mu.
-	dlHead int
+	// barriers maps each fenced modification's xid to the fence covering
+	// it until that fence completes, so the device's error reply to the
+	// modification reaches the fence; guarded by mu.
+	barriers map[uint32]*fence
 	// srtt is the smoothed round-trip estimate (Jacobson/Karels EWMA,
 	// gain 1/8), guarded by mu.
 	srtt time.Duration
@@ -62,8 +49,6 @@ type ConnDevice struct {
 	rttvar time.Duration
 	// rttSamples counts accepted RTT observations, guarded by mu.
 	rttSamples int64
-	// closed records connection teardown, guarded by mu.
-	closed bool
 	// backlog holds events that arrived during the feature handshake,
 	// before any controller was attached; setController replays them.
 	// guarded by mu.
@@ -73,20 +58,12 @@ type ConnDevice struct {
 	// child controller's RecA agent rather than a switch. guarded by mu.
 	peerHandler func(southbound.Msg)
 
-	// dlTimer runs onDeadline when the earliest live deadline is due. It is
-	// re-armed under mu, by fireDeadlines for the next live head and by
-	// whoever inserts a new head into dl; a deadline queued behind the head
-	// arms nothing. Teardown stops it.
-	dlTimer *time.Timer
-
-	// loops tracks the pump goroutine and any deadline callback in flight;
-	// peerWG tracks in-flight peer-request handler goroutines. WaitStopped
-	// waits on both so teardown paths (and leak-checked tests) can prove
-	// the device left nothing running.
+	// loops tracks the pump goroutine; peerWG tracks in-flight
+	// peer-request handler goroutines. WaitStopped waits on both, and on
+	// the inflight table's timer callback, so teardown paths (and
+	// leak-checked tests) can prove the device left nothing running.
 	loops  sync.WaitGroup
 	peerWG sync.WaitGroup
-
-	xid atomic.Uint32
 
 	// RequestTimeout bounds synchronous request round-trips. For fences it
 	// is the ceiling the RTT estimator can never exceed, and the attempt
@@ -102,24 +79,20 @@ type ConnDevice struct {
 	MinRTO time.Duration
 }
 
-// barrierComp is one outstanding fence: the callback to fire exactly once,
-// the modification xid the fence covers, the retry budget consumed, and
-// when the current attempt went on the wire (for RTT sampling; zero after
-// a retransmit per Karn's rule).
-type barrierComp struct {
-	cb       func(error)
-	modXid   uint32
+// fence is one outstanding fenced modification: the callback to fire
+// exactly once, the modification xid it covers and the device's refusal
+// of it, the retry budget consumed, and when the current barrier went on
+// the wire (for RTT sampling; zero after a retransmit per Karn's rule).
+// It is the barrier's Waiter in the inflight table, and owns the retry
+// policy the table leaves to it.
+type fence struct {
+	d      *ConnDevice
+	cb     func(error)
+	mod    uint32
+	sentAt time.Time
+	// attempts and modErr are read and written under d.mu.
 	attempts int
-	sentAt   time.Time
-}
-
-// dlEntry is one scheduled fence timeout. xid snapshots the barrier xid
-// the entry was armed for: after a re-key, the old entry's xid no longer
-// maps to comp in the barrier table and the entry is ignored.
-type dlEntry struct {
-	comp *barrierComp
-	xid  uint32
-	at   time.Time
+	modErr   error
 }
 
 // DialDevice completes the Hello handshake as controllerID and returns a
@@ -133,9 +106,8 @@ func DialDevice(conn southbound.Conn, controllerID string) (*ConnDevice, error) 
 	}
 	d := &ConnDevice{
 		conn:           conn,
-		pending:        make(map[uint32]chan southbound.Msg),
-		mods:           make(map[uint32]error),
-		barriers:       make(map[uint32]*barrierComp),
+		inflight:       southbound.NewInflight(conn, connDeadlineWakeups),
+		barriers:       make(map[uint32]*fence),
 		RequestTimeout: 5 * time.Second,
 		BarrierRetries: 2,
 		MinRTO:         5 * time.Millisecond,
@@ -145,7 +117,7 @@ func DialDevice(conn southbound.Conn, controllerID string) (*ConnDevice, error) 
 	}
 	// Learn the device ID via an initial feature request, synchronously,
 	// before the pump starts (no concurrent readers yet).
-	x := d.xid.Add(1)
+	x := d.inflight.NextXid()
 	if err := conn.Send(southbound.Msg{Type: southbound.TypeFeatureRequest, Xid: x, Body: southbound.FeatureRequest{}}); err != nil {
 		return nil, err
 	}
@@ -170,7 +142,6 @@ func DialDevice(conn southbound.Conn, controllerID string) (*ConnDevice, error) 
 			d.backlog = append(d.backlog, m)
 		}
 	}
-	d.dlTimer = time.AfterFunc(time.Hour, d.onDeadline) // re-armed by the first fence; failAll stops it
 	d.loops.Add(1)
 	go d.pump()
 	return d, nil
@@ -212,34 +183,24 @@ func (d *ConnDevice) peerHandlerRef() func(southbound.Msg) {
 	return d.peerHandler
 }
 
-// Drain waits for every in-flight modification, fence, and synchronous
-// request on this device to complete, or for the timeout to elapse. A
-// region process calls it on SIGTERM so a cluster teardown never strands a
-// half-installed batch behind a closed connection.
+// Drain waits for every in-flight fence and synchronous request on this
+// device to complete, or for the timeout to elapse. A region process calls
+// it on SIGTERM so a cluster teardown never strands a half-installed batch
+// behind a closed connection.
 func (d *ConnDevice) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout) //softmow:allow determinism shutdown pacing only, never feeds replayable state
-	for {
-		d.mu.Lock()
-		n := len(d.mods) + len(d.barriers) + len(d.pending)
-		closed := d.closed
-		d.mu.Unlock()
-		if n == 0 || closed {
-			return nil
-		}
-		if !time.Now().Before(deadline) { //softmow:allow determinism shutdown pacing only, never feeds replayable state
-			return fmt.Errorf("core: device %s: %d operations still in flight after %v", d.id, n, timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := d.inflight.Drain(timeout); err != nil {
+		return fmt.Errorf("core: device %s: %w", d.id, err)
 	}
+	return nil
 }
 
-// Close tears down the connection, fails pending requests, and completes
-// every outstanding fence with ErrClosed. It does not wait for the pump
-// and deadline goroutines — controller event handlers run on the pump, so
-// a Close issued from one would self-deadlock; callers that must prove
-// quiescence follow up with WaitStopped from a different goroutine.
+// Close tears down the connection and completes every outstanding fence
+// and request with ErrClosed. It does not wait for the pump and deadline
+// goroutines — controller event handlers run on the pump, so a Close
+// issued from one would self-deadlock; callers that must prove quiescence
+// follow up with WaitStopped from a different goroutine.
 func (d *ConnDevice) Close() error {
-	d.failAll()
+	d.inflight.Close()
 	return d.conn.Close()
 }
 
@@ -251,40 +212,7 @@ func (d *ConnDevice) Close() error {
 func (d *ConnDevice) WaitStopped() {
 	d.loops.Wait()
 	d.peerWG.Wait()
-}
-
-// failAll marks the device closed and fails everything outstanding:
-// pending sync requests, fenced modifications, and barrier completions.
-// Idempotent; shared by Close and the pump's connection-death path, so a
-// device that dies mid-operation unwedges its callers immediately instead
-// of leaving them to time out through the retry budget.
-func (d *ConnDevice) failAll() {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
-	d.closed = true
-	pend := d.pending
-	d.pending = make(map[uint32]chan southbound.Msg)
-	comps := make([]*barrierComp, 0, len(d.barriers))
-	//softmow:allow determinism every completion gets the same ErrClosed and callbacks are mutually independent, so collection order is not replay-visible
-	for _, comp := range d.barriers {
-		comps = append(comps, comp)
-	}
-	d.barriers = make(map[uint32]*barrierComp)
-	d.mods = make(map[uint32]error)
-	d.dl, d.dlHead = nil, 0
-	d.dlTimer.Stop()
-	d.mu.Unlock()
-	for _, ch := range pend {
-		close(ch)
-	}
-	// Map order is fine here: every completion gets the same ErrClosed and
-	// callbacks are independent of each other.
-	for _, comp := range comps {
-		comp.cb(southbound.ErrClosed)
-	}
+	d.inflight.Wait()
 }
 
 func (d *ConnDevice) pump() {
@@ -292,7 +220,7 @@ func (d *ConnDevice) pump() {
 	// A dead connection fails all outstanding work: retrying fences into a
 	// closed conn cannot succeed and would stall rollback of the other
 	// path devices behind BarrierRetries×RequestTimeout of dead air.
-	defer d.failAll()
+	defer d.inflight.Close()
 	for {
 		m, err := d.conn.Recv()
 		if err != nil {
@@ -314,42 +242,20 @@ func (d *ConnDevice) pump() {
 			}
 			continue
 		}
-		// Reply routing.
+		// Reply routing. Only a reply carrying a fence's CURRENT barrier xid
+		// completes it; replies to timed-out attempts complete nothing.
 		if m.Xid != 0 {
-			d.mu.Lock()
-			// Outstanding fence? Only a reply carrying the fence's CURRENT
-			// barrier xid completes it; replies to timed-out attempts fall
-			// through every table and are dropped below.
-			if comp, ok := d.barriers[m.Xid]; ok {
-				delete(d.barriers, m.Xid)
-				if comp.attempts == 0 && !comp.sentAt.IsZero() {
-					//softmow:allow determinism RTT measurement shapes timeout pacing only, never replayable state
-					d.observeRTTLocked(time.Now().Sub(comp.sentAt))
-				}
-				ferr := d.takeModErrLocked(comp)
-				d.mu.Unlock()
-				if m.Type == southbound.TypeError && ferr == nil {
-					ferr = d.errorFrom(m)
-				}
-				comp.cb(ferr)
+			if d.inflight.Reply(m.Xid, m) {
 				continue
 			}
 			// Fenced modification? Stash its error for the covering fence.
-			//softmow:allow errdiscard presence probe only; the stored error is consumed at fence completion
-			if _, ok := d.mods[m.Xid]; ok {
-				if m.Type == southbound.TypeError {
-					d.mods[m.Xid] = d.modRefused(m)
-				}
-				d.mu.Unlock()
-				continue
-			}
-			ch, ok := d.pending[m.Xid]
-			if ok {
-				delete(d.pending, m.Xid)
+			d.mu.Lock()
+			f, ok := d.barriers[m.Xid]
+			if ok && m.Type == southbound.TypeError {
+				f.modErr = d.modRefused(m)
 			}
 			d.mu.Unlock()
 			if ok {
-				ch <- m
 				continue
 			}
 			if m.Type != southbound.TypePacketIn && m.Type != southbound.TypePortStatus {
@@ -370,14 +276,6 @@ func (d *ConnDevice) pump() {
 		}
 		d.dispatchEvent(c, m)
 	}
-}
-
-// takeModErrLocked consumes the error recorded for the fence's
-// modification; caller holds mu.
-func (d *ConnDevice) takeModErrLocked(comp *barrierComp) error {
-	err := d.mods[comp.modXid]
-	delete(d.mods, comp.modXid)
-	return err
 }
 
 func (d *ConnDevice) modRefused(m southbound.Msg) error {
@@ -418,31 +316,6 @@ func (d *ConnDevice) dispatchEvent(c *Controller, m southbound.Msg) {
 		}
 		c.HandlePortStatus(d.id, ps.Port, ps.Up)
 	}
-}
-
-// timerPool recycles request timers so each synchronous round trip stops
-// and reuses its timer instead of leaking a live RequestTimeout-long timer
-// into the runtime per call (the cost of the old time.After pattern at 10×
-// event rates).
-var timerPool sync.Pool
-
-func getTimer(dur time.Duration) *time.Timer {
-	if v := timerPool.Get(); v != nil {
-		t := v.(*time.Timer)
-		t.Reset(dur)
-		return t
-	}
-	return time.NewTimer(dur)
-}
-
-func putTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	timerPool.Put(t)
 }
 
 // observeRTTLocked folds one round-trip sample into the Jacobson/Karels
@@ -491,70 +364,28 @@ func (d *ConnDevice) rtoLocked() time.Duration {
 	if d.rttSamples == 0 {
 		return d.RequestTimeout
 	}
-	rto := d.srtt + 4*d.rttvar
-	if rto < d.MinRTO {
-		rto = d.MinRTO
-	}
-	if rto > d.RequestTimeout {
-		rto = d.RequestTimeout
-	}
-	return rto
+	return min(max(d.srtt+4*d.rttvar, d.MinRTO), d.RequestTimeout)
 }
 
-// request performs one synchronous round-trip bounded by the
-// RequestTimeout ceiling, not the adaptive RTO: a single-shot request
-// has no retransmit path, so a deadline that fires early (e.g. on a
-// multi-fragment transfer that takes longer than small-frame RTT
-// samples predict) is an unrecoverable failure rather than a retry.
-func (d *ConnDevice) request(m southbound.Msg) (southbound.Msg, error) {
-	d.mu.Lock()
-	timeout := d.RequestTimeout
-	d.mu.Unlock()
-	return d.requestT(m, timeout)
-}
-
-// requestT performs one synchronous round-trip bounded by an explicit
-// timeout. Successful round trips feed the RTT estimator.
-func (d *ConnDevice) requestT(m southbound.Msg, timeout time.Duration) (southbound.Msg, error) {
+// request performs one synchronous round trip bounded by timeout, not
+// the adaptive RTO: a single-shot request has no retransmit path, so a
+// deadline that fires early (e.g. on a multi-fragment transfer that takes
+// longer than small-frame RTT samples predict) is an unrecoverable failure
+// rather than a retry. Successful round trips feed the RTT estimator.
+func (d *ConnDevice) request(m southbound.Msg, timeout time.Duration) (southbound.Msg, error) {
 	connSyncRoundTrips.Inc()
-	x := d.xid.Add(1)
-	m.Xid = x
-	ch := make(chan southbound.Msg, 1)
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return southbound.Msg{}, southbound.ErrClosed
-	}
-	d.pending[x] = ch
-	d.mu.Unlock()
 	start := time.Now() //softmow:allow determinism RTT measurement shapes timeout pacing only, never replayable state
-	if err := d.conn.Send(m); err != nil {
-		d.mu.Lock()
-		delete(d.pending, x)
-		d.mu.Unlock()
-		return southbound.Msg{}, err
+	reply, err := d.inflight.Call(m, start.Add(timeout))
+	if err != nil {
+		return southbound.Msg{}, fmt.Errorf("core: request to %s: %w", d.id, err)
 	}
-	t := getTimer(timeout)
-	defer putTimer(t)
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			return southbound.Msg{}, southbound.ErrClosed
-		}
-		d.mu.Lock()
-		//softmow:allow determinism RTT measurement shapes timeout pacing only, never replayable state
-		d.observeRTTLocked(time.Now().Sub(start))
-		d.mu.Unlock()
-		if reply.Type == southbound.TypeError {
-			return reply, d.errorFrom(reply)
-		}
-		return reply, nil
-	case <-t.C:
-		d.mu.Lock()
-		delete(d.pending, x)
-		d.mu.Unlock()
-		return southbound.Msg{}, fmt.Errorf("core: request to %s timed out", d.id)
+	d.mu.Lock()
+	d.observeRTTLocked(time.Since(start))
+	d.mu.Unlock()
+	if reply.Type == southbound.TypeError {
+		return reply, d.errorFrom(reply)
 	}
+	return reply, nil
 }
 
 // Ping measures channel liveness with one echo round trip bounded by
@@ -562,7 +393,7 @@ func (d *ConnDevice) requestT(m southbound.Msg, timeout time.Duration) (southbou
 // wants the prober's deadline, not the transport's). A successful ping
 // feeds the RTT estimator like any other reply.
 func (d *ConnDevice) Ping(timeout time.Duration) error {
-	_, err := d.requestT(southbound.Msg{Type: southbound.TypeEchoRequest,
+	_, err := d.request(southbound.Msg{Type: southbound.TypeEchoRequest,
 		Body: southbound.Echo{Payload: "liveness"}}, timeout)
 	return err
 }
@@ -571,19 +402,24 @@ func (d *ConnDevice) Ping(timeout time.Duration) error {
 // conn with a fresh transaction ID, returning the typed reply. It is the
 // entry point for northbound pushes that ride a device channel — UE-state
 // transfers to a remote child — without exposing the xid machinery.
-func (d *ConnDevice) Request(m southbound.Msg) (southbound.Msg, error) { return d.request(m) }
+func (d *ConnDevice) Request(m southbound.Msg) (southbound.Msg, error) {
+	return d.request(m, d.RequestTimeout)
+}
 
 // ID implements Device.
 func (d *ConnDevice) ID() dataplane.DeviceID { return d.id }
 
 // Features implements Device.
-func (d *ConnDevice) Features() southbound.FeatureReply {
-	reply, err := d.request(southbound.Msg{Type: southbound.TypeFeatureRequest, Body: southbound.FeatureRequest{}})
+func (d *ConnDevice) Features() (southbound.FeatureReply, error) {
+	reply, err := d.Request(southbound.Msg{Type: southbound.TypeFeatureRequest, Body: southbound.FeatureRequest{}})
 	if err != nil {
-		return southbound.FeatureReply{Device: d.id, Kind: dataplane.KindSwitch}
+		return southbound.FeatureReply{}, err
 	}
-	fr, _ := reply.Body.(southbound.FeatureReply)
-	return fr
+	fr, ok := reply.Body.(southbound.FeatureReply)
+	if !ok {
+		return southbound.FeatureReply{}, fmt.Errorf("core: malformed feature reply %T", reply.Body)
+	}
+	return fr, nil
 }
 
 // InstallRules implements Device: the rules ride one pipelined
@@ -646,179 +482,65 @@ func (d *ConnDevice) RemoveRules(cmd southbound.FlowModCommand, owner string, ve
 // barrier reply is routed — the completion resolves mod errors without a
 // read-after-fence race.
 func (d *ConnDevice) modAsync(m southbound.Msg, cb func(error)) {
-	x := d.xid.Add(1)
-	m.Xid = x
+	f := &fence{d: d, cb: cb, mod: d.inflight.NextXid()}
+	m.Xid = f.mod
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		cb(southbound.ErrClosed)
-		return
-	}
-	d.mods[x] = nil
+	rto := d.rtoLocked()
+	d.barriers[f.mod] = f
 	d.mu.Unlock()
 	if err := d.conn.Send(m); err != nil {
-		d.mu.Lock()
-		delete(d.mods, x)
-		d.mu.Unlock()
-		cb(err)
+		f.Done(southbound.Msg{}, err)
 		return
 	}
-	d.fenceAsync(x, cb)
+	connRTTTimeout.Observe(rto)
+	f.sentAt = time.Now() //softmow:allow determinism fence pacing and RTT measurement, never feeds replayable state
+	f.send(f.sentAt.Add(rto))
 }
 
-// fenceAsync registers a barrier completion covering modification modXid
-// and sends the first barrier attempt. Timeouts and retries are driven by
-// the deadline timer; each attempt re-keys the completion under a fresh
-// barrier xid.
-func (d *ConnDevice) fenceAsync(modXid uint32, cb func(error)) {
+// send puts the fence's barrier on the wire as a new entry of the
+// inflight table, due by deadline.
+func (f *fence) send(deadline time.Time) {
 	connBarriers.Inc()
-	bx := d.xid.Add(1)
-	comp := &barrierComp{cb: cb, modXid: modXid}
+	f.d.inflight.Request(southbound.Msg{Type: southbound.TypeBarrierRequest, Body: southbound.Barrier{}}, f, deadline)
+}
+
+// Done implements southbound.Waiter. A timed-out attempt with retry budget
+// left goes out again under a fresh barrier xid, its timeout doubled
+// (capped at RequestTimeout); otherwise the fence completes: with the
+// device's refusal of the modification if it sent one, else with the
+// outcome the table reports.
+func (f *fence) Done(m southbound.Msg, err error) {
+	d := f.d
 	d.mu.Lock()
-	if d.closed {
-		delete(d.mods, modXid)
+	if errors.Is(err, southbound.ErrTimeout) && f.attempts < d.BarrierRetries {
+		f.attempts++
+		// Karn's rule: a retransmitted fence's reply time is ambiguous (it
+		// may answer either attempt), so it never feeds the estimator.
+		f.sentAt = time.Time{}
+		backoff := min(d.rtoLocked()<<uint(f.attempts), d.RequestTimeout)
 		d.mu.Unlock()
-		cb(southbound.ErrClosed)
-		return
-	}
-	timeout := d.rtoLocked()
-	comp.sentAt = time.Now() //softmow:allow determinism fence pacing and RTT measurement, never feeds replayable state
-	d.barriers[bx] = comp
-	d.insertDeadlineLocked(dlEntry{comp: comp, xid: bx, at: comp.sentAt.Add(timeout)}, comp.sentAt)
-	d.mu.Unlock()
-	connRTTTimeout.Observe(timeout)
-	if err := d.conn.Send(southbound.Msg{Type: southbound.TypeBarrierRequest, Xid: bx, Body: southbound.Barrier{}}); err != nil {
-		if merr, ok := d.completeFence(bx, comp); ok {
-			if merr == nil {
-				merr = err
-			}
-			cb(merr)
-		}
-	}
-}
-
-// insertDeadlineLocked inserts e into the expiry-sorted deadline queue
-// (adaptive timeouts and retry backoff make arrival order non-monotonic)
-// and re-arms the deadline timer when e is the new head; caller holds mu.
-// The common case — a stable RTO — appends at the tail and wakes nobody.
-func (d *ConnDevice) insertDeadlineLocked(e dlEntry, now time.Time) {
-	// Compact instead of growing once half the slice is popped slots, so
-	// a steady stream of fences reuses one backing array.
-	if d.dlHead > 0 && d.dlHead >= len(d.dl)/2 && len(d.dl) == cap(d.dl) {
-		d.dl, d.dlHead = slices.Delete(d.dl, 0, d.dlHead), 0 // zeroes the vacated tail
-	}
-	d.dl = append(d.dl, e)
-	live := d.dl[d.dlHead:]
-	i := len(live) - 1
-	if i > 0 && live[i-1].at.After(e.at) {
-		i = sort.Search(i, func(j int) bool { return live[j].at.After(e.at) })
-		copy(live[i+1:], live[i:])
-		live[i] = e
-	}
-	if i == 0 {
-		d.dlTimer.Reset(e.at.Sub(now))
-	}
-}
-
-// completeFence removes the fence from the table iff it is still keyed by
-// xid and owned by comp, consuming its mod error. It reports whether the
-// caller now owns the completion (and must invoke cb exactly once).
-func (d *ConnDevice) completeFence(xid uint32, comp *barrierComp) (error, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if cur, ok := d.barriers[xid]; !ok || cur != comp {
-		return nil, false
-	}
-	delete(d.barriers, xid)
-	return d.takeModErrLocked(comp), true
-}
-
-// onDeadline is dlTimer's callback: it expires what is due and re-arms
-// the timer for the earliest live deadline (or leaves it unarmed when
-// there is none), so fences that complete in time never wake anything. A
-// callback that finds the device closed does nothing; one that does not
-// is counted in loops before teardown can begin, so WaitStopped covers it.
-func (d *ConnDevice) onDeadline() {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return
-	}
-	d.loops.Add(1)
-	d.mu.Unlock()
-	defer d.loops.Done()
-	connDeadlineWakeups.Inc()
-	d.fireDeadlines()
-}
-
-// fireDeadlines expires every due fence: attempts with retry budget left
-// are re-keyed under a fresh barrier xid and their barrier resent; the
-// rest fail with the fence-timeout error. Stale entries — fences already
-// completed or re-keyed, whose xid snapshot no longer matches the barrier
-// table — are dropped from the head whether due or not, so the timer is
-// armed for the first deadline that can still fire and stays unarmed when
-// there is none.
-func (d *ConnDevice) fireDeadlines() {
-	type resend struct {
-		comp *barrierComp
-		xid  uint32
-	}
-	var resends []resend
-	var failed []*barrierComp
-	d.mu.Lock()
-	// Read under mu: callbacks can overlap, and one holding an older time
-	// would re-arm the timer late.
-	now := time.Now() //softmow:allow determinism fence timeout detection, never feeds replayable state
-	for d.dlHead < len(d.dl) {
-		e := d.dl[d.dlHead]
-		comp, ok := d.barriers[e.xid]
-		live := ok && comp == e.comp
-		if live && e.at.After(now) {
-			d.dlTimer.Reset(e.at.Sub(now))
-			break
-		}
-		d.dl[d.dlHead] = dlEntry{}
-		d.dlHead++
-		if !live {
-			continue
-		}
-		delete(d.barriers, e.xid)
-		if comp.attempts < d.BarrierRetries && !d.closed {
-			comp.attempts++
-			// Karn's rule: a retransmitted fence's reply time is ambiguous
-			// (it may answer either attempt), so it never feeds the
-			// estimator.
-			comp.sentAt = time.Time{}
-			// Exponential backoff: each retry doubles the attempt timeout,
-			// capped at the constant ceiling.
-			backoff := d.rtoLocked() << uint(comp.attempts)
-			if backoff > d.RequestTimeout {
-				backoff = d.RequestTimeout
-			}
-			nx := d.xid.Add(1)
-			d.barriers[nx] = comp
-			d.insertDeadlineLocked(dlEntry{comp: comp, xid: nx, at: now.Add(backoff)}, now)
-			resends = append(resends, resend{comp: comp, xid: nx})
-		} else {
-			d.takeModErrLocked(comp) //softmow:allow errdiscard timeout wins over any recorded mod error; the stash is drained so it cannot leak to a later fence
-			failed = append(failed, comp)
-		}
-	}
-	d.mu.Unlock()
-	for _, r := range resends {
 		connBarrierRetries.Inc()
-		connBarriers.Inc()
-		if err := d.conn.Send(southbound.Msg{Type: southbound.TypeBarrierRequest, Xid: r.xid, Body: southbound.Barrier{}}); err != nil {
-			//softmow:allow errdiscard the send error is the authoritative failure; any stashed mod error died with the conn
-			if _, ok := d.completeFence(r.xid, r.comp); ok {
-				r.comp.cb(err)
-			}
-		}
+		f.send(time.Now().Add(backoff)) //softmow:allow determinism fence pacing only, never feeds replayable state
+		return
 	}
-	for _, comp := range failed {
-		comp.cb(fmt.Errorf("core: device %s: fence failed after %d attempts: %w",
-			d.id, d.BarrierRetries+1, fmt.Errorf("core: request to %s timed out", d.id)))
+	if err == nil && f.attempts == 0 && !f.sentAt.IsZero() {
+		d.observeRTTLocked(time.Since(f.sentAt))
 	}
+	delete(d.barriers, f.mod)
+	ferr := f.modErr
+	d.mu.Unlock()
+	switch {
+	case errors.Is(err, southbound.ErrTimeout):
+		// A timeout wins over any recorded mod error.
+		ferr = fmt.Errorf("core: device %s: fence failed after %d attempts: %w", d.id, f.attempts+1, err)
+	case errors.Is(err, southbound.ErrClosed):
+		ferr = err
+	case ferr == nil && err != nil:
+		ferr = err
+	case ferr == nil && m.Type == southbound.TypeError:
+		ferr = d.errorFrom(m)
+	}
+	f.cb(ferr)
 }
 
 // EmitDiscovery implements Device: the frame rides a Packet-Out across the
@@ -831,7 +553,7 @@ func (d *ConnDevice) EmitDiscovery(port dataplane.PortID, f *discovery.Frame) er
 // Barrier fences all previously sent modifications synchronously.
 func (d *ConnDevice) Barrier() error {
 	connBarriers.Inc()
-	_, err := d.request(southbound.Msg{Type: southbound.TypeBarrierRequest, Body: southbound.Barrier{}})
+	_, err := d.Request(southbound.Msg{Type: southbound.TypeBarrierRequest, Body: southbound.Barrier{}})
 	return err
 }
 
@@ -840,7 +562,7 @@ func (d *ConnDevice) Barrier() error {
 //
 //softmow:allow testonly ROADMAP item 4: the wire §5.3 reconfiguration hands a region over with it
 func (d *ConnDevice) SetRole(controller string, role southbound.Role) (southbound.Role, error) {
-	reply, err := d.request(southbound.Msg{Type: southbound.TypeRoleRequest,
+	reply, err := d.Request(southbound.Msg{Type: southbound.TypeRoleRequest,
 		Body: southbound.RoleRequest{Controller: controller, Role: role}})
 	if err != nil {
 		return 0, err

@@ -2,10 +2,13 @@ package core
 
 import (
 	"net"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dataplane"
+	"repro/internal/nib"
 	"repro/internal/southbound"
 )
 
@@ -258,4 +261,76 @@ func dialLocal(t *testing.T, ln net.Listener) net.Conn {
 		t.Fatal(err)
 	}
 	return nc
+}
+
+// featureDropConn is a device end that swallows FeatureRequests while drop
+// is set.
+type featureDropConn struct {
+	southbound.Conn
+	drop atomic.Bool
+}
+
+func (c *featureDropConn) Recv() (southbound.Msg, error) {
+	for {
+		m, err := c.Conn.Recv()
+		if err != nil || m.Type != southbound.TypeFeatureRequest || !c.drop.Load() {
+			return m, err
+		}
+	}
+}
+
+// TestFailedFeaturesKeepNIBRecord: a refresh whose FeatureRequest goes
+// unanswered leaves the device's NIB record as it was — its kind, its
+// ports and its links — instead of replacing it with an empty reply.
+func TestFailedFeaturesKeepNIBRecord(t *testing.T) {
+	net := dataplane.NewNetwork()
+	net.AddSwitch("S1")
+	net.AddSwitch("S2")
+	if _, err := net.Connect("S1", "S2", 5*time.Millisecond, 1000); err != nil {
+		t.Fatal(err)
+	}
+	ctrl := NewController("L1", 1, 0)
+	ends := map[dataplane.DeviceID]*featureDropConn{}
+	devs := map[dataplane.DeviceID]*ConnDevice{}
+	for _, id := range []dataplane.DeviceID{"S1", "S2"} {
+		agent := southbound.NewSwitchAgent(net, net.Switch(id))
+		a, b := southbound.Pipe(64)
+		ends[id] = &featureDropConn{Conn: b}
+		go agent.Serve(ends[id])
+		dev, err := DialDevice(a, ctrl.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { dev.Close() })
+		ctrl.AttachDevice(dev)
+		devs[id] = dev
+	}
+	ctrl.RunDiscovery()
+	for deadline := time.Now().Add(2 * time.Second); ctrl.NIB.NumLinks() < 1; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("S1-S2 link never discovered")
+		}
+	}
+	before, _ := ctrl.NIB.Device("S1")
+	// Discovery re-Puts the link from each end, so compare orientation-free.
+	links := func() map[nib.LinkKey]bool {
+		out := map[nib.LinkKey]bool{}
+		for _, l := range ctrl.NIB.LinksOf("S1") {
+			out[l.Key()] = l.Up
+		}
+		return out
+	}
+	linksBefore := links()
+
+	ends["S1"].drop.Store(true)
+	devs["S1"].RequestTimeout = 50 * time.Millisecond
+	ctrl.refreshDevice(devs["S1"])
+
+	after, ok := ctrl.NIB.Device("S1")
+	if !ok || after.Kind != before.Kind || !reflect.DeepEqual(after.Ports, before.Ports) {
+		t.Fatalf("failed refresh rewrote S1's NIB record:\n  before %+v\n  after  %+v", before, after)
+	}
+	if after := links(); !reflect.DeepEqual(after, linksBefore) {
+		t.Fatalf("failed refresh changed S1's links: %v -> %v", linksBefore, after)
+	}
 }

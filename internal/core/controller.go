@@ -170,7 +170,8 @@ func (c *Controller) AttachDevice(d Device) {
 	c.mu.Lock()
 	c.devices[d.ID()] = d
 	c.mu.Unlock()
-	c.refreshDevice(d)
+	//softmow:allow errdiscard a device that cannot describe itself stays out of the NIB, so no route uses it
+	_ = c.refreshDevice(d)
 }
 
 // DetachDevice removes a device from this controller (region
@@ -201,7 +202,8 @@ func (c *Controller) AttachChild(child *Controller) {
 	c.children[child.GSwitchID()] = child
 	c.devices[ld.ID()] = ld
 	c.mu.Unlock()
-	c.refreshDevice(ld)
+	//softmow:allow errdiscard an in-process child's features never fail
+	_ = c.refreshDevice(ld)
 }
 
 // Device returns the controller's handle on a device, or nil.
@@ -264,9 +266,14 @@ func (c *Controller) Config() reca.Config {
 // refreshDevice (re)loads a device's features into the NIB — the G-switch
 // discovery step of §4.1.1. Stale link records referencing ports the
 // device no longer exposes are purged (re-abstraction after a region
-// reconfiguration changes border port sets, §5.3.2).
-func (c *Controller) refreshDevice(d Device) {
-	fr := d.Features()
+// reconfiguration changes border port sets, §5.3.2). A device that cannot
+// give its features keeps the record it had: an empty reply would strip
+// its ports, fabric and links.
+func (c *Controller) refreshDevice(d Device) error {
+	fr, err := d.Features()
+	if err != nil {
+		return err
+	}
 	dev := nib.Device{ID: fr.Device, Kind: fr.Kind, Fabric: fr.Fabric,
 		GBSes: fr.GBSes, GMiddleboxes: fr.GMiddleboxes}
 	ports := make(map[dataplane.PortID]bool, len(fr.Ports))
@@ -285,7 +292,7 @@ func (c *Controller) refreshDevice(d Device) {
 		for _, l := range c.NIB.LinksOf(fr.Device) {
 			c.NIB.RemoveLink(l.Key())
 		}
-		return
+		return nil
 	}
 	for _, l := range c.NIB.LinksOf(fr.Device) {
 		for _, end := range []dataplane.PortRef{l.A, l.B} {
@@ -294,6 +301,7 @@ func (c *Controller) refreshDevice(d Device) {
 			}
 		}
 	}
+	return nil
 }
 
 // Graph returns the routing graph over the controller's current NIB view.

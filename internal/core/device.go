@@ -20,8 +20,8 @@ type Device interface {
 	// ID returns the device's data-plane identifier.
 	ID() dataplane.DeviceID
 	// Features returns the device description (ports, kind, and the
-	// virtual fabric for G-switches).
-	Features() southbound.FeatureReply
+	// virtual fabric for G-switches), or why the device could not give it.
+	Features() (southbound.FeatureReply, error)
 	// InstallRules installs rules in order, fenced as one operation. On a
 	// G-switch this triggers the child controller's recursive translation
 	// (§4.3). On error the device may hold any prefix of the rules: the
@@ -72,8 +72,8 @@ func (d *SwitchDevice) controller() *Controller {
 func (d *SwitchDevice) ID() dataplane.DeviceID { return d.sw.ID }
 
 // Features implements Device.
-func (d *SwitchDevice) Features() southbound.FeatureReply {
-	return southbound.BuildFeatures(d.sw)
+func (d *SwitchDevice) Features() (southbound.FeatureReply, error) {
+	return southbound.BuildFeatures(d.sw), nil
 }
 
 // InstallRules implements Device, taking any bandwidth reservation a
@@ -152,8 +152,8 @@ type logicalDevice struct {
 func (d *logicalDevice) ID() dataplane.DeviceID { return d.child.GSwitchID() }
 
 // Features implements Device.
-func (d *logicalDevice) Features() southbound.FeatureReply {
-	return d.child.RecAFeatures()
+func (d *logicalDevice) Features() (southbound.FeatureReply, error) {
+	return d.child.RecAFeatures(), nil
 }
 
 // InstallRules implements Device: the child translates the virtual rules

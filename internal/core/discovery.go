@@ -21,7 +21,10 @@ import (
 // parallel."
 func (c *Controller) RunDiscovery() {
 	for _, d := range c.Devices() {
-		fr := d.Features()
+		fr, err := d.Features()
+		if err != nil {
+			continue // its ports are unknown this round; the next round retries
+		}
 		for _, p := range fr.Ports {
 			if !p.Up || p.External || p.Radio != "" {
 				continue
@@ -41,13 +44,16 @@ func (c *Controller) RunDiscovery() {
 // prober calls it when a suspect device's control channel heals, so the
 // device's links re-enter the NIB (frames that complete the round trip
 // re-Put their link with Up=true) without the cost of a topology-wide
-// refresh.
-func (c *Controller) RediscoverDevice(id dataplane.DeviceID) {
+// refresh. It fails when the device cannot give its features.
+func (c *Controller) RediscoverDevice(id dataplane.DeviceID) error {
 	d := c.Device(id)
 	if d == nil {
-		return
+		return nil
 	}
-	fr := d.Features()
+	fr, err := d.Features()
+	if err != nil {
+		return err
+	}
 	for _, p := range fr.Ports {
 		if !p.Up || p.External || p.Radio != "" {
 			continue
@@ -59,6 +65,7 @@ func (c *Controller) RediscoverDevice(id dataplane.DeviceID) {
 		// periodic round retries.
 		_ = d.EmitDiscovery(p.ID, f) //softmow:allow errdiscard discovery is periodic and self-healing, a lost frame is retried next round
 	}
+	return nil
 }
 
 // HandleDiscoveryArrival processes a discovery frame that re-entered the

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,28 +12,6 @@ import (
 	"repro/internal/netem"
 	"repro/internal/southbound"
 )
-
-// serveBarriers answers every barrier on the device side until withhold
-// is closed, after which barriers are swallowed and their arrival times
-// reported on seen. FlowMods are accepted silently, as a healthy switch
-// accepts them.
-func serveBarriers(c southbound.Conn, withhold <-chan struct{}, seen chan<- time.Time) {
-	for {
-		m, err := c.Recv()
-		if err != nil {
-			return
-		}
-		if m.Type != southbound.TypeBarrierRequest {
-			continue
-		}
-		select {
-		case <-withhold:
-			seen <- time.Now()
-		default:
-			_ = c.Send(southbound.Msg{Type: southbound.TypeBarrierReply, Xid: m.Xid, Body: southbound.Barrier{}})
-		}
-	}
-}
 
 // pipelineFences issues n fenced modifications with at most window in
 // flight, alternating an install with the delete that undoes it, and
@@ -75,72 +52,6 @@ func pipelineFences(tb testing.TB, dev *ConnDevice, n, window int) {
 	}
 }
 
-// TestFenceTimesOutBehindCompletedFences: a thousand fences complete and
-// leave their (stale) deadlines queued ahead of one whose reply never
-// comes. That one must still be noticed: three attempts, each backed off
-// twice as long as the last, the failure inside 1.5x the nominal budget —
-// the deadline timer may sleep through the stale entries, not past a live
-// one.
-func TestFenceTimesOutBehindCompletedFences(t *testing.T) {
-	dev, devEnd := dialScripted(t)
-	withhold := make(chan struct{})
-	seen := make(chan time.Time, 8)
-	go serveBarriers(devEnd, withhold, seen)
-	const rto = 100 * time.Millisecond
-	dev.RequestTimeout = 5 * time.Second
-	dev.BarrierRetries = 2
-	// The clean phase runs under a timeout no box is slow enough to reach:
-	// the timer never fires during it, so its deadlines are still queued
-	// when it ends, however long it took; a second round makes up for any a
-	// callback dropped.
-	dev.MinRTO = dev.RequestTimeout
-
-	const completed = 1000
-	queued := 0
-	for round := 0; round < 2 && queued < completed; round++ {
-		pipelineFences(t, dev, completed, 32)
-		dev.mu.Lock()
-		queued = len(dev.dl) - dev.dlHead
-		dev.mu.Unlock()
-	}
-	if queued < completed {
-		t.Fatalf("%d deadlines queued after %d clean fences: the stale entries this test needs are gone", queued, 2*completed)
-	}
-	// Now put the stale deadlines where a clean phase that fits in one rto
-	// would have left them — due before the withheld fence's — and re-arm
-	// the timer for the head, as the insert that made it the head would have.
-	dev.mu.Lock()
-	staleAt := time.Now().Add(rto / 2)
-	for i := dev.dlHead; i < len(dev.dl); i++ {
-		dev.dl[i].at = staleAt
-	}
-	dev.dlTimer.Reset(rto / 2)
-	dev.MinRTO = rto
-	dev.mu.Unlock()
-
-	close(withhold)
-	start := time.Now()
-	err := dev.InstallRules([]dataplane.Rule{{Priority: 1}})
-	elapsed := time.Since(start)
-	if err == nil || !strings.Contains(err.Error(), "fence failed after 3 attempts") {
-		t.Fatalf("withheld fence: %v, want failure after 3 attempts", err)
-	}
-	const budget = rto + 2*rto + 4*rto
-	if elapsed < budget*9/10 || elapsed > budget*3/2 {
-		t.Fatalf("withheld fence failed after %v, want within [0.9, 1.5] x %v", elapsed, budget)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("device saw %d barrier attempts, want 3", len(seen))
-	}
-	t0, t1, t2 := <-seen, <-seen, <-seen
-	if gap := t1.Sub(t0); gap < rto*9/10 || gap > rto*2 {
-		t.Errorf("first retry after %v, want ~%v", gap, rto)
-	}
-	if gap := t2.Sub(t1); gap < 2*rto*9/10 || gap > 2*rto*3/2 {
-		t.Errorf("second retry after %v, want ~%v (backoff)", gap, 2*rto)
-	}
-}
-
 // TestDeadlineLoopSleepsThroughCleanFences: fences that complete in time
 // fire the deadline timer at most once per RTO period, however many there
 // are — under 1 % of them at in-process speed. Before, every fence kicked
@@ -167,34 +78,6 @@ func TestDeadlineLoopSleepsThroughCleanFences(t *testing.T) {
 	}
 }
 
-// TestDeadlineQueueBoundedAndScrubbed: the queue's backing array tracks the
-// fences of one RTO period, not every fence ever issued, and a popped slot
-// no longer references its fence (whose callback holds the operation's
-// state).
-func TestDeadlineQueueBoundedAndScrubbed(t *testing.T) {
-	dev := dialAgentDevice(t)
-	dev.MinRTO = time.Millisecond
-	const rounds, perRound = 100, 100
-	for r := 0; r < rounds; r++ {
-		pipelineFences(t, dev, perRound, 32)
-		time.Sleep(3 * dev.MinRTO) // the round's deadlines pass; the timer drops them
-	}
-	time.Sleep(20 * time.Millisecond)
-	dev.mu.Lock()
-	defer dev.mu.Unlock()
-	if c := cap(dev.dl); c > 8*perRound {
-		t.Errorf("deadline queue backing array grew to %d slots over %d fences, %d per period", c, rounds*perRound, perRound)
-	}
-	if live := len(dev.dl) - dev.dlHead; live != 0 {
-		t.Errorf("%d deadlines still queued after every fence completed and expired", live)
-	}
-	for i, e := range dev.dl[:cap(dev.dl)] {
-		if e.comp != nil {
-			t.Fatalf("slot %d of the drained deadline queue still references a fence", i)
-		}
-	}
-}
-
 // recordingDevice is a Device that records the batches programmed on it.
 type recordingDevice struct {
 	id  dataplane.DeviceID
@@ -202,8 +85,8 @@ type recordingDevice struct {
 }
 
 func (d recordingDevice) ID() dataplane.DeviceID { return d.id }
-func (d recordingDevice) Features() southbound.FeatureReply {
-	return southbound.FeatureReply{Device: d.id, Kind: dataplane.KindSwitch}
+func (d recordingDevice) Features() (southbound.FeatureReply, error) {
+	return southbound.FeatureReply{Device: d.id, Kind: dataplane.KindSwitch}, nil
 }
 func (d recordingDevice) InstallRules(rules []dataplane.Rule) error {
 	line := string(d.id) + ":"

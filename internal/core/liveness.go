@@ -142,20 +142,20 @@ func (p *LivenessProber) ProbeOnce() {
 			}
 			continue
 		}
-		recovered := p.suspect[id]
-		delete(p.suspect, id)
 		p.misses[id] = 0
-		if recovered {
-			p.stats.Rediscoveries++
-		}
+		recovered := p.suspect[id]
 		p.mu.Unlock()
-		if recovered {
+		// The channel is back: rediscover this device's links only.
+		// Frames that complete the round trip re-Put their link with
+		// Up=true, restoring reachability without touching the rest of the
+		// topology. A device that cannot give its features stays suspect,
+		// so the next round retries.
+		if recovered && p.c.RediscoverDevice(id) == nil {
+			p.mu.Lock()
+			delete(p.suspect, id)
+			p.stats.Rediscoveries++
+			p.mu.Unlock()
 			livenessRediscoveries.Inc()
-			// The channel is back: rediscover this device's links only.
-			// Frames that complete the round trip re-Put their link with
-			// Up=true, restoring reachability without touching the rest
-			// of the topology.
-			p.c.RediscoverDevice(id)
 		}
 	}
 }

@@ -27,12 +27,12 @@ type probeDev struct {
 }
 
 func (d *probeDev) ID() dataplane.DeviceID { return d.id }
-func (d *probeDev) Features() southbound.FeatureReply {
+func (d *probeDev) Features() (southbound.FeatureReply, error) {
 	return southbound.FeatureReply{
 		Device: d.id,
 		Kind:   dataplane.KindSwitch,
 		Ports:  []southbound.PortInfo{{ID: 1, Up: true}},
-	}
+	}, nil
 }
 func (d *probeDev) InstallRules([]dataplane.Rule) error                      { return nil }
 func (d *probeDev) RemoveRules(southbound.FlowModCommand, string, int) error { return nil }

@@ -126,8 +126,7 @@ func (lp localParent) DiscoveryArrival(gport dataplane.PortID, f *discovery.Fram
 
 // ChildRefreshed implements ParentLink.
 func (lp localParent) ChildRefreshed() error {
-	lp.parent.RefreshChildAndReabstract(lp.child.GSwitchID())
-	return nil
+	return lp.parent.RefreshChildAndReabstract(lp.child.GSwitchID())
 }
 
 // FabricUpdated implements ParentLink.
@@ -207,13 +206,17 @@ func (c *Controller) AcceptTranslatedRoutes(routes []TranslatedRoute) error {
 
 // RefreshChildAndReabstract re-reads a refreshed child G-switch's
 // features, rediscovers inter-G-switch links, and re-abstracts upward
-// (§5.3.2 bottom-to-top update).
-func (c *Controller) RefreshChildAndReabstract(gswitch dataplane.DeviceID) {
+// (§5.3.2 bottom-to-top update). A child whose features cannot be read
+// keeps its record, and nothing is rediscovered or reabstracted.
+func (c *Controller) RefreshChildAndReabstract(gswitch dataplane.DeviceID) error {
 	if d := c.Device(gswitch); d != nil {
-		c.refreshDevice(d)
+		if err := c.refreshDevice(d); err != nil {
+			return err
+		}
 	}
 	c.RunDiscovery()
 	c.Reabstract()
+	return nil
 }
 
 // UpdateChildFabric installs a child's updated virtual fabric on its

@@ -110,7 +110,7 @@ func (c *Controller) preparePath(match dataplane.Match, path *routing.Path, dema
 	id, owner, version := c.allocPath()
 	b := newRuleBatch()
 	ctx := ruleCtx{kind: kindClassify, match: match, demand: demandMbps}
-	if err := c.appendPathRules(b, ctx, path, owner, version); err != nil {
+	if err := c.appendPathRules(b, ctx, path, version); err != nil {
 		return nil, nil, err
 	}
 	return &PathRecord{
@@ -411,7 +411,7 @@ func (c *Controller) appendTranslation(b *ruleBatch, r dataplane.Rule) error {
 			}
 			ctx.match = r.Match
 			ctx.match.InPort = src.Port
-			if err := c.appendPathRules(b, ctx, p, r.Owner, r.Version); err != nil {
+			if err := c.appendPathRules(b, ctx, p, r.Version); err != nil {
 				return err
 			}
 		}
@@ -444,7 +444,7 @@ func (c *Controller) appendTranslation(b *ruleBatch, r dataplane.Rule) error {
 		ctx.kind = kindTransit
 		ctx.labelOut = r.Match.Label
 	}
-	return c.appendPathRules(b, ctx, p, r.Owner, r.Version)
+	return c.appendPathRules(b, ctx, p, r.Version)
 }
 
 // RemoveTranslated executes a parent's delete command on this
@@ -605,7 +605,7 @@ func decodeActions(actions []dataplane.Action) decoded {
 // into children.
 func (c *Controller) installPathRules(ctx ruleCtx, path *routing.Path, owner string, version int) error {
 	b := newRuleBatch()
-	if err := c.appendPathRules(b, ctx, path, owner, version); err != nil {
+	if err := c.appendPathRules(b, ctx, path, version); err != nil {
 		return err
 	}
 	return c.flushBatch(b, owner, version)
@@ -613,18 +613,17 @@ func (c *Controller) installPathRules(ctx ruleCtx, path *routing.Path, owner str
 
 // appendPathRules constructs one path's rules under a label context and
 // accumulates them into b; nothing is programmed until the batch is
-// flushed with the same owner and version (which flushBatch stamps onto
-// every rule — version is needed here only for classify-rule priorities).
-func (c *Controller) appendPathRules(b *ruleBatch, ctx ruleCtx, path *routing.Path, owner string, version int) error {
+// flushed, which stamps its owner and version onto every rule — version is
+// needed here only for classify-rule priorities.
+func (c *Controller) appendPathRules(b *ruleBatch, ctx ruleCtx, path *routing.Path, version int) error {
 	segs := path.Segments()
 	if len(segs) == 0 {
 		return ErrEmptyPath
 	}
 	b.devs = slices.Grow(b.devs, len(segs)) // one entry per segment unless the path revisits a device
-	install := func(devID dataplane.DeviceID, rule dataplane.Rule) error {
+	install := func(devID dataplane.DeviceID, rule dataplane.Rule) {
 		rule.Demand = ctx.demand
 		b.add(devID, rule)
-		return nil
 	}
 
 	stack := c.Mode == pathimpl.ModeStack
@@ -672,7 +671,8 @@ func (c *Controller) appendPathRules(b *ruleBatch, ctx ruleCtx, path *routing.Pa
 				Actions:  actions,
 			}
 		}
-		return install(seg.Dev, rule)
+		install(seg.Dev, rule)
+		return nil
 	}
 
 	local := c.alloc.Next()
@@ -692,24 +692,18 @@ func (c *Controller) appendPathRules(b *ruleBatch, ctx ruleCtx, path *routing.Pa
 			}
 		}
 		actions = append(actions, dataplane.Push(local), dataplane.Output(first.OutPort))
-		if err := install(first.Dev, dataplane.Rule{Priority: 100 + version, Match: m, Actions: actions}); err != nil {
-			return err
-		}
+		install(first.Dev, dataplane.Rule{Priority: 100 + version, Match: m, Actions: actions})
 	default:
 		mode := pathimpl.ModeSwap
 		if stack {
 			mode = pathimpl.ModeStack
 		}
-		if err := install(first.Dev, pathimpl.IngressRule(mode, ctx.labelIn, local, first.InPort, first.OutPort, owner, version)); err != nil {
-			return err
-		}
+		install(first.Dev, pathimpl.IngressRule(mode, ctx.labelIn, local, first.InPort, first.OutPort))
 	}
 
 	// Transit middles.
 	for _, seg := range segs[1 : len(segs)-1] {
-		if err := install(seg.Dev, pathimpl.TransitRule(local, seg.InPort, seg.OutPort, owner, version)); err != nil {
-			return err
-		}
+		install(seg.Dev, pathimpl.TransitRule(local, seg.InPort, seg.OutPort))
 	}
 
 	// Egress.
@@ -732,9 +726,10 @@ func (c *Controller) appendPathRules(b *ruleBatch, ctx ruleCtx, path *routing.Pa
 			actions = []dataplane.Action{dataplane.Swap(ctx.labelOut), dataplane.Output(last.OutPort)}
 		}
 	}
-	return install(last.Dev, dataplane.Rule{
+	install(last.Dev, dataplane.Rule{
 		Priority: 60,
 		Match:    dataplane.Match{InPort: last.InPort, HasLabel: true, Label: local, QoS: -1},
 		Actions:  actions,
 	})
+	return nil
 }

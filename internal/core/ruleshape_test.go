@@ -14,7 +14,7 @@ import (
 func pathRules(t *testing.T, c *Controller, ctx ruleCtx, path *routing.Path, version int) map[dataplane.DeviceID][]dataplane.Rule {
 	t.Helper()
 	b := newRuleBatch()
-	if err := c.appendPathRules(b, ctx, path, "C1", version); err != nil {
+	if err := c.appendPathRules(b, ctx, path, version); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[dataplane.DeviceID][]dataplane.Rule)

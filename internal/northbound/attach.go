@@ -84,8 +84,7 @@ func servePeer(parent *core.Controller, conn southbound.Conn, m southbound.Msg) 
 		reply = southbound.Msg{Type: southbound.TypeNbAck, Body: southbound.NbAck{}}
 
 	case southbound.NbReabstract:
-		parent.RefreshChildAndReabstract(m.Datapath)
-		reply = southbound.Msg{Type: southbound.TypeNbAck, Body: southbound.NbAck{}}
+		reply = southbound.Msg{Type: southbound.TypeNbAck, Body: ackBody(parent.RefreshChildAndReabstract(m.Datapath))}
 
 	default:
 		reply = southbound.Msg{Type: southbound.TypeNbAck,

@@ -41,18 +41,12 @@ type ParentConn struct {
 	// parentID is the parent controller's ID, learned from its Hello.
 	parentID string
 
-	mu sync.Mutex
-	// pending maps outstanding child-request xids to their completions,
-	// guarded by mu. Whoever removes an entry completes it: the reply,
-	// the timeout or failAll, whichever comes first.
-	pending map[uint32]*call
-	// closed records connection teardown, guarded by mu.
-	closed bool
+	// inflight holds the child's outstanding northbound requests; the
+	// reply, the timeout or Close completes each once.
+	inflight *southbound.Inflight
 	// serveDone is closed when the serve goroutine exits, so Close can
 	// wait for the receive side to be fully quiescent.
 	serveDone chan struct{}
-
-	xid atomic.Uint32
 
 	// open counts the modification messages since the last barrier, nil
 	// when there are none; owned by the serve goroutine, so it needs no
@@ -81,7 +75,7 @@ func Connect(child *core.Controller, conn southbound.Conn) (*ParentConn, error) 
 		conn:           conn,
 		gswitch:        child.GSwitchID(),
 		parentID:       parentID,
-		pending:        make(map[uint32]*call),
+		inflight:       southbound.NewInflight(conn, nil),
 		serveDone:      make(chan struct{}),
 		RequestTimeout: 30 * time.Second,
 	}
@@ -96,7 +90,7 @@ func Connect(child *core.Controller, conn southbound.Conn) (*ParentConn, error) 
 // serve owns the receive side until the connection dies.
 func (p *ParentConn) serve() {
 	defer close(p.serveDone)
-	defer p.failAll()
+	defer p.inflight.Close()
 	for {
 		m, err := p.conn.Recv()
 		if err != nil {
@@ -181,9 +175,7 @@ func (p *ParentConn) handle(m southbound.Msg) {
 		p.send(southbound.Msg{Type: southbound.TypeNbAck, Xid: m.Xid, Body: southbound.NbAck{}})
 
 	case southbound.TypeEchoReply, southbound.TypeNbPathReply, southbound.TypeNbAck:
-		if c := p.take(m.Xid); c != nil {
-			c.then(p.outcome(m))
-		}
+		p.inflight.Reply(m.Xid, m)
 	}
 }
 
@@ -313,109 +305,50 @@ func (p *ParentConn) adoptRows(rows []southbound.NbUERow) []core.UERecord {
 	return out
 }
 
-// call is one outstanding child request: its completion and the timer
-// that bounds it.
+// call is one outstanding child request.
 type call struct {
-	then  func(southbound.Msg, error)
-	timer *time.Timer
+	p    *ParentConn
+	typ  southbound.MsgType
+	then func(southbound.Msg, error)
+}
+
+// Done implements southbound.Waiter.
+func (c *call) Done(m southbound.Msg, err error) { c.then(m, c.p.failed(c.typ, err)) }
+
+// failed names the request and the parent in a failed request's error.
+func (p *ParentConn) failed(typ southbound.MsgType, err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("northbound: %s request to %s: %w", typ, p.parentID, err)
 }
 
 // requestThen sends one northbound request and completes it through then,
 // exactly once: with the reply, on the serve goroutine; with a timeout
-// error after RequestTimeout, on the timer's; or with ErrClosed or the
-// send error. A reply that arrives after the timeout is dropped. then must
-// not block.
+// error after RequestTimeout, on the inflight table's timer; or with
+// ErrClosed or the send error. A reply that arrives after the timeout is
+// dropped. then must not block.
 func (p *ParentConn) requestThen(m southbound.Msg, then func(southbound.Msg, error)) {
-	x := p.xid.Add(1)
-	m.Xid = x
 	m.Datapath = p.gswitch
-	c := &call{then: then}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		then(southbound.Msg{}, southbound.ErrClosed)
-		return
-	}
-	p.pending[x] = c
-	typ, timeout := m.Type, p.RequestTimeout
-	c.timer = time.AfterFunc(timeout, func() {
-		if p.take(x) != nil {
-			then(southbound.Msg{}, fmt.Errorf("northbound: %s request to %s timed out after %v", typ, p.parentID, timeout))
-		}
-	})
-	p.mu.Unlock()
-	if err := p.conn.Send(m); err != nil {
-		if p.take(x) != nil {
-			then(southbound.Msg{}, err)
-		}
-	}
+	deadline := time.Now().Add(p.RequestTimeout) //softmow:allow determinism request deadlines pace timeouts only, never replayable state
+	p.inflight.Request(m, &call{p: p, typ: m.Type, then: then}, deadline)
 }
 
-// request performs one northbound round trip and waits for it: the
-// blocking face of requestThen.
+// request performs one northbound round trip and waits for it.
 func (p *ParentConn) request(m southbound.Msg) (southbound.Msg, error) {
-	type result struct {
-		m   southbound.Msg
-		err error
-	}
-	ch := make(chan result, 1)
-	p.requestThen(m, func(reply southbound.Msg, err error) { ch <- result{reply, err} })
-	r := <-ch
-	return r.m, r.err
-}
-
-// take removes an outstanding request and stops its timer, handing the
-// caller the right to complete it; nil when another path already did.
-func (p *ParentConn) take(x uint32) *call {
-	p.mu.Lock()
-	c := p.pending[x]
-	delete(p.pending, x)
-	p.mu.Unlock()
-	if c != nil {
-		c.timer.Stop()
-	}
-	return c
-}
-
-// outcome is how a reply completes its request: an Error reply becomes
-// the request's error, anything else is the reply itself.
-func (p *ParentConn) outcome(m southbound.Msg) (southbound.Msg, error) {
-	if e, isErr := m.Body.(southbound.Error); isErr {
-		return southbound.Msg{}, fmt.Errorf("northbound: %s: %s", p.parentID, e.Message)
-	}
-	return m, nil
-}
-
-// failAll marks the conn closed and completes every outstanding request
-// once with ErrClosed, in xid order.
-func (p *ParentConn) failAll() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return
-	}
-	p.closed = true
-	pend := p.pending
-	p.pending = make(map[uint32]*call)
-	p.mu.Unlock()
-	xids := make([]uint32, 0, len(pend))
-	for x, c := range pend {
-		c.timer.Stop()
-		xids = append(xids, x)
-	}
-	slices.Sort(xids)
-	for _, x := range xids {
-		pend[x].then(southbound.Msg{}, southbound.ErrClosed)
-	}
+	m.Datapath = p.gswitch
+	reply, err := p.inflight.Call(m, time.Now().Add(p.RequestTimeout)) //softmow:allow determinism request deadlines pace timeouts only, never replayable state
+	return reply, p.failed(m.Type, err)
 }
 
 // Close tears down the connection, fails every outstanding request, and
-// waits for the serve goroutine to exit — after Close returns, the link
-// has no goroutine left running.
+// waits for the serve goroutine and any timer callback to exit — after
+// Close returns, the link has no goroutine left running.
 func (p *ParentConn) Close() error {
-	p.failAll()
+	p.inflight.Close()
 	err := p.conn.Close()
 	<-p.serveDone
+	p.inflight.Wait()
 	return err
 }
 
@@ -423,20 +356,10 @@ func (p *ParentConn) Close() error {
 // timeout elapses. A region process calls it on SIGTERM so a cluster
 // teardown never abandons a delegation or teardown mid-flight.
 func (p *ParentConn) Drain(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout) //softmow:allow determinism shutdown pacing only, never feeds replayable state
-	for {
-		p.mu.Lock()
-		n := len(p.pending)
-		closed := p.closed
-		p.mu.Unlock()
-		if n == 0 || closed {
-			return nil
-		}
-		if !time.Now().Before(deadline) { //softmow:allow determinism shutdown pacing only, never feeds replayable state
-			return fmt.Errorf("northbound: %d requests to %s still in flight after %v", n, p.parentID, timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := p.inflight.Drain(timeout); err != nil {
+		return fmt.Errorf("northbound: requests to %s: %w", p.parentID, err)
 	}
+	return nil
 }
 
 // ControllerID implements core.ParentLink.

@@ -71,21 +71,20 @@ func (a *Allocator) Next() dataplane.Label {
 	return l
 }
 
-// TransitRule forwards labeled traffic along a path segment.
-func TransitRule(label dataplane.Label, in dataplane.PortID, out dataplane.PortID, owner string, version int) dataplane.Rule {
+// TransitRule forwards labeled traffic along a path segment. Like
+// IngressRule it leaves Owner and Version to the batch that installs it.
+func TransitRule(label dataplane.Label, in dataplane.PortID, out dataplane.PortID) dataplane.Rule {
 	return dataplane.Rule{
 		Priority: 50,
 		Match:    dataplane.Match{InPort: in, HasLabel: true, Label: label, QoS: -1},
 		Actions:  []dataplane.Action{dataplane.Output(out)},
-		Owner:    owner,
-		Version:  version,
 	}
 }
 
 // IngressRule builds the region-ingress rule translating a parent label to
 // a local label. In swap mode the parent label is popped and replaced
 // (packet keeps depth 1); in stack mode the local label stacks on top.
-func IngressRule(mode Mode, parent, local dataplane.Label, in dataplane.PortID, out dataplane.PortID, owner string, version int) dataplane.Rule {
+func IngressRule(mode Mode, parent, local dataplane.Label, in dataplane.PortID, out dataplane.PortID) dataplane.Rule {
 	var actions []dataplane.Action
 	if mode == ModeSwap {
 		actions = []dataplane.Action{dataplane.Swap(local), dataplane.Output(out)}
@@ -96,8 +95,6 @@ func IngressRule(mode Mode, parent, local dataplane.Label, in dataplane.PortID, 
 		Priority: 60,
 		Match:    dataplane.Match{InPort: in, HasLabel: true, Label: parent, QoS: -1},
 		Actions:  actions,
-		Owner:    owner,
-		Version:  version,
 	}
 }
 

@@ -67,7 +67,7 @@ func TestAllocatorOwnerQuick(t *testing.T) {
 }
 
 func TestTransitRuleShape(t *testing.T) {
-	r := TransitRule(500, 1, 2, "C1", 1)
+	r := TransitRule(500, 1, 2)
 	if !r.Match.HasLabel || r.Match.Label != 500 || r.Match.InPort != 1 {
 		t.Fatalf("match = %+v", r.Match)
 	}
@@ -99,7 +99,7 @@ func TestSwapModeKeepsDepthOne(t *testing.T) {
 	p := &dataplane.Packet{}
 	p.PushLabel(parent)
 
-	in := IngressRule(ModeSwap, parent, local, 1, 2, "C", 1)
+	in := IngressRule(ModeSwap, parent, local, 1, 2)
 	if !in.Match.Matches(1, p) {
 		t.Fatal("ingress rule must match parent-labeled packet")
 	}
@@ -129,7 +129,7 @@ func TestStackModeGrowsDepth(t *testing.T) {
 	p := &dataplane.Packet{}
 	p.PushLabel(parent)
 
-	in := IngressRule(ModeStack, parent, local, 1, 2, "C", 1)
+	in := IngressRule(ModeStack, parent, local, 1, 2)
 	applyRule(in, p)
 	if p.LabelDepth() != 2 {
 		t.Fatalf("stack ingress depth = %d", p.LabelDepth())

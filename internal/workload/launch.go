@@ -51,7 +51,10 @@ func FinishDistRoot(root *core.Controller, devs []*core.ConnDevice) error {
 	}
 	ports := make([]ringPorts, len(devs))
 	for k, d := range devs {
-		fr := d.Features()
+		fr, err := d.Features()
+		if err != nil {
+			return fmt.Errorf("workload: region %d: %w", k, err)
+		}
 		rp := ringPorts{gsw: fr.Device}
 		for _, p := range fr.Ports {
 			if p.External || p.Radio != "" {
