@@ -53,8 +53,8 @@ bench-test:
 
 # The layer benchmarks behind BENCH_layers.json, one iteration each: they
 # are run for real by `make bench`; this only keeps them from rotting.
-LAYER_BENCH = BenchmarkFencedModPipe|BenchmarkPipeRoundTrip|BenchmarkWallSchedulerAt|BenchmarkHandoverKeep
-LAYER_PKGS = ./internal/core ./internal/southbound ./internal/netem
+LAYER_BENCH = BenchmarkFencedModPipe|BenchmarkPipeRoundTrip|BenchmarkWallSchedulerAt|BenchmarkHandoverKeep|BenchmarkFlowTableChurn
+LAYER_PKGS = ./internal/core ./internal/southbound ./internal/netem ./internal/dataplane
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(LAYER_BENCH)' -benchtime=1x $(LAYER_PKGS)
 
@@ -64,8 +64,9 @@ check: fmt-check vet race docs-check lint bench-test bench-smoke
 # results as JSON lines in BENCH_routing.json (BenchmarkShortestPath is the
 # path-memo hit, ...Cold the Dijkstra run behind a miss, RouteMemoParallel
 # the hit at -cpu 1,2), and the layer benchmarks (fenced mod over Pipe +
-# SwitchAgent behind a 200 us link, Pipe round trip, WallScheduler.At, and
-# the same-group handover inline and on a fresh goroutine) in
+# SwitchAgent behind a 200 us link, Pipe round trip, WallScheduler.At, the
+# same-group handover inline and on a fresh goroutine, and an install plus
+# owner delete on a 100k-rule flow table) in
 # BENCH_layers.json — the committed baselines for spotting regressions;
 # compare with `git diff`.
 BENCH_CONFIG = printf '{"config":{"go_version":"%s","gomaxprocs":%s,"num_cpu":%s}}\n' \

@@ -51,7 +51,7 @@ func (f *fig5) rulesNotOwnedBy(keep string) []dataplane.Rule {
 	for _, sw := range f.net.Switches() {
 		for _, r := range sw.Table.Rules() {
 			if r.Owner != keep {
-				out = append(out, *r)
+				out = append(out, r)
 			}
 		}
 	}

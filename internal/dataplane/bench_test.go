@@ -21,9 +21,40 @@ func BenchmarkFlowTableLookup(b *testing.B) {
 	p.PushLabel(200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if ft.Lookup(3, p) == nil {
+		if _, ok := ft.Lookup(3, p); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// perUERules returns n per-UE classification rules, one owner each: the
+// shape bearer setup leaves on an access switch.
+func perUERules(n int) []Rule {
+	rules := make([]Rule, n)
+	for i := range rules {
+		ue := fmt.Sprintf("ue%07d", i)
+		rules[i] = Rule{Priority: 10, Owner: ue, Version: 1,
+			Match:   Match{InPort: 1, UE: ue, QoS: -1},
+			Actions: []Action{Output(2)}}
+	}
+	return rules
+}
+
+// BenchmarkFlowTableChurn measures one Add plus one RemoveByOwner on a
+// table holding 100k per-UE rules; the pair leaves the table at its size.
+func BenchmarkFlowTableChurn(b *testing.B) {
+	const size = 100_000
+	rules := perUERules(2 * size)
+	ft := NewFlowTable()
+	for _, r := range rules[:size] {
+		ft.Add(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &rules[size+i%size]
+		ft.Add(*r)
+		ft.RemoveByOwner(r.Owner)
 	}
 }
 

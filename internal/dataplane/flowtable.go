@@ -1,8 +1,9 @@
 package dataplane
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -174,15 +175,10 @@ type Rule struct {
 	// at install time and released at removal (admission control for the
 	// §3.2 available-bandwidth metrics).
 	Demand float64
-
-	seq uint64
-	// dead marks a rule removed through the owner index but not yet
-	// compacted out of the ordered slice (a tombstone).
-	dead bool
 }
 
 // String implements fmt.Stringer.
-func (r *Rule) String() string {
+func (r Rule) String() string {
 	acts := make([]string, len(r.Actions))
 	for i, a := range r.Actions {
 		acts[i] = a.String()
@@ -190,119 +186,216 @@ func (r *Rule) String() string {
 	return fmt.Sprintf("prio=%d match[%s] actions[%s] v%d", r.Priority, r.Match, strings.Join(acts, " "), r.Version)
 }
 
+// slot holds one installed rule by value in a FlowTable's slab.
+type slot struct {
+	rule Rule
+	// seq is the rule's insertion sequence: equal priorities order by it.
+	seq uint64
+	// prev and next chain the owner's slots in insertion order. The
+	// head's prev is the chain's tail; the tail's next is -1.
+	prev, next int32
+	// gen counts the slot's frees, so an ordered-view entry taken before
+	// the last free is recognisably stale.
+	gen uint32
+}
+
+// viewRef is one entry of a FlowTable's ordered view: a slab index and
+// the slot's gen when the entry was made. An entry whose gen no longer
+// matches its slot's is a tombstone.
+type viewRef struct {
+	slot int32
+	gen  uint32
+}
+
 // FlowTable is a concurrency-safe prioritized rule table.
 //
-// Installs append and owner-scoped removals go through a per-owner index,
-// so both are O(1)/O(k) amortized instead of shifting or scanning the
-// whole table — at 100k+ installed rules the previous
-// sorted-insert/linear-scan layout dominated bearer-setup CPU. The
-// priority ordering Lookup needs is restored lazily: removals leave
-// tombstones and installs may unsort the slice, and the next ordered read
+// Rules live by value in a slab of slots, so an installed rule costs no
+// heap object of its own, and a removed rule's slot is zeroed and reused
+// by the next install. Installs append and owner-scoped removals walk a
+// per-owner chain through the slab, so both are O(1)/O(k) amortized
+// instead of shifting or scanning the whole table. The priority ordering
+// Lookup needs is restored lazily: removals leave tombstones in the
+// ordered view and installs may unsort it, and the next ordered read
 // (Lookup, Rules) compacts and re-sorts once.
 type FlowTable struct {
 	mu sync.RWMutex
-	// rules is the ordered view, guarded by mu. It may hold tombstones
+	// slab holds every slot, live or free, in chunks of slabChunk, guarded
+	// by mu. Growing the slab copies at most one chunk, so an install
+	// into a table of 10⁶ rules never stalls behind a copy of all of
+	// them.
+	slab [][]slot
+	// free lists the slab indices ready for reuse, guarded by mu.
+	free []int32
+	// order is the ordered view, guarded by mu. It may hold tombstones
 	// (dead > 0) and may be unsorted (dirty) between ordered reads.
-	rules []*Rule
-	// byOwner indexes live rules by owner tag in insertion order,
-	// guarded by mu.
-	byOwner map[string][]*Rule
-	// live / dead count non-tombstoned and tombstoned entries of rules,
-	// guarded by mu.
+	order []viewRef
+	// byOwner maps an owner tag to the head of its slot chain, guarded by
+	// mu.
+	byOwner map[string]int32
+	// live / dead count live and tombstoned entries of order, guarded by
+	// mu.
 	live int
 	dead int
-	// dirty records that rules is not sorted, guarded by mu.
-	dirty   bool
-	nextSeq uint64
+	// dirty records that order is not sorted, guarded by mu.
+	dirty bool
+	// tailPrio is the priority of order's last entry, guarded by mu.
+	tailPrio int
+	nextSeq  uint64
 	// misses counts lookups that matched no rule.
 	misses atomic.Uint64
 	// hits counts successful lookups.
 	hits atomic.Uint64
 }
 
-// NewFlowTable returns an empty table.
-func NewFlowTable() *FlowTable { return &FlowTable{byOwner: make(map[string][]*Rule)} }
+// A slab chunk holds slabChunk slots: slot i is entry i&(slabChunk-1) of
+// chunk i>>slabChunkBits.
+const (
+	slabChunkBits = 10
+	slabChunk     = 1 << slabChunkBits
+)
 
-// Add installs a rule (copied). The rule is appended and indexed by owner;
-// an append that breaks priority order only marks the table dirty — the
-// next ordered read sorts once, so a burst of installs never pays a
-// per-install shift of the whole table.
+// NewFlowTable returns an empty table.
+func NewFlowTable() *FlowTable { return &FlowTable{byOwner: make(map[string]int32)} }
+
+// slotLocked returns slab slot i; caller holds mu (either mode).
+func (t *FlowTable) slotLocked(i int32) *slot {
+	return &t.slab[i>>slabChunkBits][i&(slabChunk-1)]
+}
+
+// Add installs a rule (copied). The rule takes a free slot, is appended to
+// the ordered view and chained to its owner; an append that breaks
+// priority order only marks the table dirty — the next ordered read sorts
+// once, so a burst of installs never pays a per-install shift of the
+// whole table.
 func (t *FlowTable) Add(r Rule) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r.seq = t.nextSeq
-	t.nextSeq++
-	rc := r
-	if !t.dirty && len(t.rules) > 0 {
-		// Appending keeps the slice sorted only when the new rule sorts at
-		// or after the current tail (priority desc, seq asc).
-		if t.rules[len(t.rules)-1].Priority < rc.Priority {
-			t.dirty = true
+	var i int32
+	if n := len(t.free); n > 0 {
+		i = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		n := len(t.slab)
+		if n == 0 || len(t.slab[n-1]) == slabChunk {
+			t.slab = append(t.slab, nil)
+			n++
 		}
+		i = int32((n-1)*slabChunk + len(t.slab[n-1]))
+		t.slab[n-1] = append(t.slab[n-1], slot{})
 	}
-	t.rules = append(t.rules, &rc)
-	if t.byOwner == nil {
-		t.byOwner = make(map[string][]*Rule)
+	s := t.slotLocked(i)
+	s.rule, s.seq = r, t.nextSeq
+	t.nextSeq++
+	// Appending keeps the view sorted only when the new rule sorts at or
+	// after the current tail (priority desc, seq asc).
+	if !t.dirty && len(t.order) > 0 && t.tailPrio < r.Priority {
+		t.dirty = true
 	}
-	t.byOwner[rc.Owner] = append(t.byOwner[rc.Owner], &rc)
+	t.order = append(t.order, viewRef{i, s.gen})
+	t.tailPrio = r.Priority
+	if h, ok := t.byOwner[r.Owner]; ok {
+		tail := t.slotLocked(h).prev
+		t.slotLocked(tail).next = i
+		s.prev, s.next = tail, -1
+		t.slotLocked(h).prev = i
+	} else {
+		t.byOwner[r.Owner] = i
+		s.prev, s.next = i, -1
+	}
 	t.live++
 }
 
+// removeLocked takes slot i out of its owner's chain and frees it: the
+// slot is zeroed, so the GC can drop the rule's strings and actions, and
+// its gen moves on, so any ordered-view entry naming it is a tombstone.
+// Caller holds the write lock.
+func (t *FlowTable) removeLocked(i int32) {
+	s := t.slotLocked(i)
+	owner := s.rule.Owner
+	if h := t.byOwner[owner]; i == h {
+		if s.next < 0 {
+			delete(t.byOwner, owner)
+		} else {
+			t.slotLocked(s.next).prev = s.prev
+			t.byOwner[owner] = s.next
+		}
+	} else {
+		t.slotLocked(s.prev).next = s.next
+		if s.next < 0 {
+			t.slotLocked(h).prev = s.prev
+		} else {
+			t.slotLocked(s.next).prev = s.prev
+		}
+	}
+	*s = slot{gen: s.gen + 1}
+	t.free = append(t.free, i)
+	t.live--
+}
+
 // compactLocked restores the invariant ordered reads rely on: tombstones
-// are dropped and, if installs unsorted the slice, it is re-sorted by
+// are dropped and, if installs unsorted the view, it is re-sorted by
 // (priority desc, insertion order asc). Caller holds the write lock.
 func (t *FlowTable) compactLocked() {
 	if t.dead > 0 {
-		kept := t.rules[:0]
-		for _, r := range t.rules {
-			if !r.dead {
-				kept = append(kept, r)
+		kept := t.order[:0]
+		for _, e := range t.order {
+			if t.slotLocked(e.slot).gen == e.gen {
+				kept = append(kept, e)
 			}
 		}
-		for i := len(kept); i < len(t.rules); i++ {
-			t.rules[i] = nil
-		}
-		t.rules = kept
+		t.order = kept
 		t.dead = 0
 	}
 	if t.dirty {
-		sort.Slice(t.rules, func(i, j int) bool {
-			if t.rules[i].Priority != t.rules[j].Priority {
-				return t.rules[i].Priority > t.rules[j].Priority
+		slices.SortFunc(t.order, func(a, b viewRef) int {
+			sa, sb := t.slotLocked(a.slot), t.slotLocked(b.slot)
+			if sa.rule.Priority != sb.rule.Priority {
+				return cmp.Compare(sb.rule.Priority, sa.rule.Priority)
 			}
-			return t.rules[i].seq < t.rules[j].seq
+			return cmp.Compare(sa.seq, sb.seq)
 		})
 		t.dirty = false
 	}
+	if n := len(t.order); n > 0 {
+		t.tailPrio = t.slotLocked(t.order[n-1].slot).rule.Priority
+	}
 }
 
-// Lookup returns the highest-priority rule matching the packet, or nil.
-func (t *FlowTable) Lookup(inPort PortID, p *Packet) *Rule {
+// Lookup returns a copy of the highest-priority rule matching the packet
+// and true, or false on a miss. A copy, because the slot it came from is
+// reused by the next install after the rule's removal; it shares the
+// installed rule's Actions, which nothing writes after install.
+func (t *FlowTable) Lookup(inPort PortID, p *Packet) (r Rule, ok bool) {
 	t.mu.RLock()
 	if t.dirty || t.dead > 0 {
 		t.mu.RUnlock()
 		t.mu.Lock()
 		t.compactLocked()
-		r := t.lookupLocked(inPort, p)
+		if i := t.lookupLocked(inPort, p); i >= 0 {
+			r, ok = t.slotLocked(i).rule, true
+		}
 		t.mu.Unlock()
-		return r
+		return r, ok
 	}
-	r := t.lookupLocked(inPort, p)
+	if i := t.lookupLocked(inPort, p); i >= 0 {
+		r, ok = t.slotLocked(i).rule, true
+	}
 	t.mu.RUnlock()
-	return r
+	return r, ok
 }
 
-// lookupLocked scans the ordered slice; caller holds mu (either mode) with
+// lookupLocked scans the ordered view for the first rule matching the
+// packet and returns its slot, or -1; caller holds mu (either mode) with
 // the table compacted.
-func (t *FlowTable) lookupLocked(inPort PortID, p *Packet) *Rule {
-	for _, r := range t.rules {
-		if r.Match.Matches(inPort, p) {
+func (t *FlowTable) lookupLocked(inPort PortID, p *Packet) int32 {
+	for _, e := range t.order {
+		if t.slotLocked(e.slot).rule.Match.Matches(inPort, p) {
 			t.hits.Add(1)
-			return r
+			return e.slot
 		}
 	}
 	t.misses.Add(1)
-	return nil
+	return -1
 }
 
 // Len reports the number of installed rules.
@@ -312,102 +405,84 @@ func (t *FlowTable) Len() int {
 	return t.live
 }
 
-// Rules returns a snapshot of the installed rules in priority order.
-func (t *FlowTable) Rules() []*Rule {
+// Rules returns a copy of the installed rules in priority order.
+func (t *FlowTable) Rules() []Rule {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.compactLocked()
-	out := make([]*Rule, len(t.rules))
-	copy(out, t.rules)
+	out := make([]Rule, len(t.order))
+	for k, e := range t.order {
+		out[k] = t.slotLocked(e.slot).rule
+	}
 	return out
 }
 
-// TakeIf deletes all rules for which pred returns true and returns them in
-// priority order.
-func (t *FlowTable) TakeIf(pred func(*Rule) bool) []*Rule {
+// RemoveIf deletes all rules for which pred returns true, calling removed
+// (if non-nil) on each in priority order before it goes, and returns the
+// number deleted. Both callbacks run under the table's write lock: they
+// must not call into the table or keep the pointer they are given.
+func (t *FlowTable) RemoveIf(pred func(*Rule) bool, removed func(*Rule)) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.compactLocked()
-	kept := t.rules[:0]
-	var removed []*Rule
-	for _, r := range t.rules {
-		if pred(r) {
-			removed = append(removed, r)
-		} else {
-			kept = append(kept, r)
+	kept := t.order[:0]
+	for _, e := range t.order {
+		r := &t.slotLocked(e.slot).rule
+		if !pred(r) {
+			kept = append(kept, e)
+			continue
 		}
+		if removed != nil {
+			removed(r)
+		}
+		t.removeLocked(e.slot)
 	}
-	for i := len(kept); i < len(t.rules); i++ {
-		t.rules[i] = nil
+	n := len(t.order) - len(kept)
+	t.order = kept
+	if len(kept) > 0 {
+		t.tailPrio = t.slotLocked(kept[len(kept)-1].slot).rule.Priority
 	}
-	t.rules = kept
-	t.live = len(kept)
-	for _, r := range removed {
-		t.unindexLocked(r)
-	}
-	return removed
+	return n
 }
 
-// TakeOwnerIf deletes owner's rules for which pred returns true (nil
-// matches all of them) and returns them in insertion order. This is the
-// O(k) fast path behind every owner-scoped removal: only the owner's own
-// bucket is visited, and the ordered slice keeps tombstones until the next
-// ordered read compacts.
-func (t *FlowTable) TakeOwnerIf(owner string, pred func(*Rule) bool) []*Rule {
+// RemoveOwnerIf deletes owner's rules for which pred returns true (nil
+// matches all of them), calling removed (if non-nil) on each in insertion
+// order before it goes, and returns the number deleted. The callbacks are
+// bound as RemoveIf's are. This is the O(k) fast path behind every
+// owner-scoped removal: only the owner's own chain is visited, and the
+// ordered view keeps tombstones until the next ordered read compacts.
+func (t *FlowTable) RemoveOwnerIf(owner string, pred func(*Rule) bool, removed func(*Rule)) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	bucket := t.byOwner[owner]
-	if len(bucket) == 0 {
-		return nil
+	h, ok := t.byOwner[owner]
+	if !ok {
+		return 0
 	}
-	kept := bucket[:0]
-	var removed []*Rule
-	for _, r := range bucket {
+	n := 0
+	for i := h; i >= 0; {
+		s := t.slotLocked(i)
+		r, next := &s.rule, s.next
 		if pred == nil || pred(r) {
-			r.dead = true
-			removed = append(removed, r)
-		} else {
-			kept = append(kept, r)
+			if removed != nil {
+				removed(r)
+			}
+			t.removeLocked(i)
+			n++
 		}
+		i = next
 	}
-	if len(kept) == 0 {
-		delete(t.byOwner, owner)
-	} else {
-		for i := len(kept); i < len(bucket); i++ {
-			bucket[i] = nil
-		}
-		t.byOwner[owner] = kept
-	}
-	t.dead += len(removed)
-	t.live -= len(removed)
+	t.dead += n
 	// Amortization: once tombstones outnumber live rules the next ordered
 	// read would pay for them anyway, so fold the compaction in here.
 	if t.dead > t.live {
 		t.compactLocked()
 	}
-	return removed
-}
-
-// unindexLocked removes a rule pointer from its owner bucket; caller holds
-// the write lock.
-func (t *FlowTable) unindexLocked(r *Rule) {
-	bucket := t.byOwner[r.Owner]
-	for i, br := range bucket {
-		if br == r {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(t.byOwner, r.Owner)
-	} else {
-		t.byOwner[r.Owner] = bucket
-	}
+	return n
 }
 
 // RemoveByOwner deletes all rules installed by owner.
 func (t *FlowTable) RemoveByOwner(owner string) int {
-	return len(t.TakeOwnerIf(owner, nil))
+	return t.RemoveOwnerIf(owner, nil, nil)
 }
 
 // Stats returns (hits, misses) lookup counters.

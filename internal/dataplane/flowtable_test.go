@@ -63,8 +63,8 @@ func TestFlowTablePriorityAndTies(t *testing.T) {
 	ft.Add(Rule{Priority: 1, Match: anyMatch(), Actions: []Action{{Op: OpDrop}}, Owner: "low"})
 	ft.Add(Rule{Priority: 10, Match: anyMatch(), Actions: []Action{Output(1)}, Owner: "hiA"})
 	ft.Add(Rule{Priority: 10, Match: anyMatch(), Actions: []Action{Output(2)}, Owner: "hiB"})
-	r := ft.Lookup(1, &Packet{})
-	if r == nil || r.Owner != "hiA" {
+	r, ok := ft.Lookup(1, &Packet{})
+	if !ok || r.Owner != "hiA" {
 		t.Fatalf("expected first-inserted high-priority rule, got %v", r)
 	}
 }
@@ -72,7 +72,7 @@ func TestFlowTablePriorityAndTies(t *testing.T) {
 func TestFlowTableMiss(t *testing.T) {
 	ft := NewFlowTable()
 	ft.Add(Rule{Priority: 5, Match: Match{InPort: 3, QoS: -1}, Actions: []Action{Output(1)}})
-	if r := ft.Lookup(9, &Packet{}); r != nil {
+	if r, ok := ft.Lookup(9, &Packet{}); ok {
 		t.Fatalf("expected miss, got %v", r)
 	}
 	hits, misses := ft.Stats()
@@ -92,7 +92,7 @@ func TestFlowTableRemove(t *testing.T) {
 	if ft.Len() != 1 {
 		t.Fatalf("len = %d", ft.Len())
 	}
-	if n := len(ft.TakeIf(func(r *Rule) bool { return r.Version == 1 })); n != 1 {
+	if n := ft.RemoveIf(func(r *Rule) bool { return r.Version == 1 }, nil); n != 1 {
 		t.Fatalf("removed version: %d", n)
 	}
 	if ft.Len() != 0 {
@@ -107,6 +107,33 @@ func TestFlowTableAddCopiesRule(t *testing.T) {
 	r.Owner = "mutated"
 	if got := ft.Rules()[0].Owner; got != "x" {
 		t.Fatalf("table rule aliases caller's value: %s", got)
+	}
+}
+
+// A warmed table reuses its freed slots, ordered view and owner map: a
+// steady-state install and owner delete allocate nothing.
+func TestFlowTableChurnAllocs(t *testing.T) {
+	const size = 1000
+	rules := perUERules(2 * size)
+	ft := NewFlowTable()
+	for _, r := range rules[:size] {
+		ft.Add(r)
+	}
+	i := 0
+	churn := func() {
+		r := &rules[size+i%size]
+		ft.Add(*r)
+		ft.RemoveByOwner(r.Owner)
+		i++
+	}
+	for k := 0; k < 4*size; k++ {
+		churn()
+	}
+	if allocs := testing.AllocsPerRun(2*size, churn); allocs != 0 {
+		t.Fatalf("Add + RemoveByOwner allocates %v times per pair, want 0", allocs)
+	}
+	if ft.Len() != size {
+		t.Fatalf("len = %d, want %d", ft.Len(), size)
 	}
 }
 
@@ -128,7 +155,7 @@ func TestLookupMaxPriorityQuick(t *testing.T) {
 		}
 		p := &Packet{}
 		in := PortID(probe % 4)
-		got := ft.Lookup(in, p)
+		got, ok := ft.Lookup(in, p)
 		best := -1
 		for _, r := range ft.Rules() {
 			if r.Match.Matches(in, p) && r.Priority > best {
@@ -136,9 +163,9 @@ func TestLookupMaxPriorityQuick(t *testing.T) {
 			}
 		}
 		if best == -1 {
-			return got == nil
+			return !ok
 		}
-		return got != nil && got.Priority == best
+		return ok && got.Priority == best
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

@@ -208,7 +208,7 @@ func (n *Network) InstallRule(swID DeviceID, r Rule) error {
 		return fmt.Errorf("dataplane: install on unknown switch %s", swID)
 	}
 	if r.Demand > 0 {
-		if l := n.outputLink(sw, r); l != nil {
+		if l := n.outputLink(sw, &r); l != nil {
 			if err := l.Reserve(r.Demand); err != nil {
 				return err
 			}
@@ -225,41 +225,35 @@ func (n *Network) RemoveRulesIf(swID DeviceID, pred func(*Rule) bool) int {
 	if sw == nil {
 		return 0
 	}
-	removed := sw.Table.TakeIf(pred)
-	for _, r := range removed {
-		if r.Demand > 0 {
-			if l := n.outputLink(sw, *r); l != nil {
-				l.Release(r.Demand)
-			}
-		}
-	}
-	return len(removed)
+	return sw.Table.RemoveIf(pred, func(r *Rule) { n.release(sw, r) })
 }
 
 // RemoveRulesOwner removes owner's rules matching pred (nil matches all
 // of them) from a switch, releasing their bandwidth reservations, and
 // returns the number removed. Unlike RemoveRulesIf this goes through the
-// flow table's per-owner index, so the cost is proportional to the
+// flow table's per-owner chain, so the cost is proportional to the
 // owner's own rules rather than the whole table.
 func (n *Network) RemoveRulesOwner(swID DeviceID, owner string, pred func(*Rule) bool) int {
 	sw := n.Switch(swID)
 	if sw == nil {
 		return 0
 	}
-	removed := sw.Table.TakeOwnerIf(owner, pred)
-	for _, r := range removed {
-		if r.Demand > 0 {
-			if l := n.outputLink(sw, *r); l != nil {
-				l.Release(r.Demand)
-			}
+	return sw.Table.RemoveOwnerIf(owner, pred, func(r *Rule) { n.release(sw, r) })
+}
+
+// release returns a removed rule's bandwidth reservation to the link
+// behind its output port.
+func (n *Network) release(sw *Switch, r *Rule) {
+	if r.Demand > 0 {
+		if l := n.outputLink(sw, r); l != nil {
+			l.Release(r.Demand)
 		}
 	}
-	return len(removed)
 }
 
 // outputLink resolves the link behind a rule's output port (nil for
 // external, radio, middlebox or linkless ports).
-func (n *Network) outputLink(sw *Switch, r Rule) *Link {
+func (n *Network) outputLink(sw *Switch, r *Rule) *Link {
 	for _, a := range r.Actions {
 		if a.Op == OpOutput {
 			if p := sw.PortByID(a.Port); p != nil && !p.External && p.Radio == "" {

@@ -1,6 +1,8 @@
 package dataplane
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -99,6 +101,40 @@ func TestForwardToEgress(t *testing.T) {
 	if len(path) != 3 || path[0] != "SW1" || path[2] != "SW3" {
 		t.Fatalf("path = %v", path)
 	}
+}
+
+// Traversals read a switch's table while installs and owner deletes churn
+// it: each lookup must see a consistent table (run under -race). The
+// churned rules outrank the forwarding rule but match another UE, so
+// every traversal still egresses.
+func TestInjectRacesTableChurn(t *testing.T) {
+	n, ep := buildLine(t)
+	n.Switch("SW1").Table.Add(Rule{Priority: 1, Match: anyMatch(), Actions: []Action{Output(1)}})
+	n.Switch("SW2").Table.Add(Rule{Priority: 1, Match: anyMatch(), Actions: []Action{Output(2)}})
+	n.Switch("SW3").Table.Add(Rule{Priority: 1, Match: anyMatch(), Actions: []Action{Output(ep.Port)}})
+	sw := n.Switch("SW2").Table
+	const rounds = 2000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			owner := fmt.Sprintf("o%d", i%16)
+			sw.Add(Rule{Priority: 2 + i%5, Owner: owner,
+				Match:   Match{InPort: PortAny, UE: "other", QoS: -1},
+				Actions: []Action{{Op: OpDrop}}})
+			if i%3 == 0 {
+				sw.RemoveByOwner(owner)
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		res, err := n.Inject("SW1", PortAny, &Packet{UE: "ue1"})
+		if err != nil || res.Disposition != DispEgressed {
+			t.Fatalf("traversal %d: %v %v", i, res.Disposition, err)
+		}
+	}
+	wg.Wait()
 }
 
 func TestLabelSwapPath(t *testing.T) {

@@ -95,8 +95,8 @@ func (n *Network) Inject(swID DeviceID, inPort PortID, p *Packet) (TraversalResu
 			return res, nil
 		}
 		ttl--
-		rule := cur.Table.Lookup(inPort, p)
-		if rule == nil {
+		rule, ok := cur.Table.Lookup(inPort, p)
+		if !ok {
 			if cur.PuntMisses {
 				res.Disposition = DispPunted
 				res.PuntedAt = PortRef{cur.ID, inPort}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/ltetrace"
 	"repro/internal/simnet"
@@ -65,8 +66,24 @@ type Op struct {
 	Prefix int // region index whose egress prefix the bearer targets
 }
 
-// UEName renders a UE index as its wire identifier.
-func UEName(ue int) string { return fmt.Sprintf("ue%07d", ue) }
+// UEName renders a UE index as its wire identifier: "ue" and the index
+// zero-padded to seven characters, sign included — fmt's "ue%07d",
+// without fmt's cost on the per-op path.
+func UEName(ue int) string {
+	var buf [32]byte
+	b := append(buf[:0], "ue"...)
+	width, u := 7, uint64(ue)
+	if ue < 0 {
+		b = append(b, '-')
+		width, u = 6, -u
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
 
 // TraceLine renders the op as one line of the replayable event trace.
 func (o Op) TraceLine() string {

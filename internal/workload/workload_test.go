@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -246,5 +248,15 @@ func TestAssembleDistReportKeepsFirstErr(t *testing.T) {
 	per := rep.Distributed.Per
 	if per[0].FirstErr != "" || per[1].FirstErr != reason || per[2].FirstErr != "a later failure" {
 		t.Fatalf("per-process FirstErr not carried: %+v", per)
+	}
+}
+
+// UEName is byte-identical to the fmt rendering it replaced, so traces,
+// digests and owner tags do not move.
+func TestUENameMatchesSprintf(t *testing.T) {
+	for _, n := range []int{0, 7, 9_999_999, 10_000_000, 1 << 31, -1, -42, -1_000_000, math.MinInt} {
+		if got, want := UEName(n), fmt.Sprintf("ue%07d", n); got != want {
+			t.Errorf("UEName(%d) = %q, want %q", n, got, want)
+		}
 	}
 }
